@@ -252,7 +252,7 @@ void BM_ClockGlitchSample(benchmark::State& state) {
     cfg.technique = "clock-glitch";
     return cfg;
   }());
-  static const faultsim::ClockGlitchAttackModel model =
+  static const faultsim::GlitchAttackModel model =
       fw.glitch_attack_model(50);
   static auto sampler = fw.make_glitch_sampler(model);
   Rng rng(42);
@@ -272,7 +272,7 @@ void BM_ClockGlitchSampleFresh(benchmark::State& state) {
     cfg.technique = "clock-glitch";
     return cfg;
   }());
-  static const faultsim::ClockGlitchAttackModel model =
+  static const faultsim::GlitchAttackModel model =
       fw.glitch_attack_model(50);
   static auto sampler = fw.make_glitch_sampler(model);
   Rng rng(42);
@@ -291,13 +291,14 @@ void BM_ClockGlitchRun(benchmark::State& state) {
     cfg.technique = "clock-glitch";
     return cfg;
   }());
-  static const faultsim::ClockGlitchAttackModel model =
+  static const faultsim::GlitchAttackModel model =
       fw.glitch_attack_model(50);
   static auto sampler = fw.make_glitch_sampler(model);
   mc::EvaluatorConfig cfg;
   cfg.threads = static_cast<std::size_t>(state.range(0));
   cfg.keep_records = false;
-  faultsim::ClockGlitchTechnique technique(fw.glitch_simulator());
+  faultsim::GlitchTechnique technique(fw.glitch_simulator(),
+                                     faultsim::TechniqueKind::kClockGlitch);
   const mc::SsfEvaluator engine(fw.soc(), technique, fw.benchmark(),
                                 fw.golden(), &fw.characterization(), cfg);
   constexpr std::size_t kSamples = 512;
@@ -327,12 +328,13 @@ void BM_ExhaustiveSweep(benchmark::State& state) {
     cfg.technique = "clock-glitch";
     return cfg;
   }());
-  static const faultsim::ClockGlitchAttackModel model =
+  static const faultsim::GlitchAttackModel model =
       fw.glitch_attack_model(50);
   mc::EvaluatorConfig cfg;
   cfg.threads = static_cast<std::size_t>(state.range(0));
   cfg.keep_records = false;
-  faultsim::ClockGlitchTechnique technique(fw.glitch_simulator());
+  faultsim::GlitchTechnique technique(fw.glitch_simulator(),
+                                     faultsim::TechniqueKind::kClockGlitch);
   technique.bind_space(model);
   const std::uint64_t space = technique.space_size();
   const mc::SsfEvaluator engine(fw.soc(), technique, fw.benchmark(),

@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "core/framework.h"
-#include "mc/glitch_evaluator.h"
 
 using namespace fav;
 
@@ -19,23 +18,32 @@ int main() {
   cfg.technique = "clock-glitch";
   core::FaultAttackEvaluator framework(soc::make_illegal_write_benchmark(),
                                        cfg);
-  const faultsim::ClockGlitchSimulator& glitch = framework.glitch_simulator();
-  const mc::ClockGlitchEvaluator evaluator(framework.evaluator(),
-                                           framework.soc(), glitch);
+  const faultsim::GlitchSimulator& glitch = framework.glitch_simulator();
+  // A second technique instance whose fault space each sweep below rebinds,
+  // run by an engine with the framework's configuration.
+  faultsim::GlitchTechnique technique(glitch,
+                                      faultsim::TechniqueKind::kClockGlitch);
+  const mc::SsfEvaluator engine(framework.soc(), technique,
+                                framework.benchmark(), framework.golden(),
+                                &framework.characterization(),
+                                framework.evaluator().config());
 
   std::printf("nominal clock period: %.1f, slowest D arrival: %.1f\n\n",
               glitch.timing().clock_period(), glitch.critical_d_arrival());
 
-  // Exact SSF per glitch depth over the full 50-cycle attack window. The
-  // enumeration feeds the unified pipeline, so it parallelizes and reports
-  // like any Monte Carlo campaign.
+  // Exact SSF per glitch depth over the full 50-cycle attack window: each
+  // (t, depth) grid is bound as the technique's fault space and swept by the
+  // unified pipeline, so it parallelizes and reports like any Monte Carlo
+  // campaign.
   std::printf("%-10s %10s %14s\n", "depth", "SSF", "succ/space");
   for (const double depth : {0.95, 0.85, 0.7, 0.55, 0.4, 0.25}) {
-    faultsim::ClockGlitchAttackModel model;
+    faultsim::GlitchAttackModel model(faultsim::TechniqueKind::kClockGlitch);
     model.t_min = 1;
     model.t_max = 50;
-    model.depths = {depth};
-    const mc::SsfResult exact = evaluator.evaluate_exact(model);
+    model.levels = {depth};
+    model.check_valid(engine.target_cycle());
+    technique.bind_space(model);
+    const mc::SsfResult exact = engine.run_exhaustive();
     std::printf("%-10.2f %10.4f %10zu/%zu\n", depth, exact.ssf(),
                 exact.successes, exact.stats.count());
   }
@@ -43,7 +51,7 @@ int main() {
   // The same holistic model estimated by Monte Carlo through the same
   // engine: the uniform glitch sampler draws (t, depth), and the estimate
   // converges to the enumeration above.
-  const faultsim::ClockGlitchAttackModel model = framework.glitch_attack_model();
+  const faultsim::GlitchAttackModel model = framework.glitch_attack_model();
   Rng rng(3);
   auto sampler = framework.make_glitch_sampler(model);
   const mc::SsfResult estimate = framework.evaluator().run(*sampler, rng, 2000);

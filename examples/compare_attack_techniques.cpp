@@ -53,7 +53,7 @@ int main() {
   glitch_cfg.technique = "clock-glitch";
   core::FaultAttackEvaluator glitch_framework(
       soc::make_illegal_write_benchmark(), glitch_cfg);
-  const faultsim::ClockGlitchAttackModel model =
+  const faultsim::GlitchAttackModel model =
       glitch_framework.glitch_attack_model(50);
   Rng glitch_rng(11);
   auto glitch_sampler = glitch_framework.make_glitch_sampler(model);

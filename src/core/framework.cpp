@@ -56,6 +56,14 @@ std::string bundle_shape_error(const precharac::PrecharacBundle& b,
   return "";
 }
 
+/// The glitch kind glitch_attack_model() uses: voltage glitch when
+/// configured, clock glitch for every other technique.
+faultsim::TechniqueKind glitch_kind(const std::string& technique) {
+  return technique == "voltage-glitch"
+             ? faultsim::TechniqueKind::kVoltageGlitch
+             : faultsim::TechniqueKind::kClockGlitch;
+}
+
 }  // namespace
 
 std::uint64_t campaign_fingerprint(const CampaignKey& key) {
@@ -166,14 +174,11 @@ FaultAttackEvaluator::FaultAttackEvaluator(soc::SecurityBenchmark bench,
   ScopeTimer injector_timer(&metrics_, "precharac.injector_ns");
   injector_ = std::make_unique<faultsim::InjectionSimulator>(
       soc_.netlist(), config.timing, config.transient);
-  if (config.technique == "clock-glitch") {
-    glitch_ = std::make_unique<faultsim::ClockGlitchSimulator>(soc_.netlist(),
-                                                               config.timing);
-    technique_ = std::make_unique<faultsim::ClockGlitchTechnique>(*glitch_);
-  } else if (config.technique == "voltage-glitch") {
-    voltage_ = std::make_unique<faultsim::VoltageGlitchSimulator>(
-        soc_.netlist(), config.timing);
-    technique_ = std::make_unique<faultsim::VoltageGlitchTechnique>(*voltage_);
+  if (config.technique != "radiation") {
+    glitch_ = std::make_unique<faultsim::GlitchSimulator>(soc_.netlist(),
+                                                          config.timing);
+    technique_ = std::make_unique<faultsim::GlitchTechnique>(
+        *glitch_, glitch_kind(config.technique));
   } else {
     technique_ =
         std::make_unique<faultsim::RadiationTechnique>(placement_, *injector_);
@@ -366,12 +371,17 @@ void FaultAttackEvaluator::save_precharac(std::uint64_t fingerprint) {
   log_event("precharac cache: wrote " + config_.precharac_cache_path);
 }
 
+int FaultAttackEvaluator::t_max_for(int t_range) const {
+  FAV_ENSURE(t_range >= 1);
+  return static_cast<int>(std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(t_range - 1), target_cycle()));
+}
+
 AttackModel FaultAttackEvaluator::chip_attack_model(double radius,
                                                     int t_range) const {
-  FAV_ENSURE(t_range >= 1);
   AttackModel a;
   a.t_min = 0;
-  a.t_max = t_range - 1;
+  a.t_max = t_max_for(t_range);
   a.candidate_centers = placement_.placed_nodes();
   a.radii = {radius};
   return a;
@@ -379,10 +389,9 @@ AttackModel FaultAttackEvaluator::chip_attack_model(double radius,
 
 AttackModel FaultAttackEvaluator::subblock_attack_model(double radius,
                                                         int t_range) const {
-  FAV_ENSURE(t_range >= 1);
   AttackModel a;
   a.t_min = 0;
-  a.t_max = t_range - 1;
+  a.t_max = t_max_for(t_range);
   a.radii = {radius};
   // Candidate support: every cell appearing in any extracted cone frame —
   // the attacker aims the spot at the security logic's neighbourhood.
@@ -400,68 +409,36 @@ AttackModel FaultAttackEvaluator::subblock_attack_model(double radius,
   return a;
 }
 
-const faultsim::ClockGlitchSimulator& FaultAttackEvaluator::glitch_simulator()
+const faultsim::GlitchSimulator& FaultAttackEvaluator::glitch_simulator()
     const {
   FAV_ENSURE_MSG(glitch_ != nullptr,
-                 "glitch_simulator() requires technique \"clock-glitch\" "
-                 "(configured: \""
+                 "glitch_simulator() requires technique \"clock-glitch\" or "
+                 "\"voltage-glitch\" (configured: \""
                      << config_.technique << "\")");
   return *glitch_;
 }
 
-faultsim::ClockGlitchAttackModel FaultAttackEvaluator::glitch_attack_model(
+faultsim::GlitchAttackModel FaultAttackEvaluator::glitch_attack_model(
     int t_range) const {
-  FAV_ENSURE(t_range >= 1);
-  faultsim::ClockGlitchAttackModel m;
+  faultsim::GlitchAttackModel m(glitch_kind(config_.technique));
   m.t_min = 0;
-  const std::uint64_t tt = target_cycle();
-  m.t_max = static_cast<int>(std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(t_range - 1), tt));
+  m.t_max = t_max_for(t_range);
   return m;
 }
 
 std::unique_ptr<mc::Sampler> FaultAttackEvaluator::make_glitch_sampler(
-    const faultsim::ClockGlitchAttackModel& model) const {
+    const faultsim::GlitchAttackModel& model) const {
   return std::make_unique<mc::GlitchSampler>(model, target_cycle());
-}
-
-const faultsim::VoltageGlitchSimulator& FaultAttackEvaluator::voltage_simulator()
-    const {
-  FAV_ENSURE_MSG(voltage_ != nullptr,
-                 "voltage_simulator() requires technique \"voltage-glitch\" "
-                 "(configured: \""
-                     << config_.technique << "\")");
-  return *voltage_;
-}
-
-faultsim::VoltageGlitchAttackModel FaultAttackEvaluator::voltage_attack_model(
-    int t_range) const {
-  FAV_ENSURE(t_range >= 1);
-  faultsim::VoltageGlitchAttackModel m;
-  m.t_min = 0;
-  const std::uint64_t tt = target_cycle();
-  m.t_max = static_cast<int>(std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(t_range - 1), tt));
-  return m;
-}
-
-std::unique_ptr<mc::Sampler> FaultAttackEvaluator::make_voltage_sampler(
-    const faultsim::VoltageGlitchAttackModel& model) const {
-  return std::make_unique<mc::VoltageGlitchSampler>(model, target_cycle());
 }
 
 std::uint64_t FaultAttackEvaluator::bind_exhaustive_space(int t_range,
                                                           double radius) const {
   // const_cast-free: technique_ is a (const) unique_ptr to a non-const
   // technique, and binding happens before any evaluation is in flight.
-  if (config_.technique == "clock-glitch") {
-    auto* t = dynamic_cast<faultsim::ClockGlitchTechnique*>(technique_.get());
+  if (glitch_ != nullptr) {
+    auto* t = dynamic_cast<faultsim::GlitchTechnique*>(technique_.get());
     FAV_CHECK(t != nullptr);
     t->bind_space(glitch_attack_model(t_range));
-  } else if (config_.technique == "voltage-glitch") {
-    auto* t = dynamic_cast<faultsim::VoltageGlitchTechnique*>(technique_.get());
-    FAV_CHECK(t != nullptr);
-    t->bind_space(voltage_attack_model(t_range));
   } else {
     auto* t = dynamic_cast<faultsim::RadiationTechnique*>(technique_.get());
     FAV_CHECK(t != nullptr);
@@ -542,7 +519,7 @@ AdaptiveRunResult FaultAttackEvaluator::run_adaptive(
                 "adaptive refit needs pilot records (keep_records)");
   FAV_ENSURE_MSG(technique_->kind() == faultsim::TechniqueKind::kRadiation,
                  "run_adaptive samples the radiation parameter space; use "
-                 "run_adaptive_glitch for the clock-glitch technique");
+                 "run_adaptive_glitch for the glitch techniques");
   AdaptiveRunResult out;
   mc::Sampler* pilot = &pilot_sampler;
   std::unique_ptr<mc::Sampler> fallback_pilot;
@@ -584,13 +561,14 @@ AdaptiveRunResult FaultAttackEvaluator::run_adaptive(
 }
 
 AdaptiveRunResult FaultAttackEvaluator::run_adaptive_glitch(
-    const faultsim::ClockGlitchAttackModel& model, Rng& rng,
+    const faultsim::GlitchAttackModel& model, Rng& rng,
     std::size_t pilot_n, std::size_t refine_n,
     const mc::AdaptiveConfig& adaptive) const {
   FAV_ENSURE_MSG(config_.evaluator.keep_records,
                 "adaptive refit needs pilot records (keep_records)");
-  FAV_ENSURE_MSG(technique_->kind() == faultsim::TechniqueKind::kClockGlitch,
-                 "run_adaptive_glitch requires technique \"clock-glitch\"");
+  FAV_ENSURE_MSG(technique_->kind() == model.kind,
+                 "run_adaptive_glitch requires technique \""
+                     << faultsim::technique_kind_name(model.kind) << "\"");
   AdaptiveRunResult out;
   mc::GlitchSampler pilot(model, target_cycle());
   out.pilot = evaluator_->run(pilot, rng, pilot_n);
@@ -616,35 +594,18 @@ AdaptiveRunResult FaultAttackEvaluator::run_adaptive_glitch(
 }
 
 SamplerSelection FaultAttackEvaluator::make_sampler_with_fallback(
-    const faultsim::ClockGlitchAttackModel& model,
+    const faultsim::GlitchAttackModel& model,
     const std::string& strategy) const {
   SamplerSelection sel;
   sel.requested = strategy;
   sel.sampler = make_glitch_sampler(model);
-  sel.actual = "glitch-uniform";
-  metrics_.add_counter("sampler.built.glitch-uniform");
-  if (strategy != "random" && strategy != "glitch-uniform") {
-    sel.downgrade_reason = "strategy '" + strategy +
-                           "' has no clock-glitch equivalent (no spatial "
-                           "structure to exploit), using glitch-uniform";
-    metrics_.add_counter("sampler.downgrades");
-    log_event("sampler downgrade: " + sel.downgrade_reason);
-  }
-  return sel;
-}
-
-SamplerSelection FaultAttackEvaluator::make_sampler_with_fallback(
-    const faultsim::VoltageGlitchAttackModel& model,
-    const std::string& strategy) const {
-  SamplerSelection sel;
-  sel.requested = strategy;
-  sel.sampler = make_voltage_sampler(model);
-  sel.actual = "voltage-uniform";
-  metrics_.add_counter("sampler.built.voltage-uniform");
-  if (strategy != "random" && strategy != "voltage-uniform") {
-    sel.downgrade_reason = "strategy '" + strategy +
-                           "' has no voltage-glitch equivalent (no spatial "
-                           "structure to exploit), using voltage-uniform";
+  sel.actual = sel.sampler->name();
+  metrics_.add_counter("sampler.built." + sel.actual);
+  if (strategy != "random" && strategy != sel.actual) {
+    sel.downgrade_reason = "strategy '" + strategy + "' has no " +
+                           faultsim::technique_kind_name(model.kind) +
+                           " equivalent (no spatial structure to exploit), " +
+                           "using " + sel.actual;
     metrics_.add_counter("sampler.downgrades");
     log_event("sampler downgrade: " + sel.downgrade_reason);
   }

@@ -21,10 +21,9 @@
 #include <memory>
 
 #include "faultsim/attack_model.h"
-#include "faultsim/clock_glitch.h"
+#include "faultsim/glitch.h"
 #include "faultsim/injection.h"
 #include "faultsim/technique.h"
-#include "faultsim/voltage_glitch.h"
 #include "layout/placement.h"
 #include "mc/adaptive.h"
 #include "mc/evaluator.h"
@@ -169,10 +168,9 @@ class FaultAttackEvaluator {
   const faultsim::InjectionSimulator& injector() const { return *injector_; }
   /// The technique the shared engine evaluates (config().technique).
   const faultsim::AttackTechnique& technique() const { return *technique_; }
-  /// Valid only when config().technique == "clock-glitch".
-  const faultsim::ClockGlitchSimulator& glitch_simulator() const;
-  /// Valid only when config().technique == "voltage-glitch".
-  const faultsim::VoltageGlitchSimulator& voltage_simulator() const;
+  /// Valid only when config().technique is "clock-glitch" or
+  /// "voltage-glitch" (one simulator serves both kinds).
+  const faultsim::GlitchSimulator& glitch_simulator() const;
   const mc::SsfEvaluator& evaluator() const { return *evaluator_; }
   std::uint64_t target_cycle() const { return evaluator_->target_cycle(); }
 
@@ -198,6 +196,11 @@ class FaultAttackEvaluator {
   precharac::PrecharacKey precharac_key() const;
 
   /// --- attack models -----------------------------------------------------
+  /// Every model below draws t uniform over [0, min(t_range, Tt + 1)): the
+  /// clamp keeps each timing distance inside the program (t <= Tt), where a
+  /// later t would land before the program starts and be masked by
+  /// construction.
+  ///
   /// Uniform f_{T,P} over the whole chip (every placed cell a candidate).
   faultsim::AttackModel chip_attack_model(double radius = 1.5,
                                           int t_range = 50) const;
@@ -205,21 +208,14 @@ class FaultAttackEvaluator {
   /// in the responding signal's cones (the "1/8 of MPU" setup of Section 6).
   faultsim::AttackModel subblock_attack_model(double radius = 1.5,
                                               int t_range = 50) const;
-  /// Holistic model for the clock-glitch technique: t uniform over
-  /// [0, min(t_range, Tt + 1)), default depth grid. The clamp keeps every
-  /// timing distance inside the program (t <= Tt), which GlitchSampler
-  /// construction enforces.
-  faultsim::ClockGlitchAttackModel glitch_attack_model(int t_range = 50) const;
-  /// Holistic model for the voltage-glitch technique: t uniform over
-  /// [0, min(t_range, Tt + 1)), default droop grid. Clamped like
-  /// glitch_attack_model.
-  faultsim::VoltageGlitchAttackModel voltage_attack_model(
-      int t_range = 50) const;
+  /// Holistic model for the configured glitch kind ("voltage-glitch" gives
+  /// the droop grid; every other technique the clock-glitch depth grid).
+  faultsim::GlitchAttackModel glitch_attack_model(int t_range = 50) const;
 
   /// --- exhaustive sweeps -------------------------------------------------
   /// Binds the active technique's enumerable fault space from the standard
   /// per-technique model (radiation: subblock_attack_model(radius, t_range);
-  /// clock/voltage glitch: the clamped (t, depth/droop) grid) and returns
+  /// clock/voltage glitch: glitch_attack_model(t_range)) and returns
   /// its size. Call once, before evaluation starts — binding mutates the
   /// shared technique and is not thread-safe against in-flight runs. The
   /// index -> sample mapping is then fixed for run_exhaustive and for every
@@ -247,26 +243,15 @@ class FaultAttackEvaluator {
   SamplerSelection make_sampler_with_fallback(
       const faultsim::AttackModel& attack, const std::string& strategy) const;
 
-  /// Uniform sampler over the glitch holistic model (weight 1).
+  /// Uniform sampler over a glitch holistic model (weight 1).
   std::unique_ptr<mc::Sampler> make_glitch_sampler(
-      const faultsim::ClockGlitchAttackModel& model) const;
+      const faultsim::GlitchAttackModel& model) const;
   /// Glitch counterpart of make_sampler_with_fallback. The glitch parameter
   /// space has no spatial structure, so "cone" and "importance" have no
   /// glitch equivalent: any requested strategy other than "random" is
   /// downgraded (logged + counted) to the uniform glitch sampler.
   SamplerSelection make_sampler_with_fallback(
-      const faultsim::ClockGlitchAttackModel& model,
-      const std::string& strategy) const;
-
-  /// Uniform sampler over the voltage-glitch holistic model (weight 1).
-  std::unique_ptr<mc::Sampler> make_voltage_sampler(
-      const faultsim::VoltageGlitchAttackModel& model) const;
-  /// Voltage-glitch counterpart of make_sampler_with_fallback: like the
-  /// clock glitch, the parameter space has no spatial structure, so any
-  /// strategy other than "random" downgrades (logged + counted) to the
-  /// uniform voltage sampler.
-  SamplerSelection make_sampler_with_fallback(
-      const faultsim::VoltageGlitchAttackModel& model,
+      const faultsim::GlitchAttackModel& model,
       const std::string& strategy) const;
 
   /// Sampling parameters for `attack`, including the analytically-enumerated
@@ -292,19 +277,21 @@ class FaultAttackEvaluator {
                                  std::size_t pilot_n, std::size_t refine_n,
                                  const mc::AdaptiveConfig& adaptive = {}) const;
 
-  /// Two-stage adaptive estimation for the clock-glitch technique: a uniform
-  /// pilot over `model`, then an AdaptiveGlitchSampler refit to the pilot's
+  /// Two-stage adaptive estimation for a glitch technique: a uniform pilot
+  /// over `model`, then an AdaptiveGlitchSampler refit to the pilot's
   /// success mass. Degrades like run_adaptive (no successes or a failed
   /// refit spend the refinement budget on the uniform sampler). Requires
-  /// config().technique == "clock-glitch".
+  /// the configured technique to be model.kind.
   AdaptiveRunResult run_adaptive_glitch(
-      const faultsim::ClockGlitchAttackModel& model, Rng& rng,
+      const faultsim::GlitchAttackModel& model, Rng& rng,
       std::size_t pilot_n, std::size_t refine_n,
       const mc::AdaptiveConfig& adaptive = {}) const;
 
  private:
   /// Routes a robustness diagnostic to config().log (stderr when unset).
   void log_event(const std::string& message) const;
+  /// The inclusive t upper bound of every attack model: min(t_range - 1, Tt).
+  int t_max_for(int t_range) const;
 
   /// Artifact-cache load attempt: validates, installs the bundle and updates
   /// counters/report. `after_wait` marks the double-checked retry after
@@ -334,8 +321,7 @@ class FaultAttackEvaluator {
   std::unique_ptr<precharac::SignatureTrace> signatures_;
   std::unique_ptr<precharac::RegisterCharacterization> charac_;
   std::unique_ptr<faultsim::InjectionSimulator> injector_;
-  std::unique_ptr<faultsim::ClockGlitchSimulator> glitch_;  // glitch only
-  std::unique_ptr<faultsim::VoltageGlitchSimulator> voltage_;  // voltage only
+  std::unique_ptr<faultsim::GlitchSimulator> glitch_;  // glitch kinds only
   std::unique_ptr<faultsim::AttackTechnique> technique_;
   std::unique_ptr<mc::SsfEvaluator> evaluator_;
   PrecharacCacheReport cache_report_;

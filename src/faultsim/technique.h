@@ -26,9 +26,7 @@
 #include <vector>
 
 #include "faultsim/attack_model.h"
-#include "faultsim/clock_glitch.h"
 #include "faultsim/injection.h"
-#include "faultsim/voltage_glitch.h"
 #include "layout/placement.h"
 #include "netlist/logicsim.h"
 
@@ -109,6 +107,9 @@ class AttackTechnique {
  protected:
   /// Technique-independent sample checks shared by every implementation.
   void check_common(const FaultSample& sample) const;
+  /// Shared by every enumerate(): [begin, end) must sit inside the bound
+  /// space.
+  void check_enumeration_range(std::uint64_t begin, std::uint64_t end) const;
 };
 
 /// The paper's radiation instance p = [g, r]: a radiated spot upsets struck
@@ -150,80 +151,6 @@ class RadiationTechnique final : public AttackTechnique {
   const layout::Placement* placement_;
   const InjectionSimulator* injector_;
   AttackModel space_;
-  bool has_space_ = false;
-};
-
-/// The clock-glitch instance p = [d]: one shortened cycle makes registers
-/// whose D input has not settled hold their previous value (see
-/// faultsim/clock_glitch.h). No spatial parameters; the flip set is a
-/// deterministic function of (cycle, depth), which makes exact SSF
-/// enumeration feasible (bind_space + mc::SsfEvaluator::run_exhaustive).
-class ClockGlitchTechnique final : public AttackTechnique {
- public:
-  /// The simulator must outlive the technique.
-  explicit ClockGlitchTechnique(const ClockGlitchSimulator& glitch);
-
-  TechniqueKind kind() const override { return TechniqueKind::kClockGlitch; }
-  std::string parameter_space() const override;
-  void check_sample(const FaultSample& sample) const override;
-  void flip_set(const netlist::LogicSimulator& sim, TechniqueScratch& scratch,
-                const FaultSample& sample,
-                std::vector<netlist::NodeId>& flipped) const override;
-  bool supports_batch() const override { return true; }
-  void flip_set_batch(const netlist::WordSimulator& sim,
-                      TechniqueScratch& scratch,
-                      std::span<const FaultSample> samples,
-                      std::vector<std::vector<netlist::NodeId>>& flipped)
-      const override;
-
-  const ClockGlitchSimulator& simulator() const { return *glitch_; }
-
-  /// Binds the enumerable space: the model's full (t, depth) grid.
-  void bind_space(const ClockGlitchAttackModel& model);
-  std::uint64_t space_size() const override;
-  void enumerate(std::uint64_t begin, std::uint64_t end,
-                 std::vector<FaultSample>& out) const override;
-
- private:
-  const ClockGlitchSimulator* glitch_;
-  ClockGlitchAttackModel space_;
-  bool has_space_ = false;
-};
-
-/// The voltage-glitch instance p = [droop]: one cycle of supply droop scales
-/// every gate delay by 1/(1-droop), so registers whose scaled D arrival
-/// misses setup against the nominal period hold their previous value (see
-/// faultsim/voltage_glitch.h). The droop severity rides in FaultSample::depth
-/// so journal frames and the supervisor wire protocol carry it unchanged.
-class VoltageGlitchTechnique final : public AttackTechnique {
- public:
-  /// The simulator must outlive the technique.
-  explicit VoltageGlitchTechnique(const VoltageGlitchSimulator& droop);
-
-  TechniqueKind kind() const override { return TechniqueKind::kVoltageGlitch; }
-  std::string parameter_space() const override;
-  void check_sample(const FaultSample& sample) const override;
-  void flip_set(const netlist::LogicSimulator& sim, TechniqueScratch& scratch,
-                const FaultSample& sample,
-                std::vector<netlist::NodeId>& flipped) const override;
-  bool supports_batch() const override { return true; }
-  void flip_set_batch(const netlist::WordSimulator& sim,
-                      TechniqueScratch& scratch,
-                      std::span<const FaultSample> samples,
-                      std::vector<std::vector<netlist::NodeId>>& flipped)
-      const override;
-
-  const VoltageGlitchSimulator& simulator() const { return *droop_; }
-
-  /// Binds the enumerable space: the model's full (t, droop) grid.
-  void bind_space(const VoltageGlitchAttackModel& model);
-  std::uint64_t space_size() const override;
-  void enumerate(std::uint64_t begin, std::uint64_t end,
-                 std::vector<FaultSample>& out) const override;
-
- private:
-  const VoltageGlitchSimulator* droop_;
-  VoltageGlitchAttackModel space_;
   bool has_space_ = false;
 };
 

@@ -110,7 +110,7 @@ FaultSample AdaptiveImportanceSampler::draw(Rng& rng) {
 }
 
 AdaptiveGlitchSampler::AdaptiveGlitchSampler(
-    const faultsim::ClockGlitchAttackModel& model, std::uint64_t target_cycle,
+    const faultsim::GlitchAttackModel& model, std::uint64_t target_cycle,
     const SsfResult& pilot, const AdaptiveConfig& config)
     : model_(model), config_(config) {
   model_.check_valid(target_cycle);
@@ -122,16 +122,16 @@ AdaptiveGlitchSampler::AdaptiveGlitchSampler(
                  "pilot found no successes — nothing to adapt to");
 
   const std::size_t cells =
-      static_cast<std::size_t>(model_.t_count()) * model_.depths.size();
+      static_cast<std::size_t>(model_.t_count()) * model_.levels.size();
   std::vector<double> weights(cells, config.smoothing);
   for (const SampleRecord& rec : pilot.records) {
     if (!rec.success) continue;
-    if (rec.sample.technique != faultsim::TechniqueKind::kClockGlitch) continue;
+    if (rec.sample.technique != model_.kind) continue;
     if (rec.sample.t < model_.t_min || rec.sample.t > model_.t_max) continue;
-    // Depths are drawn from the model's own grid, so exact comparison is the
-    // right match (an off-grid pilot depth simply contributes nothing).
-    for (std::size_t d = 0; d < model_.depths.size(); ++d) {
-      if (rec.sample.depth == model_.depths[d]) {
+    // Levels are drawn from the model's own grid, so exact comparison is the
+    // right match (an off-grid pilot level simply contributes nothing).
+    for (std::size_t d = 0; d < model_.levels.size(); ++d) {
+      if (rec.sample.depth == model_.levels[d]) {
         weights[cell_of(rec.sample.t, d)] += rec.sample.weight;
         break;
       }
@@ -141,31 +141,31 @@ AdaptiveGlitchSampler::AdaptiveGlitchSampler(
 }
 
 std::size_t AdaptiveGlitchSampler::cell_of(int t,
-                                           std::size_t depth_index) const {
-  return static_cast<std::size_t>(t - model_.t_min) * model_.depths.size() +
-         depth_index;
+                                           std::size_t level_index) const {
+  return static_cast<std::size_t>(t - model_.t_min) * model_.levels.size() +
+         level_index;
 }
 
-double AdaptiveGlitchSampler::g_pmf(int t, std::size_t depth_index) const {
+double AdaptiveGlitchSampler::g_pmf(int t, std::size_t level_index) const {
   return (1.0 - config_.defensive_mix) *
-             cell_dist_.pmf(cell_of(t, depth_index)) +
+             cell_dist_.pmf(cell_of(t, level_index)) +
          config_.defensive_mix * model_.f_pmf();
 }
 
 FaultSample AdaptiveGlitchSampler::draw(Rng& rng) {
   FaultSample s;
-  s.technique = faultsim::TechniqueKind::kClockGlitch;
-  std::size_t depth_index;
+  s.technique = model_.kind;
+  std::size_t level_index;
   if (rng.bernoulli(config_.defensive_mix)) {
     s.t = static_cast<int>(rng.uniform_int(model_.t_min, model_.t_max));
-    depth_index = rng.uniform_below(model_.depths.size());
+    level_index = rng.uniform_below(model_.levels.size());
   } else {
     const std::size_t cell = cell_dist_.sample(rng);
-    s.t = model_.t_min + static_cast<int>(cell / model_.depths.size());
-    depth_index = cell % model_.depths.size();
+    s.t = model_.t_min + static_cast<int>(cell / model_.levels.size());
+    level_index = cell % model_.levels.size();
   }
-  s.depth = model_.depths[depth_index];
-  s.weight = model_.f_pmf() / g_pmf(s.t, depth_index);
+  s.depth = model_.levels[level_index];
+  s.weight = model_.f_pmf() / g_pmf(s.t, level_index);
   return s;
 }
 

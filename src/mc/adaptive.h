@@ -15,7 +15,7 @@
 
 #include <map>
 
-#include "faultsim/clock_glitch.h"
+#include "faultsim/glitch.h"
 #include "mc/evaluator.h"
 
 namespace fav::mc {
@@ -65,32 +65,33 @@ class AdaptiveImportanceSampler final : public Sampler {
   DiscreteDistribution stratum_dist_;
 };
 
-/// Adaptive refit for the clock-glitch technique. The attack space is a
-/// small finite (t, depth) grid, so no stratification is needed: the refit
+/// Adaptive refit for a glitch technique (either kind). The attack space is
+/// a small finite (t, level) grid, so no stratification is needed: the refit
 /// distribution puts smoothing + pilot success mass on every cell and mixes
 /// defensively with the uniform f, and samples carry exact f/g weights.
+/// Only pilot records of the model's kind contribute.
 class AdaptiveGlitchSampler final : public Sampler {
  public:
   /// Builds the refit grid from `pilot` (a glitch run with keep_records on).
   /// Throws if the pilot contains no successes — nothing to adapt to; keep
   /// using the uniform GlitchSampler instead.
-  AdaptiveGlitchSampler(const faultsim::ClockGlitchAttackModel& model,
+  AdaptiveGlitchSampler(const faultsim::GlitchAttackModel& model,
                         std::uint64_t target_cycle, const SsfResult& pilot,
                         const AdaptiveConfig& config = {});
 
   faultsim::FaultSample draw(Rng& rng) override;
   const std::string& name() const override { return name_; }
 
-  /// Joint pmf over (t, depth index) including the defensive mixture.
-  double g_pmf(int t, std::size_t depth_index) const;
+  /// Joint pmf over (t, level index) including the defensive mixture.
+  double g_pmf(int t, std::size_t level_index) const;
 
  private:
-  std::size_t cell_of(int t, std::size_t depth_index) const;
+  std::size_t cell_of(int t, std::size_t level_index) const;
 
-  faultsim::ClockGlitchAttackModel model_;
+  faultsim::GlitchAttackModel model_;
   AdaptiveConfig config_;
   std::string name_ = "glitch-adaptive";
-  DiscreteDistribution cell_dist_;  // over the flattened (t, depth) grid
+  DiscreteDistribution cell_dist_;  // over the flattened (t, level) grid
 };
 
 }  // namespace fav::mc

@@ -64,33 +64,20 @@ FaultSample ConeSampler::draw(Rng& rng) {
   return s;
 }
 
-GlitchSampler::GlitchSampler(const faultsim::ClockGlitchAttackModel& model,
+GlitchSampler::GlitchSampler(const faultsim::GlitchAttackModel& model,
                              std::uint64_t target_cycle)
-    : model_(model) {
+    : model_(model),
+      name_(model.kind == faultsim::TechniqueKind::kVoltageGlitch
+                ? "voltage-uniform"
+                : "glitch-uniform") {
   model_.check_valid(target_cycle);
 }
 
 FaultSample GlitchSampler::draw(Rng& rng) {
   FaultSample s;
-  s.technique = faultsim::TechniqueKind::kClockGlitch;
+  s.technique = model_.kind;
   s.t = rng.uniform_int(model_.t_min, model_.t_max);
-  s.depth = model_.depths[rng.uniform_below(model_.depths.size())];
-  s.weight = 1.0;  // g == f: the draw is the holistic model itself
-  return s;
-}
-
-VoltageGlitchSampler::VoltageGlitchSampler(
-    const faultsim::VoltageGlitchAttackModel& model,
-    std::uint64_t target_cycle)
-    : model_(model) {
-  model_.check_valid(target_cycle);
-}
-
-FaultSample VoltageGlitchSampler::draw(Rng& rng) {
-  FaultSample s;
-  s.technique = faultsim::TechniqueKind::kVoltageGlitch;
-  s.t = rng.uniform_int(model_.t_min, model_.t_max);
-  s.depth = model_.droops[rng.uniform_below(model_.droops.size())];
+  s.depth = model_.levels[rng.uniform_below(model_.levels.size())];
   s.weight = 1.0;  // g == f: the draw is the holistic model itself
   return s;
 }

@@ -12,8 +12,7 @@
 #include <string>
 
 #include "faultsim/attack_model.h"
-#include "faultsim/clock_glitch.h"
-#include "faultsim/voltage_glitch.h"
+#include "faultsim/glitch.h"
 #include "layout/placement.h"
 #include "netlist/cones.h"
 #include "precharac/sampling_model.h"
@@ -61,37 +60,23 @@ class ConeSampler final : public Sampler {
   std::vector<Frame> frames_;  // frames with non-empty support only
 };
 
-///// Plain Monte Carlo over the clock-glitch holistic model f_{T,P}: t and
-/// depth uniform over the model's grid, weight 1. Construction validates the
-/// model against the benchmark's target cycle — a timing range past Tt has
-/// no cycle to glitch and is rejected up front rather than diluted into the
+/// Plain Monte Carlo over a glitch holistic model f_{T,P}: t and the level
+/// uniform over the model's grid, weight 1. Named "glitch-uniform" for clock
+/// glitch and "voltage-uniform" for voltage glitch (the names feed campaign
+/// fingerprints and journal contexts). Construction validates the model
+/// against the benchmark's target cycle — a timing range past Tt has no
+/// cycle to glitch and is rejected up front rather than diluted into the
 /// estimate as always-masked samples.
 class GlitchSampler final : public Sampler {
  public:
-  GlitchSampler(const faultsim::ClockGlitchAttackModel& model,
+  GlitchSampler(const faultsim::GlitchAttackModel& model,
                 std::uint64_t target_cycle);
   faultsim::FaultSample draw(Rng& rng) override;
   const std::string& name() const override { return name_; }
 
  private:
-  faultsim::ClockGlitchAttackModel model_;  // by value: cheap, caller-decoupled
-  std::string name_ = "glitch-uniform";
-};
-
-/// Plain Monte Carlo over the voltage-glitch holistic model: t and droop
-/// uniform over the model's grid, weight 1 (the droop rides in
-/// FaultSample::depth). Same up-front target-cycle validation as
-/// GlitchSampler.
-class VoltageGlitchSampler final : public Sampler {
- public:
-  VoltageGlitchSampler(const faultsim::VoltageGlitchAttackModel& model,
-                       std::uint64_t target_cycle);
-  faultsim::FaultSample draw(Rng& rng) override;
-  const std::string& name() const override { return name_; }
-
- private:
-  faultsim::VoltageGlitchAttackModel model_;  // by value, caller-decoupled
-  std::string name_ = "voltage-uniform";
+  faultsim::GlitchAttackModel model_;  // by value: cheap, caller-decoupled
+  std::string name_;
 };
 
 /// The full importance-sampling strategy of Section 4.

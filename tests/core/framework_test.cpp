@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -33,6 +34,21 @@ TEST(Framework, ChipAttackModelCoversAllPlacedCells) {
   EXPECT_EQ(a.candidate_centers.size(), fw().placement().placed_nodes().size());
   EXPECT_EQ(a.t_count(), 50);
   EXPECT_THROW(fw().chip_attack_model(1.5, 0), fav::CheckError);
+}
+
+TEST(Framework, AttackModelsClampTimingWindowToProgram) {
+  // A timing distance past Tt lands before the program starts and would be
+  // masked by construction; every model builder clamps the window to
+  // t <= Tt, while windows inside the program are untouched.
+  const int tt = static_cast<int>(fw().target_cycle());
+  EXPECT_EQ(fw().subblock_attack_model(1.5, 500).t_max, tt);
+  EXPECT_EQ(fw().chip_attack_model(1.5, 500).t_max, tt);
+  EXPECT_EQ(fw().glitch_attack_model(500).t_max, tt);
+  EXPECT_EQ(fw().subblock_attack_model(1.5, 50).t_max, 49);
+  EXPECT_EQ(fw().chip_attack_model(1.5, 50).t_max, 49);
+  EXPECT_EQ(fw().glitch_attack_model(50).t_max, 49);
+  EXPECT_THROW(fw().subblock_attack_model(1.5, 0), fav::CheckError);
+  EXPECT_THROW(fw().glitch_attack_model(0), fav::CheckError);
 }
 
 TEST(Framework, SubblockModelIsSmallerThanChip) {
@@ -257,6 +273,16 @@ FaultAttackEvaluator& glitch_fw() {
   return instance;
 }
 
+FaultAttackEvaluator& voltage_fw() {
+  static FaultAttackEvaluator instance(soc::make_illegal_write_benchmark(),
+                                       [] {
+                                         FrameworkConfig cfg;
+                                         cfg.technique = "voltage-glitch";
+                                         return cfg;
+                                       }());
+  return instance;
+}
+
 TEST(FrameworkTechnique, RadiationIsTheDefault) {
   EXPECT_EQ(fw().config().technique, "radiation");
   EXPECT_EQ(fw().technique().kind(), faultsim::TechniqueKind::kRadiation);
@@ -315,6 +341,93 @@ TEST(FrameworkTechnique, RunAdaptiveGlitchRunsOrDegradesGracefully) {
   // real pilot successes or it fell back to the uniform sampler — both must
   // produce a full, well-defined refinement stage.
   if (out.pilot.successes == 0) EXPECT_FALSE(out.adapted);
+}
+
+TEST(FrameworkTechnique, VoltageGlitchSharesTheGlitchFacade) {
+  // One simulator, model builder, sampler factory and adaptive entry serve
+  // both glitch kinds; the configured technique picks the droop grid.
+  EXPECT_EQ(voltage_fw().technique().kind(),
+            faultsim::TechniqueKind::kVoltageGlitch);
+  EXPECT_GT(voltage_fw().glitch_simulator().timing().clock_period(), 0.0);
+  const auto model = voltage_fw().glitch_attack_model(50);
+  EXPECT_EQ(model.kind, faultsim::TechniqueKind::kVoltageGlitch);
+  EXPECT_EQ(model.levels, faultsim::GlitchAttackModel(model.kind).levels);
+  const SamplerSelection sel =
+      voltage_fw().make_sampler_with_fallback(model, "cone");
+  EXPECT_EQ(sel.actual, "voltage-uniform");
+  EXPECT_TRUE(sel.downgraded());
+  Rng rng(21);
+  const auto out = voltage_fw().run_adaptive_glitch(model, rng, 200, 150);
+  EXPECT_EQ(out.pilot.stats.count(), 200u);
+  EXPECT_EQ(out.refined.stats.count(), 150u);
+  if (out.pilot.successes == 0) {
+    EXPECT_FALSE(out.adapted);
+  }
+  // A clock-glitch model is not this framework's technique.
+  EXPECT_THROW(voltage_fw().run_adaptive_glitch(
+                   glitch_fw().glitch_attack_model(50), rng, 10, 10),
+               fav::CheckError);
+}
+
+/// 64-bit FNV-1a over each record's (t, depth, flipped_bits, path).
+std::uint64_t flip_set_digest(const mc::SsfResult& result) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  auto mix = [&h](const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001B3ull;
+    }
+  };
+  for (const mc::SampleRecord& rec : result.records) {
+    const std::int32_t t = rec.sample.t;
+    mix(&t, sizeof t);
+    mix(&rec.sample.depth, sizeof rec.sample.depth);
+    const std::uint64_t count = rec.flipped_bits.size();
+    mix(&count, sizeof count);
+    for (const int bit : rec.flipped_bits) {
+      const std::int32_t b = bit;
+      mix(&b, sizeof b);
+    }
+    const auto path = static_cast<std::uint8_t>(rec.path);
+    mix(&path, sizeof path);
+  }
+  return h;
+}
+
+TEST(FrameworkTechnique, DefaultGlitchSweepFlipSetsArePinned) {
+  // The default 200-point exhaustive sweep on `write` has SSF exactly 0 for
+  // both kinds, so only the flip sets show whether a refactor preserved each
+  // kind's threshold rule. The digests were recorded when clock and voltage
+  // glitch still had separate simulators; scalar and 64-lane sweeps must
+  // both reproduce them.
+  const FaultAttackEvaluator& f = glitch_fw();
+  const struct {
+    faultsim::TechniqueKind kind;
+    std::uint64_t digest;
+  } cases[] = {
+      {faultsim::TechniqueKind::kClockGlitch, 0xb342101024e329fcull},
+      {faultsim::TechniqueKind::kVoltageGlitch, 0xa4283749f31fbdfaull},
+  };
+  for (const auto& c : cases) {
+    faultsim::GlitchTechnique technique(f.glitch_simulator(), c.kind);
+    technique.bind_space(faultsim::GlitchAttackModel(c.kind));
+    for (const std::size_t lanes : {1u, 64u}) {
+      SCOPED_TRACE(std::string(faultsim::technique_kind_name(c.kind)) +
+                   " lanes=" + std::to_string(lanes));
+      mc::EvaluatorConfig cfg;
+      cfg.batch_lanes = lanes;
+      const mc::SsfEvaluator ev(f.soc(), technique, f.benchmark(),
+                                f.golden(), &f.characterization(), cfg);
+      const mc::SsfResult result = ev.run_exhaustive();
+      ASSERT_EQ(result.records.size(), 200u);
+      EXPECT_EQ(result.masked, 49u);
+      EXPECT_EQ(result.analytical, 0u);
+      EXPECT_EQ(result.rtl, 151u);
+      EXPECT_EQ(result.ssf(), 0.0);
+      EXPECT_EQ(flip_set_digest(result), c.digest);
+    }
+  }
 }
 
 TEST(FrameworkTechnique, AdaptiveEntryPointsAreTechniqueChecked) {

@@ -10,8 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "faultsim/glitch.h"
 #include "mc/evaluator.h"
-#include "mc/glitch_evaluator.h"
 #include "soc/benchmark.h"
 #include "util/metrics.h"
 
@@ -24,7 +24,7 @@ struct Context {
   soc::SocNetlist soc;
   layout::Placement placement{soc.netlist()};
   faultsim::InjectionSimulator injector{soc.netlist()};
-  faultsim::ClockGlitchSimulator glitch{soc.netlist()};
+  faultsim::GlitchSimulator glitch{soc.netlist()};
   soc::SecurityBenchmark bench = soc::make_illegal_write_benchmark();
   rtl::GoldenRun golden{bench.program, bench.max_cycles, 32};
   rtl::Program workload = soc::make_synthetic_workload();
@@ -149,29 +149,43 @@ TEST(BatchEquivalence, CycleBudgetFailuresAreIdenticalLaneForLane) {
   }
 }
 
-TEST(BatchEquivalence, ClockGlitchTechniqueBatchesBitwiseIdentically) {
-  faultsim::ClockGlitchAttackModel model;
+/// The word-parallel flip_set_batch of one setup-violation kind must
+/// reproduce the scalar flip_set lane for lane, at one thread and at four.
+void expect_glitch_batches_bitwise_identically(faultsim::TechniqueKind kind) {
+  faultsim::GlitchAttackModel model(kind);
   model.t_min = 1;
   model.t_max = 10;
-  model.depths = {0.35, 0.55};
-
-  EvaluatorConfig scalar_cfg;
-  scalar_cfg.batch_lanes = 1;
-  const SsfEvaluator scalar_base = ctx().make(scalar_cfg);
-  ClockGlitchEvaluator scalar_ev(scalar_base, ctx().soc, ctx().glitch);
-  Rng scalar_rng(9);
-  const SsfResult scalar = scalar_ev.run(model, scalar_rng, 300);
-
+  model.levels = kind == faultsim::TechniqueKind::kClockGlitch
+                     ? std::vector<double>{0.35, 0.55}
+                     : std::vector<double>{0.3, 0.5};
+  const faultsim::GlitchTechnique technique(ctx().glitch, kind);
+  auto run = [&](std::size_t lanes, std::size_t threads) {
+    EvaluatorConfig cfg;
+    cfg.batch_lanes = lanes;
+    cfg.threads = threads;
+    const SsfEvaluator ev(ctx().soc, technique, ctx().bench, ctx().golden,
+                          &ctx().charac, cfg);
+    GlitchSampler sampler(model, ev.target_cycle());
+    Rng rng(9);
+    return ev.run(sampler, rng, 300);
+  };
+  const SsfResult scalar = run(1, 1);
+  // The scenario must flip registers, or lane identity is vacuous.
+  ASSERT_GT(scalar.rtl + scalar.analytical, 0u);
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    EvaluatorConfig cfg;
-    cfg.batch_lanes = 64;
-    cfg.threads = threads;
-    const SsfEvaluator base = ctx().make(cfg);
-    ClockGlitchEvaluator ev(base, ctx().soc, ctx().glitch);
-    Rng rng(9);
-    expect_bitwise_equal(ev.run(model, rng, 300), scalar);
+    expect_bitwise_equal(run(64, threads), scalar);
   }
+}
+
+TEST(BatchEquivalence, ClockGlitchTechniqueBatchesBitwiseIdentically) {
+  expect_glitch_batches_bitwise_identically(
+      faultsim::TechniqueKind::kClockGlitch);
+}
+
+TEST(BatchEquivalence, VoltageGlitchTechniqueBatchesBitwiseIdentically) {
+  expect_glitch_batches_bitwise_identically(
+      faultsim::TechniqueKind::kVoltageGlitch);
 }
 
 TEST(BatchEquivalence, JournaledKillAndResumeAcrossLaneCounts) {

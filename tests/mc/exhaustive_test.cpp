@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "faultsim/glitch.h"
 #include "mc/evaluator.h"
 #include "soc/benchmark.h"
 #include "util/check.h"
@@ -24,8 +25,7 @@ struct Context {
   soc::SocNetlist soc;
   layout::Placement placement{soc.netlist()};
   faultsim::InjectionSimulator injector{soc.netlist()};
-  faultsim::ClockGlitchSimulator glitch{soc.netlist()};
-  faultsim::VoltageGlitchSimulator voltage{soc.netlist()};
+  faultsim::GlitchSimulator glitch{soc.netlist()};
   soc::SecurityBenchmark bench = soc::make_illegal_write_benchmark();
   rtl::GoldenRun golden{bench.program, bench.max_cycles, 32};
   rtl::Program workload = soc::make_synthetic_workload();
@@ -54,19 +54,19 @@ Context& ctx() {
   return c;
 }
 
-faultsim::ClockGlitchAttackModel glitch_model() {
-  faultsim::ClockGlitchAttackModel model;
+faultsim::GlitchAttackModel glitch_model() {
+  faultsim::GlitchAttackModel model(faultsim::TechniqueKind::kClockGlitch);
   model.t_min = 1;
   model.t_max = 20;
-  model.depths = {0.4, 0.7};
+  model.levels = {0.4, 0.7};
   return model;
 }
 
-faultsim::VoltageGlitchAttackModel voltage_model() {
-  faultsim::VoltageGlitchAttackModel model;
+faultsim::GlitchAttackModel voltage_model() {
+  faultsim::GlitchAttackModel model(faultsim::TechniqueKind::kVoltageGlitch);
   model.t_min = 1;
   model.t_max = 10;
-  model.droops = {0.3, 0.5};
+  model.levels = {0.3, 0.5};
   return model;
 }
 
@@ -118,7 +118,8 @@ void expect_bitwise_equal(const SsfResult& a, const SsfResult& b) {
 }
 
 TEST(ExhaustiveSweep, UnboundSpaceIsRejected) {
-  faultsim::ClockGlitchTechnique technique(ctx().glitch);
+  faultsim::GlitchTechnique technique(ctx().glitch,
+                                     faultsim::TechniqueKind::kClockGlitch);
   const SsfEvaluator engine = ctx().make(technique);
   EXPECT_THROW(engine.run_exhaustive(), StatusError);
 }
@@ -128,7 +129,8 @@ TEST(ExhaustiveSweep, StreamingSweepMatchesMaterializedBatch) {
   // sweep must be bitwise-identical to run_batch over the materialized
   // enumeration (chunk boundaries may split equal-t groups across
   // word-parallel batches — batching is contractually a no-op).
-  faultsim::ClockGlitchTechnique technique(ctx().glitch);
+  faultsim::GlitchTechnique technique(ctx().glitch,
+                                     faultsim::TechniqueKind::kClockGlitch);
   technique.bind_space(glitch_model());
   const SsfEvaluator engine = ctx().make(technique);
   const std::uint64_t space = technique.space_size();
@@ -149,7 +151,8 @@ TEST(ExhaustiveSweep, StreamingSweepMatchesMaterializedBatch) {
 }
 
 TEST(ExhaustiveSweep, SpaceLimitCapsCoverage) {
-  faultsim::ClockGlitchTechnique technique(ctx().glitch);
+  faultsim::GlitchTechnique technique(ctx().glitch,
+                                     faultsim::TechniqueKind::kClockGlitch);
   technique.bind_space(glitch_model());
   const SsfEvaluator engine = ctx().make(technique);
 
@@ -213,7 +216,8 @@ TEST(ExhaustiveSweep, VoltageGlitchKillAndResumeIsBitwiseIdentical) {
   // A voltage-glitch sweep killed mid-campaign (journal torn back to a
   // prefix, exactly what SIGKILL leaves behind) and resumed must reproduce
   // the uninterrupted sweep bit for bit — the enumeration-index contract.
-  faultsim::VoltageGlitchTechnique technique(ctx().voltage);
+  faultsim::GlitchTechnique technique(ctx().glitch,
+                                     faultsim::TechniqueKind::kVoltageGlitch);
   technique.bind_space(voltage_model());
   const SsfEvaluator engine = ctx().make(technique);
   const SsfResult reference = engine.run_exhaustive();
@@ -244,13 +248,14 @@ TEST(ExhaustiveSweep, VoltageGlitchKillAndResumeIsBitwiseIdentical) {
 }
 
 TEST(ExhaustiveSweep, VoltageGlitchMonteCarloAgreesWithExactWithin3Sigma) {
-  const faultsim::VoltageGlitchAttackModel model = voltage_model();
-  faultsim::VoltageGlitchTechnique technique(ctx().voltage);
+  const faultsim::GlitchAttackModel model = voltage_model();
+  faultsim::GlitchTechnique technique(ctx().glitch,
+                                     faultsim::TechniqueKind::kVoltageGlitch);
   technique.bind_space(model);
   const SsfEvaluator engine = ctx().make(technique);
   const SsfResult exact = engine.run_exhaustive();
 
-  VoltageGlitchSampler sampler(model, engine.target_cycle());
+  GlitchSampler sampler(model, engine.target_cycle());
   Rng rng(7);
   const SsfResult mc = engine.run(sampler, rng, 800);
   const double tolerance = std::max(3.0 * mc.stats.standard_error(), 1e-12);

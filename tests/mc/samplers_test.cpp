@@ -100,31 +100,39 @@ TEST(ConeSampler, EmptySupportThrows) {
 }
 
 TEST(GlitchSampler, DrawsUniformOverModelGrid) {
-  faultsim::ClockGlitchAttackModel model;
-  model.t_min = 2;
-  model.t_max = 11;
-  model.depths = {0.4, 0.6, 0.8};
-  GlitchSampler s(model, /*target_cycle=*/100);
-  EXPECT_EQ(s.name(), "glitch-uniform");
-  Rng rng(4);
-  for (int i = 0; i < 300; ++i) {
-    const auto f = s.draw(rng);
-    EXPECT_EQ(f.technique, faultsim::TechniqueKind::kClockGlitch);
-    EXPECT_GE(f.t, 2);
-    EXPECT_LE(f.t, 11);
-    EXPECT_TRUE(f.depth == 0.4 || f.depth == 0.6 || f.depth == 0.8)
-        << f.depth;
-    EXPECT_DOUBLE_EQ(f.weight, 1.0);  // draws from f itself
+  // One sampler for both glitch kinds: samples carry the model's kind, and
+  // the name (which keys campaign fingerprints) stays kind-specific.
+  for (const auto kind : {faultsim::TechniqueKind::kClockGlitch,
+                          faultsim::TechniqueKind::kVoltageGlitch}) {
+    SCOPED_TRACE(faultsim::technique_kind_name(kind));
+    faultsim::GlitchAttackModel model(kind);
+    model.t_min = 2;
+    model.t_max = 11;
+    model.levels = {0.4, 0.6, 0.8};
+    GlitchSampler s(model, /*target_cycle=*/100);
+    EXPECT_EQ(s.name(), kind == faultsim::TechniqueKind::kClockGlitch
+                            ? "glitch-uniform"
+                            : "voltage-uniform");
+    Rng rng(4);
+    for (int i = 0; i < 300; ++i) {
+      const auto f = s.draw(rng);
+      EXPECT_EQ(f.technique, kind);
+      EXPECT_GE(f.t, 2);
+      EXPECT_LE(f.t, 11);
+      EXPECT_TRUE(f.depth == 0.4 || f.depth == 0.6 || f.depth == 0.8)
+          << f.depth;
+      EXPECT_DOUBLE_EQ(f.weight, 1.0);  // draws from f itself
+    }
   }
 }
 
 TEST(GlitchSampler, RejectsModelBeyondTargetCycle) {
   // t > Tt has no cycle to glitch; such samples used to dilute the estimate
   // as silent always-masked records. The sampler now refuses the model.
-  faultsim::ClockGlitchAttackModel model;
+  faultsim::GlitchAttackModel model;
   model.t_min = 1;
   model.t_max = 150;
-  model.depths = {0.5};
+  model.levels = {0.5};
   EXPECT_THROW(GlitchSampler(model, /*target_cycle=*/100), fav::CheckError);
 }
 

@@ -757,12 +757,8 @@ EvalOutcome run_eval_exhaustive(core::FaultAttackEvaluator& fw,
 
 core::SamplerSelection select_sampler(core::FaultAttackEvaluator& fw,
                                       const Options& o) {
-  if (o.technique == "clock-glitch") {
+  if (o.technique != "radiation") {
     return fw.make_sampler_with_fallback(fw.glitch_attack_model(o.t_range),
-                                         o.strategy);
-  }
-  if (o.technique == "voltage-glitch") {
-    return fw.make_sampler_with_fallback(fw.voltage_attack_model(o.t_range),
                                          o.strategy);
   }
   return fw.make_sampler_with_fallback(
