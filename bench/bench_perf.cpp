@@ -11,6 +11,7 @@
 
 #include "core/framework.h"
 #include "soc/benchmark.h"
+#include "soc/golden_settled.h"
 
 using namespace fav;
 
@@ -105,6 +106,42 @@ void BM_InjectBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_InjectBatch)->Arg(8)->Arg(64);
 
+// Builds every golden settled row of `write` (one restore + settle per
+// injection cycle): the whole per-run settle cost of the batched engine.
+void BM_GoldenTableBuild(benchmark::State& state) {
+  rtl::Machine machine(fx().bench.program);
+  soc::GateLevelMachine gate(fx().soc, fx().bench.program);
+  for (auto _ : state) {
+    soc::GoldenSettledTable table(fx().soc, fx().golden);
+    for (std::uint64_t te = 0; te < fx().golden.length(); ++te) {
+      benchmark::DoNotOptimize(table.row(te, machine, gate));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fx().golden.length()));
+}
+BENCHMARK(BM_GoldenTableBuild)->Unit(benchmark::kMillisecond);
+
+// Gathers one 64-lane word from golden rows (Arg = distinct injection
+// cycles among the lanes): Arg(1) is the row copy a t-major exhaustive word
+// pays, Arg(64) the bit transpose of a fully mixed importance-sampled word.
+void BM_WordGather(benchmark::State& state) {
+  static soc::GoldenSettledTable table(fx().soc, fx().golden);
+  rtl::Machine machine(fx().bench.program);
+  soc::GateLevelMachine gate(fx().soc, fx().bench.program);
+  const auto cycles = static_cast<std::uint64_t>(state.range(0));
+  std::vector<const BitVector*> images;
+  for (std::uint64_t l = 0; l < 64; ++l) {
+    images.push_back(&table.row(l % cycles, machine, gate).values);
+  }
+  netlist::WordSimulator words(fx().soc.netlist());
+  for (auto _ : state) {
+    words.load_lanes(images);
+    benchmark::DoNotOptimize(words.word(0));
+  }
+}
+BENCHMARK(BM_WordGather)->Arg(1)->Arg(64)->Unit(benchmark::kMicrosecond);
+
 void BM_FullMonteCarloSample(benchmark::State& state) {
   static core::FaultAttackEvaluator fw(soc::make_illegal_write_benchmark());
   static const faultsim::AttackModel attack = fw.subblock_attack_model(1.5, 50);
@@ -164,10 +201,9 @@ BENCHMARK(BM_MonteCarloRunThreads)
 
 // Scalar vs word-parallel campaign split (Arg = EvaluatorConfig::batch_lanes,
 // threads fixed at 1). Arg(1) is the pre-batching scalar engine, Arg(64) the
-// full PPSFP path sharing one restore + settle + bit-parallel sweep per
-// injection-cycle group; the items_per_second ratio between the two rows is
-// the tentpole speedup tracked in BENCH_pr6.json. Results are bitwise
-// identical across rows — only the schedule changes.
+// full PPSFP path: 64 samples of any injection cycle per bit-parallel sweep,
+// each lane gathered from its cycle's golden settled row. Results are
+// bitwise identical across rows — only the schedule changes.
 void BM_MonteCarloRunBatchLanes(benchmark::State& state) {
   static core::FaultAttackEvaluator fw(soc::make_illegal_write_benchmark());
   static const faultsim::AttackModel attack = fw.subblock_attack_model(1.5, 50);

@@ -68,14 +68,15 @@ class AttackTechnique {
                         TechniqueScratch& scratch, const FaultSample& sample,
                         std::vector<netlist::NodeId>& flipped) const = 0;
 
-  /// True if flip_set_batch() is implemented; the evaluator only groups
+  /// True if flip_set_batch() is implemented; the evaluator only packs
   /// samples into word-parallel batches for techniques that opt in.
   virtual bool supports_batch() const { return false; }
 
-  /// Bit-parallel flip sets for up to 64 samples that share one injection
-  /// cycle: `sim` holds the settled cycle values broadcast to every lane,
-  /// and lane l evaluates `samples[l]`. On return `flipped[l]` equals what
-  /// flip_set() would produce for samples[l] — bit for bit. The default
+  /// Bit-parallel flip sets for up to 64 samples: lane l of `sim` holds the
+  /// settled values of samples[l]'s injection cycle (lanes may come from
+  /// different cycles), and lane l evaluates `samples[l]`. On return
+  /// `flipped[l]` equals what flip_set() would produce for samples[l] on
+  /// that lane's values — bit for bit. The default
   /// implementation throws; only call when supports_batch() is true.
   virtual void flip_set_batch(const netlist::WordSimulator& sim,
                               TechniqueScratch& scratch,

@@ -76,7 +76,8 @@ SsfEvaluator::SsfEvaluator(
       golden_(&golden),
       charac_(characterization),
       config_(config),
-      analytical_(bench, golden) {
+      analytical_(bench, golden),
+      settled_(std::make_unique<soc::GoldenSettledTable>(soc, golden)) {
   target_cycle_ = analytical_.target_cycle();
   FAV_ENSURE(config.trace_stride > 0);
 }
@@ -95,7 +96,8 @@ SsfEvaluator::SsfEvaluator(
       golden_(&golden),
       charac_(characterization),
       config_(config),
-      analytical_(bench, golden) {
+      analytical_(bench, golden),
+      settled_(std::make_unique<soc::GoldenSettledTable>(soc, golden)) {
   target_cycle_ = analytical_.target_cycle();
   FAV_ENSURE(config.trace_stride > 0);
 }
@@ -368,6 +370,13 @@ SsfResult SsfEvaluator::finish_reduce(ReduceState&& state) const {
     m.set_gauge("eval.ssf", result.ssf());
     m.set_gauge("eval.failed_weight_fraction",
                 result.failed_weight_fraction());
+    // Word occupancy over every batched run this sink has merged.
+    const std::uint64_t words = m.counter("eval.batch_groups");
+    if (words > 0) {
+      m.set_gauge("eval.lane_occupancy",
+                  static_cast<double>(m.counter("eval.batch_lanes")) /
+                      (64.0 * static_cast<double>(words)));
+    }
   }
   return result;
 }
@@ -452,16 +461,17 @@ void SsfEvaluator::evaluate_range(
   // slot (merged later), so observing a run cannot perturb it.
   const bool timing = observers != nullptr && (!observers->sinks.empty() ||
                                                !observers->traces.empty());
-  auto eval_one = [&](std::size_t worker, std::size_t i) {
-    MetricsSink* sink =
-        observers != nullptr && !observers->sinks.empty()
-            ? &observers->sinks[worker]
-            : nullptr;
-    const std::uint64_t t0 = timing ? monotonic_ns() : 0;
-    records[i] = evaluate_sample_isolated(samples[i], scratch[worker], sink);
+  auto sink_for = [&](std::size_t worker) -> MetricsSink* {
+    return observers != nullptr && !observers->sinks.empty()
+               ? &observers->sinks[worker]
+               : nullptr;
+  };
+  // Publishes a finished records[i]: its latency timer and trace event
+  // (timed from t0), progress, and the on_sample hook.
+  auto publish = [&](std::size_t worker, std::size_t i, std::uint64_t t0) {
     if (timing) {
       const std::uint64_t dur = monotonic_ns() - t0;
-      if (sink != nullptr) {
+      if (MetricsSink* sink = sink_for(worker)) {
         sink->add_timer_ns(path_timer_name(records[i].path), dur);
       }
       if (!observers->traces.empty()) {
@@ -477,186 +487,183 @@ void SsfEvaluator::evaluate_range(
     }
     if (config_.on_sample) config_.on_sample(records[i], i);
   };
+  auto eval_one = [&](std::size_t worker, std::size_t i) {
+    const std::uint64_t t0 = timing ? monotonic_ns() : 0;
+    records[i] =
+        evaluate_sample_isolated(samples[i], scratch[worker], sink_for(worker));
+    publish(worker, i, t0);
+  };
 
-  // Word-parallel batching: group samples that share an injection cycle te
-  // so one restore + settle + bit-parallel sweep serves the whole group.
-  // Eligibility mirrors the scalar flow exactly — a sample whose parameters
-  // fail check_sample, that lands before the program starts, or that needs
-  // multi-cycle impact keeps its scalar evaluation (a singleton unit).
-  // Grouping is computed sequentially from the sample order, so the unit
-  // list — and with it every record — is identical at every thread count.
+  // Word-parallel batching: pack samples into words of up to lane_cap lanes
+  // in sample order, whatever their injection cycle te; each lane reads its
+  // gate-level values from te's golden settled row. Eligibility mirrors the
+  // scalar flow exactly — a sample whose parameters fail check_sample, that
+  // lands before the program starts, that needs multi-cycle impact, or
+  // whose row cannot be built keeps its scalar evaluation (a singleton
+  // unit), which reproduces any failure. Packing and row building run
+  // sequentially on this thread from the sample order, so the unit list —
+  // and with it every record and counter — is identical at every thread
+  // count.
   const std::size_t lane_cap = std::min<std::size_t>(config_.batch_lanes, 64);
-  if (lane_cap >= 2 && technique_->supports_batch() && hi - lo >= 2) {
-    std::vector<std::vector<std::size_t>> units;
-    std::unordered_map<std::uint64_t, std::size_t> open;  // te -> open unit
-    for (std::size_t i = lo; i < hi; ++i) {
-      const faultsim::FaultSample& s = samples[i];
-      bool eligible = s.impact_cycles == 1;
-      if (eligible) {
-        try {
-          technique_->check_sample(s);
-        } catch (const std::exception&) {
-          eligible = false;  // the scalar path records the failure
-        }
-      }
-      if (eligible && static_cast<std::uint64_t>(s.t) > target_cycle_) {
-        eligible = false;  // early-masked: nothing to strike, stays scalar
-      }
-      if (!eligible) {
-        units.push_back({i});
-        continue;
-      }
-      const std::uint64_t te =
-          target_cycle_ - static_cast<std::uint64_t>(s.t);
-      const auto it = open.find(te);
-      if (it != open.end() && units[it->second].size() < lane_cap) {
-        units[it->second].push_back(i);
-      } else {
-        open[te] = units.size();  // full units are sealed and replaced
-        units.push_back({i});
+  const bool batching =
+      lane_cap >= 2 && technique_->supports_batch() && hi - lo >= 2;
+  // rows[i - lo]: sample i's golden row (null when it stays scalar).
+  std::vector<const soc::GoldenSettledTable::Row*> rows(hi - lo, nullptr);
+  MetricsSink* sink0 = sink_for(0);
+  auto find_row = [&](std::size_t i, std::uint64_t te) {
+    EvalScratch& sc = *scratch[0];
+    const std::uint64_t settles_before = sc.gate_.total_settles();
+    const std::uint64_t t0 = sink0 != nullptr ? monotonic_ns() : 0;
+    bool built = false;
+    try {
+      rows[i - lo] = &settled_->row(te, sc.machine_, sc.gate_, &built);
+    } catch (const std::exception&) {
+      return false;
+    }
+    if (built && sink0 != nullptr) {
+      sink0->add_timer_ns("eval.golden_rows_ns", monotonic_ns() - t0);
+      sink0->add_counter("eval.golden_rows", 1);
+      sink0->add_counter("rtl.warmup_cycles", rows[i - lo]->warmup);
+      sink0->add_counter("rtl.restore_bytes", golden_->restore_byte_size());
+      sink0->add_counter("gate.settle_passes",
+                         sc.gate_.total_settles() - settles_before);
+    }
+    return true;
+  };
+  std::vector<std::vector<std::size_t>> units;
+  std::size_t word = hi;  // the unit being filled; hi = none yet
+  for (std::size_t i = lo; i < hi; ++i) {
+    const faultsim::FaultSample& s = samples[i];
+    bool eligible = batching && s.impact_cycles == 1;
+    if (eligible) {
+      try {
+        technique_->check_sample(s);
+      } catch (const std::exception&) {
+        eligible = false;  // the scalar path records the failure
       }
     }
-    auto eval_unit = [&](std::size_t worker, std::size_t u) {
-      const std::vector<std::size_t>& unit = units[u];
-      if (unit.size() == 1) {
-        eval_one(worker, unit[0]);
-        return;
-      }
-      MetricsSink* sink =
-          observers != nullptr && !observers->sinks.empty()
-              ? &observers->sinks[worker]
-              : nullptr;
-      TraceBuffer* trace_buf =
-          observers != nullptr && !observers->traces.empty()
-              ? &observers->traces[worker]
-              : nullptr;
-      evaluate_group(samples, records, unit, scratch[worker], sink, trace_buf,
-                     static_cast<std::uint32_t>(worker), eval_one);
-    };
-    if (scratch.size() <= 1) {
-      for (std::size_t u = 0; u < units.size(); ++u) eval_unit(0, u);
+    if (eligible && static_cast<std::uint64_t>(s.t) > target_cycle_) {
+      eligible = false;  // early-masked: nothing to strike, stays scalar
+    }
+    if (eligible) {
+      eligible = find_row(i, target_cycle_ - static_cast<std::uint64_t>(s.t));
+    }
+    if (!eligible) {
+      units.push_back({i});
+      continue;
+    }
+    if (word == hi || units[word].size() == lane_cap) {
+      word = units.size();
+      units.emplace_back();
+    }
+    units[word].push_back(i);
+  }
+
+  auto eval_unit = [&](std::size_t worker, std::size_t u) {
+    const std::vector<std::size_t>& unit = units[u];
+    if (unit.size() == 1) {
+      eval_one(worker, unit[0]);
       return;
     }
-    parallel_for(units.size(), scratch.size(), /*grain=*/1,
-                 [&](std::size_t worker, std::size_t b, std::size_t e) {
-                   for (std::size_t u = b; u < e; ++u) eval_unit(worker, u);
-                 });
-    return;
-  }
-
+    evaluate_word(
+        samples, records, unit, rows, lo, *scratch[worker], sink_for(worker),
+        timing, [&](std::size_t i) { eval_one(worker, i); },
+        [&](std::size_t i, std::uint64_t t0) { publish(worker, i, t0); });
+  };
   if (scratch.size() <= 1) {
-    for (std::size_t i = lo; i < hi; ++i) eval_one(0, i);
+    for (std::size_t u = 0; u < units.size(); ++u) eval_unit(0, u);
     return;
   }
-  parallel_for(hi - lo, scratch.size(), /*grain=*/8,
+  parallel_for(units.size(), scratch.size(), /*grain=*/batching ? 1 : 8,
                [&](std::size_t worker, std::size_t b, std::size_t e) {
-                 for (std::size_t i = lo + b; i < lo + e; ++i) {
-                   eval_one(worker, i);
-                 }
+                 for (std::size_t u = b; u < e; ++u) eval_unit(worker, u);
                });
 }
 
-void SsfEvaluator::evaluate_group(
+void SsfEvaluator::evaluate_word(
     const std::vector<faultsim::FaultSample>& samples,
     std::vector<SampleRecord>& records, const std::vector<std::size_t>& unit,
-    std::unique_ptr<EvalScratch>& scratch, MetricsSink* sink,
-    TraceBuffer* trace_buf, std::uint32_t worker,
-    const std::function<void(std::size_t, std::size_t)>& scalar_eval) const {
-  const bool timing = sink != nullptr || trace_buf != nullptr;
-  const std::uint64_t t0 = timing ? monotonic_ns() : 0;
-  const std::uint64_t te =
-      target_cycle_ - static_cast<std::uint64_t>(samples[unit[0]].t);
+    const std::vector<const soc::GoldenSettledTable::Row*>& rows,
+    std::size_t lo, EvalScratch& sc, MetricsSink* sink, bool timing,
+    const std::function<void(std::size_t)>& scalar_eval,
+    const std::function<void(std::size_t, std::uint64_t)>& publish) const {
+  std::uint64_t word_ns = 0;  // the shared phases, timed once per word
+  auto te_of = [&](std::size_t lane) {
+    return target_cycle_ - static_cast<std::uint64_t>(samples[unit[lane]].t);
+  };
+  auto row_of = [&](std::size_t lane) -> const soc::GoldenSettledTable::Row& {
+    return *rows[unit[lane] - lo];
+  };
 
-  // Shared phase: one restore, one gate-level settle, one bit-parallel
-  // flip-set sweep for the whole group. No budget is charged here — the
-  // per-lane finalization below replays the scalar charge sequence exactly,
-  // so budget overruns fail lane-by-lane with scalar-identical records.
-  EvalScratch& sc = *scratch;
-  std::uint64_t warmup = 0;
-  bool halted_at_te = false;
+  // Shared phase: gather each lane's settled injection cycle from its te's
+  // golden row, then one bit-parallel flip-set sweep for the whole word. No
+  // budget is charged here — the per-lane finalization below replays the
+  // scalar charge sequence exactly, so budget overruns fail lane-by-lane
+  // with scalar-identical records.
+  const std::size_t lanes = unit.size();
+  sc.lane_images_.clear();
+  sc.lane_samples_.clear();
+  for (const std::size_t i : unit) {
+    sc.lane_images_.push_back(&rows[i - lo]->values);
+    sc.lane_samples_.push_back(samples[i]);
+  }
   bool shared_ok = true;
-  try {
-    {
-      ScopeTimer timer(sink, "eval.restore_ns");
-      golden_->restore_into(sc.machine_, te, &warmup);
-    }
-    if (sink != nullptr) {
-      sink->add_counter("rtl.warmup_cycles", warmup);
-      sink->add_counter("rtl.restore_bytes", golden_->restore_byte_size());
-    }
-    halted_at_te = sc.machine_.halted();
-    if (!halted_at_te) {
+  {
+    const std::uint64_t t0 = timing ? monotonic_ns() : 0;
+    try {
       ScopeTimer timer(sink, "eval.gate_inject_ns");
-      const std::uint64_t settles_before = sc.gate_.total_settles();
-      sc.gate_.load_state(sc.machine_.state());
-      sc.gate_.mutable_ram() = sc.machine_.ram();
-      sc.gate_.settle_inputs();
-      sc.gate_.broadcast_settled(sc.words_);
-      sc.lane_samples_.clear();
-      for (const std::size_t i : unit) sc.lane_samples_.push_back(samples[i]);
+      sc.words_.load_lanes(sc.lane_images_);
       technique_->flip_set_batch(sc.words_, sc.technique_, sc.lane_samples_,
                                  sc.lane_flips_);
-      sc.machine_.step();
-      if (sink != nullptr) {
-        sink->add_counter("gate.injection_cycles", 1);
-        sink->add_counter("gate.settle_passes",
-                          sc.gate_.total_settles() - settles_before);
-      }
-    } else {
-      // The loop body never runs in the scalar flow either: every lane is
-      // masked with an empty flip set.
-      sc.lane_flips_.assign(unit.size(), std::vector<netlist::NodeId>{});
+    } catch (const std::exception&) {
+      shared_ok = false;
     }
-  } catch (const std::exception&) {
-    shared_ok = false;
+    if (timing) word_ns += monotonic_ns() - t0;
   }
   if (!shared_ok) {
-    // The shared work failed deterministically (restore/settle/flip-set);
-    // the scalar replay reproduces the identical failure — and its retry /
-    // kFailed record — per sample.
-    for (const std::size_t i : unit) scalar_eval(worker, i);
+    // The sweep failed deterministically; the scalar replay reproduces the
+    // identical failure — and its retry / kFailed record — per sample.
+    if (sink != nullptr) sink->add_timer_ns("eval.batch.word_ns", word_ns);
+    for (const std::size_t i : unit) scalar_eval(i);
     return;
   }
-  if (sink != nullptr) {
-    sink->add_counter("eval.batch_groups", 1);
-    sink->add_counter("eval.batch_lanes", unit.size());
-    sink->add_counter("eval.batch_restore_saved", unit.size() - 1);
-  }
 
+  // Per-lane finalization, timed from its own start. `injected` is the
+  // lane's te just past the injection cycle (null for a masked lane).
   const RegisterMap& map = Machine::reg_map();
-  for (std::size_t l = 0; l < unit.size(); ++l) {
+  auto finalize = [&](std::size_t l, const Machine* injected) {
     const std::size_t i = unit[l];
+    const std::uint64_t t0 = timing ? monotonic_ns() : 0;
     const faultsim::FaultSample& s = samples[i];
+    const soc::GoldenSettledTable::Row& row = row_of(l);
     SampleRecord rec;
     bool done = false;
     try {
       rec.sample = s;
-      rec.te = te;
+      rec.te = te_of(l);
       // Replay the scalar budget charges: warm-up after restore, then one
       // cycle for the injection cycle (skipped when the machine was already
-      // halted, exactly as the scalar loop guard skips it).
+      // halted, exactly as the scalar loop guard skips it — the scalar flow
+      // then flips nothing either).
       EvalBudget budget(config_.cycle_budget, config_.sample_deadline_ms);
-      budget.charge_cycles(warmup);
-      if (!halted_at_te) budget.charge_cycles(1);
-      std::set<int> flipped;
-      for (const netlist::NodeId dff : sc.lane_flips_[l]) {
-        const int bit = soc_->flat_bit_for_dff(dff);
-        FAV_CHECK(bit >= 0);
-        flipped.insert(bit);
-      }
-      rec.flipped_bits.assign(flipped.begin(), flipped.end());
-      if (rec.flipped_bits.empty()) {
-        rec.path = OutcomePath::kMasked;
-        rec.success = false;
-      } else {
-        // Only diverging lanes pay for an RTL resume: copy the shared
-        // post-injection state, overlay this lane's errors, and decide.
-        sc.resume_ = sc.machine_;
+      budget.charge_cycles(row.warmup);
+      if (!row.halted) budget.charge_cycles(1);
+      if (injected != nullptr) {
+        std::set<int> flipped;
+        for (const netlist::NodeId dff : sc.lane_flips_[l]) {
+          const int bit = soc_->flat_bit_for_dff(dff);
+          FAV_CHECK(bit >= 0);
+          flipped.insert(bit);
+        }
+        rec.flipped_bits.assign(flipped.begin(), flipped.end());
+        // Only diverging lanes pay for an RTL resume: copy the post-injection
+        // state of their te, overlay this lane's errors, and decide.
+        sc.resume_ = *injected;
         for (const int bit : rec.flipped_bits) {
           map.flip_bit(sc.resume_.mutable_state(), bit);
         }
-        rec.success = decide_outcome(sc.resume_, rec.flipped_bits, te + 1,
-                                     &rec.path, budget, sink);
+        rec.success = decide_outcome(sc.resume_, rec.flipped_bits,
+                                     rec.te + 1, &rec.path, budget, sink);
       }
       rec.contribution = rec.success ? s.weight : 0.0;
       done = true;
@@ -676,26 +683,60 @@ void SsfEvaluator::evaluate_group(
     if (!done) {
       // Retryable failure (deadline, check failure, ...): the scalar replay
       // owns the full isolation protocol, including the fresh-scratch retry.
-      scalar_eval(worker, i);
-      continue;
+      scalar_eval(i);
+      return;
     }
     records[i] = std::move(rec);
-    if (timing) {
-      const std::uint64_t dur = monotonic_ns() - t0;
+    publish(i, t0);
+  };
+
+  // Masked lanes finish at once. Lanes that flipped bits are sorted by te,
+  // so each distinct te costs one restore + injection-cycle step.
+  sc.flipping_lanes_.clear();
+  for (std::size_t l = 0; l < lanes; ++l) {
+    if (row_of(l).halted || sc.lane_flips_[l].empty()) {
+      finalize(l, nullptr);
+    } else {
+      sc.flipping_lanes_.push_back(l);
+    }
+  }
+  std::stable_sort(
+      sc.flipping_lanes_.begin(), sc.flipping_lanes_.end(),
+      [&](std::size_t a, std::size_t b) { return te_of(a) < te_of(b); });
+  std::uint64_t restores = 0;
+  bool restored = false;
+  for (std::size_t k = 0; k < sc.flipping_lanes_.size(); ++k) {
+    const std::size_t l = sc.flipping_lanes_[k];
+    if (k == 0 || te_of(l) != te_of(sc.flipping_lanes_[k - 1])) {
+      const std::uint64_t t0 = timing ? monotonic_ns() : 0;
+      try {
+        ScopeTimer timer(sink, "eval.restore_ns");
+        golden_->restore_into(sc.machine_, te_of(l));
+        sc.machine_.step();
+        restored = true;
+      } catch (const std::exception&) {
+        restored = false;
+      }
+      if (timing) word_ns += monotonic_ns() - t0;
+      ++restores;
       if (sink != nullptr) {
-        sink->add_timer_ns(path_timer_name(records[i].path), dur);
-      }
-      if (trace_buf != nullptr) {
-        trace_buf->record(outcome_path_name(records[i].path), "sample", t0,
-                          dur, worker, i);
+        sink->add_counter("rtl.warmup_cycles", row_of(l).warmup);
+        sink->add_counter("rtl.restore_bytes", golden_->restore_byte_size());
       }
     }
-    if (config_.progress != nullptr) {
-      const bool failed = records[i].path == OutcomePath::kFailed;
-      config_.progress->record(failed ? 0.0 : records[i].contribution,
-                               records[i].sample.weight, failed);
+    if (restored) {
+      finalize(l, &sc.machine_);
+    } else {
+      scalar_eval(unit[l]);
     }
-    if (config_.on_sample) config_.on_sample(records[i], i);
+  }
+  if (sink != nullptr) {
+    sink->add_counter("eval.batch_groups", 1);
+    sink->add_counter("eval.batch_lanes", lanes);
+    sink->add_counter("eval.batch_restores", restores);
+    sink->add_counter("eval.batch_restore_saved", lanes - restores);
+    sink->add_counter("gate.injection_cycles", 1);
+    sink->add_timer_ns("eval.batch.word_ns", word_ns);
   }
 }
 

@@ -42,6 +42,7 @@
 #include "precharac/characterize.h"
 #include "rtl/golden.h"
 #include "soc/gate_machine.h"
+#include "soc/golden_settled.h"
 #include "util/metrics.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -171,14 +172,15 @@ struct EvaluatorConfig {
   /// Retry a failed evaluation once on fresh scratch before recording
   /// kFailed (cycle-budget overruns are deterministic and never retried).
   bool retry_failed = true;
-  /// Word-parallel batching width: samples sharing one injection cycle te
-  /// (and impact_cycles == 1) are evaluated up to `batch_lanes` at a time,
-  /// sharing a single checkpoint restore + gate-level settle and computing
-  /// their flip sets in one bit-parallel topological sweep (lane = sample =
-  /// one bit of a 64-bit word). 0 or 1 disables batching; values above 64
-  /// are clamped. Batching never changes results: every record is bitwise
-  /// identical to the scalar path at every lane count and thread count —
-  /// grouping only changes how the work is scheduled.
+  /// Word-parallel batching width: samples with impact_cycles == 1 are
+  /// packed, in sample order and whatever their injection cycle te, up to
+  /// `batch_lanes` at a time into one bit-parallel topological sweep (lane =
+  /// sample = one bit of a 64-bit word); each lane's gate-level values come
+  /// from its te's golden settled row (soc/golden_settled.h). 0 or 1
+  /// disables batching; values above 64 are clamped. Batching never changes
+  /// results: every record is bitwise identical to the scalar path at every
+  /// lane count and thread count — packing only changes how the work is
+  /// scheduled.
   std::size_t batch_lanes = 64;
 
   /// --- observability (util/metrics.h; all optional, null = disabled) ----
@@ -254,14 +256,17 @@ class EvalScratch {
   soc::GateLevelMachine gate_;
   faultsim::TechniqueScratch technique_;
   std::vector<netlist::NodeId> flipped_dffs_;
-  /// Word-parallel batch state: the 64-lane simulator the settled injection
-  /// cycle is broadcast into, the per-lane sample/flip buffers, and the
-  /// machine a diverging lane's RTL resume runs on (copied from the shared
-  /// post-injection state so machine_ stays valid for the other lanes).
+  /// Word-parallel batch state: the 64-lane simulator the lanes' golden
+  /// rows are gathered into, the per-lane image/sample/flip buffers, and
+  /// the machine a diverging lane's RTL resume runs on (copied from the
+  /// post-injection state of its te so machine_ stays valid for the other
+  /// lanes of that te).
   netlist::WordSimulator words_;
   rtl::Machine resume_;
+  std::vector<const BitVector*> lane_images_;
   std::vector<faultsim::FaultSample> lane_samples_;
   std::vector<std::vector<netlist::NodeId>> lane_flips_;
+  std::vector<std::size_t> flipping_lanes_;
 };
 
 /// Options for crash-safe journaled campaigns (see mc/journal.h for the
@@ -426,28 +431,33 @@ class SsfEvaluator {
   };
 
   /// Evaluates samples[lo, hi) into records[lo, hi) on the worker pool,
-  /// reusing `scratch` (one slot per worker; isolated evaluation).
-  /// `observers` may be null (no instrumentation) or sized to the pool.
+  /// reusing `scratch` (one slot per worker; isolated evaluation). Golden
+  /// settled rows the range needs and the table lacks are built first, on
+  /// the calling thread, before any worker starts. `observers` may be null
+  /// (no instrumentation) or sized to the pool.
   void evaluate_range(const std::vector<faultsim::FaultSample>& samples,
                       std::vector<SampleRecord>& records, std::size_t lo,
                       std::size_t hi,
                       std::vector<std::unique_ptr<EvalScratch>>& scratch,
                       WorkerObservers* observers) const;
-  /// Evaluates one te-group of batch-eligible samples (unit = their indices,
-  /// all sharing the same injection cycle) through the word-parallel path:
-  /// one restore + settle, one bit-parallel flip-set sweep, then per-lane
-  /// finalization with scalar-identical budget accounting. Lanes the batch
-  /// path cannot finish identically (non-budget exceptions) are replayed
-  /// through `scalar_eval`, the same per-sample evaluation the scalar
-  /// engine runs, so every record stays bitwise-identical to the scalar
-  /// baseline.
-  void evaluate_group(
+  /// Evaluates one word of batch-eligible samples (unit = their indices,
+  /// any mix of injection cycles; rows[i - lo] = sample i's golden row)
+  /// through the word-parallel path: gather each lane from its te's row,
+  /// one bit-parallel flip-set sweep, one restore + step per distinct te
+  /// among the lanes that flipped bits, then per-lane finalization with
+  /// scalar-identical budget accounting, each finished record handed to
+  /// `publish(i, t0)` with its finalization start. Lanes the batch path
+  /// cannot finish identically (non-budget exceptions) are replayed through
+  /// `scalar_eval(i)`, the same per-sample evaluation the scalar engine
+  /// runs, so every record stays bitwise-identical to the scalar baseline.
+  void evaluate_word(
       const std::vector<faultsim::FaultSample>& samples,
       std::vector<SampleRecord>& records,
       const std::vector<std::size_t>& unit,
-      std::unique_ptr<EvalScratch>& scratch, MetricsSink* sink,
-      TraceBuffer* trace_buf, std::uint32_t worker,
-      const std::function<void(std::size_t, std::size_t)>& scalar_eval) const;
+      const std::vector<const soc::GoldenSettledTable::Row*>& rows,
+      std::size_t lo, EvalScratch& scratch, MetricsSink* sink, bool timing,
+      const std::function<void(std::size_t)>& scalar_eval,
+      const std::function<void(std::size_t, std::uint64_t)>& publish) const;
   WorkerObservers make_observers(std::size_t workers) const;
   /// Folds the per-worker sinks/traces into config_.metrics/config_.trace
   /// in worker-index order.
@@ -486,6 +496,10 @@ class SsfEvaluator {
   const precharac::RegisterCharacterization* charac_;
   EvaluatorConfig config_;
   AnalyticalEvaluator analytical_;
+  /// Golden settled rows, built on first use by any evaluation call and
+  /// kept for the evaluator's lifetime (≤ one ~850-byte row per golden
+  /// cycle). Internally locked, so concurrent runs share it safely.
+  std::unique_ptr<soc::GoldenSettledTable> settled_;
   std::uint64_t target_cycle_ = 0;
 };
 

@@ -1,6 +1,26 @@
 #include "netlist/logicsim.h"
 
+#include <algorithm>
+
 namespace fav::netlist {
+
+namespace {
+
+/// In-place transpose of a 64x64 bit matrix: bit c of a[r] moves to bit r of
+/// a[c]. Recursive block swap (Hacker's Delight 7-3), six rounds of 32 masked
+/// exchanges.
+void transpose64(std::uint64_t a[64]) {
+  std::uint64_t m = 0x00000000FFFFFFFFull;
+  for (int j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (int k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+  }
+}
+
+}  // namespace
 
 LogicSimulator::LogicSimulator(const Netlist& nl)
     : nl_(&nl), values_(nl.node_count(), 0) {
@@ -134,6 +154,34 @@ void WordSimulator::broadcast_from(const LogicSimulator& scalar) {
   FAV_ENSURE_MSG(nl_ == &scalar.netlist(), "netlist mismatch in broadcast");
   for (NodeId id = 0; id < nl_->node_count(); ++id) {
     values_[id] = scalar.value(id) ? ~std::uint64_t{0} : 0;
+  }
+}
+
+void WordSimulator::load_lanes(std::span<const BitVector* const> images) {
+  const std::size_t lanes = images.size();
+  FAV_ENSURE_MSG(lanes >= 1 && lanes <= 64, "lane count must be in [1, 64]");
+  const std::size_t n = values_.size();
+  for (const BitVector* image : images) {
+    FAV_ENSURE_MSG(image->size() == n, "lane image size mismatch");
+  }
+  if (std::all_of(images.begin(), images.end(),
+                  [&](const BitVector* image) { return image == images[0]; })) {
+    const std::uint64_t mask =
+        lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+    const std::vector<std::uint64_t>& bits = images[0]->words();
+    for (std::size_t id = 0; id < n; ++id) {
+      values_[id] = mask & (0 - ((bits[id >> 6] >> (id & 63)) & 1u));
+    }
+    return;
+  }
+  std::uint64_t block[64];
+  for (std::size_t base = 0; base < n; base += 64) {
+    for (std::size_t l = 0; l < 64; ++l) {
+      block[l] = l < lanes ? images[l]->words()[base >> 6] : 0;
+    }
+    transpose64(block);
+    std::copy_n(block, std::min<std::size_t>(64, n - base),
+                values_.begin() + static_cast<std::ptrdiff_t>(base));
   }
 }
 

@@ -8,11 +8,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "netlist/netlist.h"
+#include "util/bitvector.h"
 
 namespace fav::netlist {
 
@@ -54,8 +56,9 @@ class LogicSimulator {
 /// 64-lane bit-parallel logic simulator (the PPSFP word trick): every node
 /// holds a uint64_t whose bit `l` is that node's value in lane `l`, so one
 /// topological sweep evaluates 64 independent samples at once. Lanes start
-/// identical (broadcast_from a settled scalar simulator) and diverge only
-/// where per-lane inputs or register upsets are forced.
+/// identical (broadcast_from a settled scalar simulator) or from per-lane
+/// packed images (load_lanes), and diverge only where per-lane inputs or
+/// register upsets are forced.
 class WordSimulator {
  public:
   explicit WordSimulator(const Netlist& nl);
@@ -75,6 +78,14 @@ class WordSimulator {
   /// Copies a settled scalar simulator's state into every lane: each node's
   /// word becomes all-ones or all-zeros according to the scalar value.
   void broadcast_from(const LogicSimulator& scalar);
+
+  /// Loads every node's word from packed per-lane images: lane l takes node
+  /// id's value from bit id of `*images[l]` (node_count() bits each, e.g. a
+  /// settled scalar state); lanes at or past images.size() read zero, and
+  /// at most 64 images may be given. Lanes that share one image are the
+  /// common case: when all of them do, the load is one pass over that
+  /// image; otherwise it is one 64x64 bit transpose per 64 nodes.
+  void load_lanes(std::span<const BitVector* const> images);
 
   /// Recomputes all combinational nodes from current inputs + registers,
   /// word-wise (all 64 lanes per gate evaluation).

@@ -83,9 +83,9 @@ class GoldenRun {
   /// golden run's program. Reusing one machine across many restores avoids a
   /// 64K-word RAM allocation per call — the Monte Carlo engine keeps one
   /// machine per worker and restores it for every sample; the word-parallel
-  /// batch path (DESIGN.md §6i) goes further and shares one restore across
-  /// up to 64 samples that strike the same injection cycle, copying the
-  /// restored machine only for the lanes whose flip set is non-empty.
+  /// batch path (DESIGN.md §6i) goes further and restores once per distinct
+  /// injection cycle among a word's lanes whose flip set is non-empty,
+  /// copying the restored machine per lane.
   void restore_into(Machine& machine, std::uint64_t cycle,
                     std::uint64_t* warmup_cycles = nullptr) const;
 

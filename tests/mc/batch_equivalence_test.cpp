@@ -1,17 +1,20 @@
-// The word-parallel batching contract (DESIGN.md §6i): grouping samples by
-// injection cycle and evaluating up to 64 of them per bit-parallel sweep is
-// a pure scheduling change. Every SsfResult — records, fail codes, traces,
-// contributions — must be bitwise identical to the scalar path at every
-// lane count, thread count, and through journaled kill-and-resume.
+// The word-parallel batching contract (DESIGN.md §6i): packing samples of
+// any injection cycle up to 64 per bit-parallel sweep, each lane gathered
+// from its cycle's golden settled row, is a pure scheduling change. Every
+// SsfResult — records, fail codes, traces, contributions — must be bitwise
+// identical to the scalar path at every lane count, thread count, and
+// through journaled kill-and-resume.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "faultsim/glitch.h"
 #include "mc/evaluator.h"
+#include "precharac/sampling_model.h"
 #include "soc/benchmark.h"
 #include "util/metrics.h"
 
@@ -29,14 +32,18 @@ struct Context {
   rtl::GoldenRun golden{bench.program, bench.max_cycles, 32};
   rtl::Program workload = soc::make_synthetic_workload();
   rtl::GoldenRun synth_golden{workload, 400, 32};
+  precharac::SignatureTrace signatures{soc, workload, 400};
   precharac::RegisterCharacterization charac;
+  netlist::UnrolledCone cone;
 
   Context()
-      : charac(synth_golden, [] {
-          precharac::CharacterizationConfig cfg;
-          cfg.stride = 23;
-          return cfg;
-        }()) {}
+      : charac(synth_golden,
+               [] {
+                 precharac::CharacterizationConfig cfg;
+                 cfg.stride = 23;
+                 return cfg;
+               }()),
+        cone(soc.netlist(), soc.netlist().find_or_throw("mpu_viol"), 12, 2) {}
 
   SsfEvaluator make(const EvaluatorConfig& cfg) const {
     return SsfEvaluator(soc, placement, injector, bench, golden, &charac,
@@ -129,7 +136,7 @@ TEST(BatchEquivalence, LaneAndThreadCountsAreBitwiseIdentical) {
       EXPECT_GT(sink.counter("eval.batch_lanes"), 0u);
       EXPECT_EQ(sink.counter("eval.batch_restore_saved"),
                 sink.counter("eval.batch_lanes") -
-                    sink.counter("eval.batch_groups"));
+                    sink.counter("eval.batch_restores"));
     }
   }
 }
@@ -228,6 +235,81 @@ TEST(BatchEquivalence, JournaledKillAndResumeAcrossLaneCounts) {
   Result<SsfResult> resumed = ev.run_journaled(sampler, rng, 200, options);
   ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
   expect_bitwise_equal(resumed.value(), reference);
+}
+
+/// Importance sampling over a 50-cycle window spreads the samples over many
+/// injection cycles, so each 64-lane word mixes lanes of many te.
+const faultsim::AttackModel& wide_attack() {
+  static const faultsim::AttackModel attack = [] {
+    faultsim::AttackModel a;
+    a.t_min = 0;
+    a.t_max = 49;
+    a.candidate_centers = ctx().placement.placed_nodes();
+    return a;
+  }();
+  return attack;
+}
+
+SsfResult run_importance(std::size_t batch_lanes, std::size_t threads,
+                         std::uint64_t cycle_budget = 0,
+                         MetricsSink* sink = nullptr) {
+  static const precharac::SamplingModel model(
+      ctx().soc, ctx().placement, ctx().cone, ctx().signatures, ctx().charac,
+      wide_attack());
+  EvaluatorConfig cfg;
+  cfg.batch_lanes = batch_lanes;
+  cfg.threads = threads;
+  cfg.cycle_budget = cycle_budget;
+  cfg.metrics = sink;
+  const SsfEvaluator ev = ctx().make(cfg);
+  ImportanceSampler sampler(model);
+  Rng rng(61);
+  return ev.run(sampler, rng, 640);
+}
+
+TEST(BatchEquivalence, MixedCycleWordsAreBitwiseIdentical) {
+  const SsfResult scalar = run_importance(1, 1);
+  std::set<std::uint64_t> cycles;
+  for (const SampleRecord& rec : scalar.records) cycles.insert(rec.te);
+  ASSERT_GT(cycles.size(), 10u);  // the words must really mix cycles
+  ASSERT_GT(scalar.rtl + scalar.analytical, 0u);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    MetricsSink sink;
+    expect_bitwise_equal(run_importance(64, threads, 0, &sink), scalar);
+    // Cross-cycle packing fills the words: 640 samples in 10 words, and
+    // one golden row per distinct cycle.
+    EXPECT_EQ(sink.counter("eval.batch_groups"), 10u);
+    EXPECT_EQ(sink.counter("eval.batch_lanes"), 640u);
+    EXPECT_EQ(sink.counter("eval.golden_rows"), cycles.size());
+    ASSERT_NE(sink.gauge("eval.lane_occupancy"), nullptr);
+    EXPECT_EQ(*sink.gauge("eval.lane_occupancy"), 1.0);
+  }
+}
+
+TEST(BatchEquivalence, MixedCycleWordsFailBudgetsLaneForLane) {
+  // Warm-up from the nearest checkpoint is te mod 32 here, so a budget of
+  // 16 cycles sits between the smallest and the largest warm-up + 1: lanes
+  // of one word fail with kCycleBudgetExceeded next to lanes that complete.
+  const std::uint64_t budget = 16;
+  const SsfResult scalar = run_importance(1, 1, budget);
+  std::size_t failed = 0;
+  std::size_t completed = 0;
+  for (std::size_t i = 0; i < 64; ++i) {  // the first word's lanes
+    const SampleRecord& rec = scalar.records[i];
+    if (rec.path == OutcomePath::kFailed) {
+      EXPECT_EQ(rec.fail_code, ErrorCode::kCycleBudgetExceeded);
+      ++failed;
+    } else {
+      ++completed;
+    }
+  }
+  ASSERT_GT(failed, 0u);
+  ASSERT_GT(completed, 0u);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_bitwise_equal(run_importance(64, threads, budget), scalar);
+  }
 }
 
 }  // namespace

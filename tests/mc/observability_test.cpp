@@ -174,6 +174,34 @@ TEST(Observability, TraceHasOneEventPerSampleInSampleOrder) {
   EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
 }
 
+TEST(Observability, BatchedTimersDoNotDoubleCount) {
+  // The word phase is timed once per word and each lane from the start of
+  // its own finalization, so on one thread the intervals are disjoint and
+  // must fit inside the run.
+  MetricsSink metrics;
+  EvaluatorConfig cfg;
+  cfg.threads = 1;
+  cfg.batch_lanes = 64;
+  cfg.metrics = &metrics;
+  run_with(cfg);
+  ASSERT_GT(metrics.counter("eval.batch_groups"), 0u);
+  const TimerStat* word = metrics.timer("eval.batch.word_ns");
+  ASSERT_NE(word, nullptr);
+  EXPECT_EQ(word->count, metrics.counter("eval.batch_groups"));
+  std::uint64_t sampled_ns = 0;
+  std::uint64_t sampled = 0;
+  for (const auto& [name, stat] : metrics.timers()) {
+    if (name.rfind("eval.sample.", 0) == 0) {
+      sampled_ns += stat.total_ns;
+      sampled += stat.count;
+    }
+  }
+  EXPECT_EQ(sampled, kSamples);
+  ASSERT_NE(metrics.timer("run.total_ns"), nullptr);
+  EXPECT_LE(sampled_ns + word->total_ns,
+            metrics.timer("run.total_ns")->total_ns);
+}
+
 TEST(Observability, ProgressMeterAgreesWithResult) {
   std::FILE* devnull = std::tmpfile();
   ASSERT_NE(devnull, nullptr);

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace fav::netlist {
 namespace {
@@ -182,6 +184,73 @@ TEST(WordSimulator, ConstantsBroadcastToAllLanes) {
   EXPECT_EQ(words.word(c1), ~std::uint64_t{0});
   EXPECT_EQ(words.word(c0), std::uint64_t{0});
   EXPECT_EQ(words.word(y), ~std::uint64_t{0});
+}
+
+// 150 inputs: two full 64-node blocks and a partial one.
+Netlist wide_netlist() {
+  Netlist nl;
+  for (int i = 0; i < 150; ++i) nl.add_input("i" + std::to_string(i));
+  return nl;
+}
+
+BitVector random_image(std::size_t size, Rng& rng) {
+  BitVector image(size);
+  for (std::size_t id = 0; id < size; ++id) {
+    image.set(id, (rng.next() & 1) != 0);
+  }
+  return image;
+}
+
+TEST(WordSimulator, LoadLanesGathersEachLaneFromItsImage) {
+  const Netlist nl = wide_netlist();
+  Rng rng(11);
+  std::vector<BitVector> images;
+  for (int k = 0; k < 5; ++k) images.push_back(random_image(150, rng));
+  WordSimulator words(nl);
+  for (const std::size_t lanes : {2u, 37u, 64u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    std::vector<const BitVector*> lane_images;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      lane_images.push_back(&images[(l * 7) % images.size()]);
+    }
+    words.load_lanes(lane_images);
+    for (NodeId id = 0; id < nl.node_count(); ++id) {
+      for (int l = 0; l < 64; ++l) {
+        const bool expect = static_cast<std::size_t>(l) < lanes &&
+                            lane_images[l]->get(id);
+        ASSERT_EQ(words.value(id, l), expect)
+            << "node " << id << " lane " << l;
+      }
+    }
+  }
+}
+
+TEST(WordSimulator, LoadLanesFromOneImageIsARowCopy) {
+  const Netlist nl = wide_netlist();
+  Rng rng(12);
+  const BitVector image = random_image(150, rng);
+  WordSimulator words(nl);
+  for (const std::size_t lanes : {5u, 64u}) {
+    const std::vector<const BitVector*> lane_images(lanes, &image);
+    words.load_lanes(lane_images);
+    const std::uint64_t mask =
+        lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+    for (NodeId id = 0; id < nl.node_count(); ++id) {
+      EXPECT_EQ(words.word(id), image.get(id) ? mask : 0) << "node " << id;
+    }
+  }
+}
+
+TEST(WordSimulator, LoadLanesRejectsBadShapes) {
+  const Netlist nl = wide_netlist();
+  WordSimulator words(nl);
+  const BitVector image(150);
+  const BitVector short_image(149);
+  EXPECT_THROW(words.load_lanes({}), CheckError);
+  const std::vector<const BitVector*> too_many(65, &image);
+  EXPECT_THROW(words.load_lanes(too_many), CheckError);
+  const std::vector<const BitVector*> mismatch{&image, &short_image};
+  EXPECT_THROW(words.load_lanes(mismatch), CheckError);
 }
 
 }  // namespace
