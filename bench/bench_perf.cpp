@@ -106,6 +106,36 @@ void BM_InjectBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_InjectBatch)->Arg(8)->Arg(64);
 
+// The shape of an exhaustive t-major word: Arg adjacent candidate centers
+// (ascending id, as the sub-block model enumerates them) struck at one
+// injection cycle and one strike time, so the lanes' cones overlap and
+// their pulses pile up on shared gates.
+void BM_InjectBatchClustered(benchmark::State& state) {
+  rtl::Machine m = fx().golden.restore(80);
+  soc::GateLevelMachine gate(fx().soc, fx().bench.program);
+  gate.load_state(m.state());
+  gate.mutable_ram() = m.ram();
+  gate.settle_inputs();
+  netlist::WordSimulator words(fx().soc.netlist());
+  gate.broadcast_settled(words);
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  const auto& centers = fx().placement.placed_nodes();
+  std::vector<std::vector<netlist::NodeId>> struck(lanes);
+  const std::vector<double> strike(lanes, 0.0);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    struck[l] = fx().placement.nodes_within(centers[2000 + l], 1.5);
+  }
+  faultsim::BatchInjectionScratch scratch;
+  std::vector<std::vector<netlist::NodeId>> flipped;
+  for (auto _ : state) {
+    fx().injector.inject_batch(words, struck, strike, scratch, flipped);
+    benchmark::DoNotOptimize(flipped);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(lanes));
+}
+BENCHMARK(BM_InjectBatchClustered)->Arg(64);
+
 // Builds every golden settled row of `write` (one restore + settle per
 // injection cycle): the whole per-run settle cost of the batched engine.
 void BM_GoldenTableBuild(benchmark::State& state) {

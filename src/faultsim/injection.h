@@ -16,6 +16,7 @@
 // register-map bit) happens in the Monte Carlo layer.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -57,24 +58,46 @@ class InjectionScratch {
   std::vector<netlist::NodeId> flips_;
 };
 
-/// Reusable per-thread buffers for inject_batch(). Pulse lists are shared
-/// across lanes: each entry is tagged with its lane, and same-lane entries
-/// keep the relative order a dedicated per-lane list would have, which is
-/// what makes the batch merge/cap policy bit-identical to the scalar one.
+/// Reusable per-thread buffers for inject_batch(). Everything is indexed by
+/// topological position and keeps its capacity across calls; only the
+/// positions the previous sweep visited are reset. Not thread-safe: one
+/// scratch per worker.
 class BatchInjectionScratch {
  public:
   BatchInjectionScratch() = default;
 
+  /// Gates the last inject_batch() sweep visited (0 before the first).
+  std::size_t visited() const { return visited_; }
+
  private:
   friend class InjectionSimulator;
+  static constexpr std::uint32_t kNoSeed = 0xFFFFFFFFu;
   struct LanePulse {
     Pulse pulse;
     int lane = 0;
   };
-  void prepare(std::size_t node_count);
+  struct Seed {
+    Pulse pulse;
+    int lane = 0;
+    std::uint32_t next = kNoSeed;
+  };
+  /// Per-position state: the position's emitted pulse list is
+  /// pulses_[begin, end), grouped by lane, and its seeds are a linked list
+  /// in seeding order.
+  struct Slot {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    std::uint32_t seed_head = kNoSeed;
+    std::uint32_t seed_tail = kNoSeed;
+  };
+  void prepare(std::size_t positions);
 
-  std::vector<std::vector<LanePulse>> pulses_;
-  std::vector<netlist::NodeId> touched_;  // nodes with non-empty pulse lists
+  std::vector<std::uint64_t> frontier_;  // bit per position to visit
+  std::vector<Slot> slots_;              // one per position + empty sentinel
+  std::vector<LanePulse> pulses_;
+  std::vector<Seed> seeds_;
+  std::array<std::vector<Pulse>, 64> stage_;  // one lane's list being built
+  std::size_t visited_ = 0;
 };
 
 struct InjectionResult {
@@ -112,12 +135,13 @@ class InjectionSimulator {
                          std::span<const netlist::NodeId> struck,
                          double strike_time, InjectionScratch& scratch) const;
 
-  /// Bit-parallel injection: one topological sweep computes the flip sets of
-  /// up to 64 independent samples. Lane `l` uses struck set `struck[l]` and
-  /// strike time `strike_times[l]` against `sim`'s lane-`l` values (all
-  /// lanes typically broadcast from one settled scalar state). On return
-  /// `flipped[l]` holds lane l's flipped DFFs (sorted, unique) — bitwise
-  /// identical to what the scalar inject() produces for that lane's inputs.
+  /// Bit-parallel injection: computes the flip sets of up to 64 independent
+  /// samples in one event-driven sweep. Lane `l` uses struck set `struck[l]`
+  /// and strike time `strike_times[l]` against `sim`'s lane-`l` values (each
+  /// lane may hold a different settled cycle). Only gates a pulse reaches
+  /// are visited, in topological order. On return `flipped[l]` holds lane
+  /// l's flipped DFFs (sorted, unique) — bitwise identical to what the
+  /// scalar inject() produces for that lane's inputs.
   void inject_batch(const netlist::WordSimulator& sim,
                     std::span<const std::vector<netlist::NodeId>> struck,
                     std::span<const double> strike_times,
@@ -140,19 +164,39 @@ class InjectionSimulator {
   bool sensitized(const netlist::LogicSimulator& sim, netlist::NodeId node,
                   int pin) const;
 
-  /// Word-wise sensitization: bit l of the result says whether lane l's
-  /// side-input values let a glitch on `pin` of `node` through.
-  std::uint64_t sensitized_mask(const netlist::WordSimulator& sim,
-                                netlist::NodeId node, int pin) const;
+  /// One combinational gate of the sweep graph, indexed by topological
+  /// position: what inject_batch() needs, without touching netlist::Node.
+  /// Each range ends where the next position's begins.
+  struct SweepGate {
+    double delay = 0;
+    netlist::CellType type = netlist::CellType::kBuf;
+    std::uint32_t fanin_begin = 0;  // into fanins_, cell_arity(type) long
+    std::uint32_t out_begin = 0;    // into consumers_
+    std::uint32_t dff_begin = 0;    // into dff_sinks_
+  };
+  struct SweepFanin {
+    netlist::NodeId node = 0;  // for the word lookup
+    std::uint32_t pos = 0;     // producer position; gate count for a source
+  };
+  /// Node kind markers in position_ besides a gate's topological position.
+  static constexpr std::uint32_t kDffPosition = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kSourcePosition = 0xFFFFFFFEu;
 
-  /// Per-lane add_pulse over the shared lane-tagged list; same merge, cap,
-  /// and eviction policy as add_pulse restricted to entries of `lane`.
-  void add_pulse_lane(std::vector<BatchInjectionScratch::LanePulse>& list,
-                      Pulse p, int lane) const;
+  /// Word-wise sensitization: bit l of the result says whether lane l's
+  /// side-input values let a glitch on `pin` of `gate` through.
+  std::uint64_t sensitized_mask(const netlist::WordSimulator& sim,
+                                const SweepGate& gate, int pin) const;
 
   const netlist::Netlist* nl_;
   TimingAnalysis timing_;
   TransientParams params_;
+  // Flat sweep graph, built at construction (the injector is shared
+  // read-only across workers).
+  std::vector<SweepGate> gates_;
+  std::vector<SweepFanin> fanins_;
+  std::vector<std::uint32_t> consumers_;  // combinational consumer positions
+  std::vector<netlist::NodeId> dff_sinks_;  // DFFs whose D net is the gate
+  std::vector<std::uint32_t> position_;     // NodeId -> position or kind
 };
 
 }  // namespace fav::faultsim

@@ -612,9 +612,19 @@ void SsfEvaluator::evaluate_word(
     const std::uint64_t t0 = timing ? monotonic_ns() : 0;
     try {
       ScopeTimer timer(sink, "eval.gate_inject_ns");
-      sc.words_.load_lanes(sc.lane_images_);
-      technique_->flip_set_batch(sc.words_, sc.technique_, sc.lane_samples_,
-                                 sc.lane_flips_);
+      {
+        ScopeTimer gather(sink, "eval.batch.gather_ns");
+        sc.words_.load_lanes(sc.lane_images_);
+      }
+      {
+        ScopeTimer sweep(sink, "eval.batch.sweep_ns");
+        technique_->flip_set_batch(sc.words_, sc.technique_,
+                                   sc.lane_samples_, sc.lane_flips_);
+      }
+      const std::size_t visited = sc.technique_.batch.visited();
+      if (sink != nullptr && visited > 0) {
+        sink->add_counter("faultsim.sweep_nodes", visited);
+      }
     } catch (const std::exception&) {
       shared_ok = false;
     }

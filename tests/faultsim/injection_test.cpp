@@ -282,17 +282,16 @@ TEST(InjectionSimulator, AddPulseKeepsListDisjointAndCapped) {
   }
 }
 
-// Random mixed-gate netlists with per-lane divergent inputs, registers,
-// struck sets and strike times: inject_batch must reproduce the scalar
-// inject() flip set lane by lane. The scratch is reused across trials with
-// different node counts to exercise its shrink/grow path too.
-TEST(InjectionSimulator, InjectBatchMatchesScalarLaneByLane) {
-  std::mt19937 gen(1234);
-  BatchInjectionScratch scratch;
-  for (int trial = 0; trial < 5; ++trial) {
-    Netlist nl;
+// Random mixed-gate netlist: 3 inputs, 3 DFFs, `n_gates` gates whose fanins
+// are drawn from everything built before them. With `observe_all`, one more
+// DFF latches every gate's net, so a flip set shows every net's pulses at
+// the clock edge.
+struct RandomNetlist {
+  Netlist nl;
+  std::vector<NodeId> gates;
+  std::vector<NodeId> dffs;
+  RandomNetlist(std::mt19937& gen, int n_gates, bool observe_all) {
     std::vector<NodeId> pool;
-    std::vector<NodeId> dffs;
     for (int i = 0; i < 3; ++i)
       pool.push_back(nl.add_input("in" + std::to_string(i)));
     for (int i = 0; i < 3; ++i) {
@@ -303,8 +302,6 @@ TEST(InjectionSimulator, InjectBatchMatchesScalarLaneByLane) {
         CellType::kBuf, CellType::kNot,  CellType::kAnd,
         CellType::kOr,  CellType::kNand, CellType::kNor,
         CellType::kXor, CellType::kXnor, CellType::kMux};
-    std::vector<NodeId> gates;
-    const int n_gates = 24 + 8 * trial;
     for (int i = 0; i < n_gates; ++i) {
       const CellType t = kTypes[gen() % std::size(kTypes)];
       std::vector<NodeId> fanins;
@@ -315,46 +312,170 @@ TEST(InjectionSimulator, InjectBatchMatchesScalarLaneByLane) {
       pool.push_back(gates.back());
     }
     for (NodeId r : dffs) nl.connect_dff(r, gates[gen() % gates.size()]);
-
-    InjectionSimulator inj(nl);
-    const double period = inj.timing().clock_period();
-    std::vector<NodeId> candidates = gates;
-    candidates.insert(candidates.end(), dffs.begin(), dffs.end());
-
-    const int lanes = trial == 0 ? 1 : (trial == 1 ? 7 : 64);
-    netlist::WordSimulator words(nl);
-    std::vector<LogicSimulator> scalar;
-    scalar.reserve(lanes);
-    std::vector<std::vector<NodeId>> struck(lanes);
-    std::vector<double> strike(lanes);
-    for (int l = 0; l < lanes; ++l) {
-      scalar.emplace_back(nl);
-      for (NodeId in : nl.inputs()) {
-        const bool v = gen() & 1;
-        scalar[l].set_input(in, v);
-        words.set_input_lane(in, l, v);
-      }
-      for (NodeId r : nl.dffs()) {
-        const bool v = gen() & 1;
-        scalar[l].set_register(r, v);
-        words.set_register_lane(r, l, v);
-      }
-      scalar[l].evaluate_comb();
-      const std::size_t n_struck = gen() % 5;
-      for (std::size_t k = 0; k < n_struck; ++k)
-        struck[l].push_back(candidates[gen() % candidates.size()]);
-      strike[l] = static_cast<double>(gen() % 1000) / 1000.0 * period;
+    if (!observe_all) return;
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      nl.connect_dff(nl.add_dff("o" + std::to_string(i)), gates[i]);
     }
-    words.evaluate_comb();
+  }
+};
 
-    std::vector<std::vector<NodeId>> flipped;
+// Random mixed-gate netlists with per-lane divergent inputs, registers,
+// struck sets and strike times: inject_batch must reproduce the scalar
+// inject() flip set lane by lane, for every pulse cap and seed width. The
+// last trial of each setting strikes the same gates in all 64 lanes at one
+// instant, like a word of an exhaustive t-major sweep, so reconvergent
+// pulses pile up and the cap, eviction and transitive merge all run, and
+// every gate's net is latched so a wrong list shows in the flip set. The
+// scratch is reused across trials with different node counts to exercise
+// its shrink/grow path too.
+TEST(InjectionSimulator, InjectBatchMatchesScalarLaneByLane) {
+  std::mt19937 gen(1234);
+  BatchInjectionScratch scratch;
+  for (const int cap : {1, 2, 4}) {
+    for (const double width : {3.0, 8.0}) {
+      TransientParams tp;
+      tp.max_pulses_per_node = cap;
+      tp.initial_width = width;
+      for (int trial = 0; trial < 6; ++trial) {
+        const bool clustered = trial == 5;
+        RandomNetlist rn(gen, clustered ? 128 : 24 + 8 * trial, clustered);
+        const Netlist& nl = rn.nl;
+        InjectionSimulator inj(nl, {}, tp);
+        const double period = inj.timing().clock_period();
+        std::vector<NodeId> candidates = rn.gates;
+        candidates.insert(candidates.end(), rn.dffs.begin(), rn.dffs.end());
+
+        const int lanes = trial == 0 ? 1 : (trial == 1 ? 7 : 64);
+        netlist::WordSimulator words(nl);
+        std::vector<LogicSimulator> scalar;
+        scalar.reserve(lanes);
+        std::vector<std::vector<NodeId>> struck(lanes);
+        std::vector<double> strike(lanes);
+        std::vector<NodeId> shared_struck;
+        for (int k = 0; k < 32; ++k)
+          shared_struck.push_back(rn.gates[gen() % rn.gates.size()]);
+        const double shared_strike = 0.7 * period;
+        for (int l = 0; l < lanes; ++l) {
+          scalar.emplace_back(nl);
+          for (NodeId in : nl.inputs()) {
+            const bool v = gen() & 1;
+            scalar[l].set_input(in, v);
+            words.set_input_lane(in, l, v);
+          }
+          for (NodeId r : nl.dffs()) {
+            const bool v = gen() & 1;
+            scalar[l].set_register(r, v);
+            words.set_register_lane(r, l, v);
+          }
+          scalar[l].evaluate_comb();
+          if (clustered) {
+            struck[l] = shared_struck;
+            strike[l] = shared_strike;
+            continue;
+          }
+          const std::size_t n_struck = gen() % 5;
+          for (std::size_t k = 0; k < n_struck; ++k)
+            struck[l].push_back(candidates[gen() % candidates.size()]);
+          strike[l] = static_cast<double>(gen() % 1000) / 1000.0 * period;
+        }
+        words.evaluate_comb();
+
+        std::vector<std::vector<NodeId>> flipped;
+        inj.inject_batch(words, struck, strike, scratch, flipped);
+        ASSERT_EQ(flipped.size(), static_cast<std::size_t>(lanes));
+        for (int l = 0; l < lanes; ++l) {
+          const auto ref = inj.inject(scalar[l], struck[l], strike[l]);
+          EXPECT_EQ(flipped[l], ref.flipped_dffs)
+              << "cap " << cap << " width " << width << " trial " << trial
+              << " lane " << l;
+        }
+      }
+    }
+  }
+}
+
+// Two disjoint cones, in0 -> BUF^5 -> r0 and in1 -> BUF^7 -> r1: the sweep
+// visits only the gates a pulse reaches, so a strike in one cone never
+// visits the other.
+TEST(InjectionSimulator, InjectBatchVisitsOnlyTheStruckCone) {
+  Netlist nl;
+  std::vector<std::vector<NodeId>> cones(2);
+  for (int c = 0; c < 2; ++c) {
+    NodeId cur = nl.add_input("in" + std::to_string(c));
+    for (int i = 0; i < 5 + 2 * c; ++i) {
+      cur = nl.add_gate(CellType::kBuf, {cur},
+                        "c" + std::to_string(c) + "_" + std::to_string(i));
+      cones[c].push_back(cur);
+    }
+    const NodeId r = nl.add_dff("r" + std::to_string(c));
+    nl.connect_dff(r, cur);
+  }
+  InjectionSimulator inj(nl);
+  netlist::WordSimulator words(nl);
+  words.broadcast_from(settled(nl));
+  const LogicSimulator sim = settled(nl);
+  BatchInjectionScratch scratch;
+  std::vector<std::vector<NodeId>> flipped;
+  const auto sweep = [&](const std::vector<std::vector<NodeId>>& struck) {
+    const std::vector<double> strike(struck.size(), 0.0);
     inj.inject_batch(words, struck, strike, scratch, flipped);
-    ASSERT_EQ(flipped.size(), static_cast<std::size_t>(lanes));
-    for (int l = 0; l < lanes; ++l) {
-      const auto ref = inj.inject(scalar[l], struck[l], strike[l]);
-      EXPECT_EQ(flipped[l], ref.flipped_dffs)
-          << "trial " << trial << " lane " << l;
+    for (std::size_t l = 0; l < struck.size(); ++l) {
+      EXPECT_EQ(flipped[l], inj.inject(sim, struck[l], 0.0).flipped_dffs);
     }
+    return scratch.visited();
+  };
+  EXPECT_EQ(scratch.visited(), 0u);
+  // Every lane strikes the head of cone 0: its 5 gates, none of cone 1's.
+  EXPECT_EQ(sweep(std::vector<std::vector<NodeId>>(64, {cones[0][0]})), 5u);
+  EXPECT_EQ(sweep({{cones[1][0]}}), 7u);
+  // A strike mid-cone visits only the gates downstream of it.
+  EXPECT_EQ(sweep({{cones[1][4]}, {}}), 3u);
+  EXPECT_EQ(sweep({{cones[0][0]}, {cones[1][0]}}), 12u);
+  EXPECT_EQ(sweep({{}}), 0u);
+}
+
+// List order is part of the pulse policy: at a full list, eviction replaces
+// the first of equally narrow entries. N = XOR(P, Q) gets two disjoint
+// pulses of equal width, P's first. C = XOR(N, R) takes both, then R's
+// wider pulse evicts the first, P's, and Q's pulse is kept and reaches r
+// inside the latching window. A batch sweep that lost a lane's list order
+// would evict Q's pulse instead and miss the flip.
+TEST(InjectionSimulator, InjectBatchKeepsEachLanesPulseOrder) {
+  Netlist nl;
+  const auto chain = [&](const std::string& in, int depth) {
+    NodeId cur = nl.add_input(in);
+    for (int i = 0; i < depth; ++i) {
+      cur = nl.add_gate(CellType::kBuf, {cur}, in + "_" + std::to_string(i));
+    }
+    return cur;
+  };
+  const NodeId p = chain("p", 3);  // settles at 3.0
+  const NodeId q = chain("q", 6);  // settles at 6.0
+  const NodeId r_in = chain("r", 1);
+  const NodeId n = nl.add_gate(CellType::kXor, {p, q}, "n");
+  const NodeId c = nl.add_gate(CellType::kXor, {n, r_in}, "c");
+  const NodeId r = nl.add_dff("reg");
+  nl.connect_dff(r, c);
+  TransientParams tp;
+  tp.max_pulses_per_node = 2;
+  InjectionSimulator inj(nl, {}, tp);
+
+  const std::vector<NodeId> struck = {p, q, r_in};
+  const LogicSimulator sim = settled(nl);
+  ASSERT_EQ(inj.inject(sim, struck, 0.0).flipped_dffs,
+            std::vector<NodeId>{r});
+  netlist::WordSimulator words(nl);
+  words.broadcast_from(sim);
+  std::vector<std::vector<NodeId>> lanes(8);
+  lanes[0] = struck;
+  lanes[5] = struck;
+  const std::vector<double> strike(lanes.size(), 0.0);
+  BatchInjectionScratch scratch;
+  std::vector<std::vector<NodeId>> flipped;
+  inj.inject_batch(words, lanes, strike, scratch, flipped);
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    EXPECT_EQ(flipped[l], inj.inject(sim, lanes[l], 0.0).flipped_dffs)
+        << "lane " << l;
   }
 }
 

@@ -200,6 +200,20 @@ TEST(Observability, BatchedTimersDoNotDoubleCount) {
   ASSERT_NE(metrics.timer("run.total_ns"), nullptr);
   EXPECT_LE(sampled_ns + word->total_ns,
             metrics.timer("run.total_ns")->total_ns);
+  // The word's gather and sweep are nested inside eval.gate_inject_ns.
+  const TimerStat* gather = metrics.timer("eval.batch.gather_ns");
+  const TimerStat* sweep = metrics.timer("eval.batch.sweep_ns");
+  const TimerStat* inject = metrics.timer("eval.gate_inject_ns");
+  ASSERT_NE(gather, nullptr);
+  ASSERT_NE(sweep, nullptr);
+  ASSERT_NE(inject, nullptr);
+  EXPECT_EQ(gather->count, word->count);
+  EXPECT_EQ(sweep->count, word->count);
+  EXPECT_LE(gather->total_ns + sweep->total_ns, inject->total_ns);
+  // The sweep visits some gates, and never the whole netlist per word.
+  const std::uint64_t visited = metrics.counter("faultsim.sweep_nodes");
+  EXPECT_GT(visited, 0u);
+  EXPECT_LT(visited, word->count * ctx().soc.netlist().gate_count());
 }
 
 TEST(Observability, ProgressMeterAgreesWithResult) {
