@@ -930,8 +930,9 @@ SsfResult SsfEvaluator::run_exhaustive(std::uint64_t space_limit) const {
   // matter how large the grid is, and the chunk-local records are folded
   // into the running reduction in enumeration-index order — the exact
   // accumulation one reduce() over the materialized space would perform.
-  // (Chunk boundaries can split a te-group across word-parallel batches,
-  // which is harmless: batching is bitwise-identical to the scalar path.)
+  // (Each chunk packs its own words, across injection cycles like every
+  // batch, so a chunk boundary can only end a word early. That is harmless:
+  // batching is bitwise-identical to the scalar path wherever words break.)
   constexpr std::size_t kChunk = 256;
   ReduceState state;
   std::vector<faultsim::FaultSample> chunk;

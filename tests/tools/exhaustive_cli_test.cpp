@@ -7,7 +7,8 @@
 //   * coverage == 1.0 is reported on stdout and in the run report,
 //   * --space-limit caps the sweep and is usage-checked,
 //   * the voltage-glitch technique runs end to end through the unified
-//     pipeline (workers included).
+//     pipeline (workers included),
+//   * --progress counts the sweep, not --samples.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -128,6 +129,23 @@ TEST(ExhaustiveCli, SpaceLimitCapsTheSweep) {
       << text;
   EXPECT_EQ(json_field(dir + "/report.json", "evaluated"), "5");
   EXPECT_EQ(json_field(dir + "/report.json", "samples"), "5");
+}
+
+TEST(ExhaustiveCli, ProgressIsSizedFromTheSweep) {
+  // The meter counts the swept prefix, min(space, --space-limit), not the
+  // unused --samples default.
+  const fs::path err = fs::path(::testing::TempDir()) / "fav_ex_cli_progress";
+  const std::string cmd = std::string(FAV_CLI_PATH) +
+                          " evaluate --technique voltage-glitch --exhaustive "
+                          "--space-limit 50 --progress > /dev/null 2> " +
+                          err.string();
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  std::ifstream in(err);
+  std::string line, last;
+  while (std::getline(in, line)) {
+    if (line.rfind("[fav] ", 0) == 0) last = line;
+  }
+  EXPECT_EQ(last.rfind("[fav] 50/50 samples", 0), 0u) << last;
 }
 
 TEST(ExhaustiveCli, UsageErrorsAreRejected) {

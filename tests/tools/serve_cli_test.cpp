@@ -9,6 +9,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "mc/journal.h"
+#include "mc/serve.h"
 #include "mc/supervisor.h"
 #include "util/subprocess.h"
 
@@ -305,6 +307,51 @@ TEST(ServeCli, UnservableRequestsAreRefusedPerCampaign) {
   const Subprocess::ExitStatus st = daemon.stop();
   EXPECT_FALSE(st.signaled);
   EXPECT_EQ(st.exit_code, 0);
+}
+
+TEST(ServeCli, BadRequestValueFailsOnlyItsCampaign) {
+  Daemon daemon("bad_value");
+  const std::string dir = fresh_dir("bad_value");
+  // A raw client skips `fav submit`'s own check: the daemon's parse must
+  // fail the campaign with the usage exit code and keep serving.
+  const Result<SubmitResult> bad = submit_campaign(
+      daemon.socket_path(), {"evaluate", "--benchmark", "bogus"});
+  ASSERT_TRUE(bad.is_ok()) << bad.status().to_string();
+  EXPECT_EQ(bad.value().exit_code, 2);
+  EXPECT_NE(bad.value().error.find("bogus"), std::string::npos)
+      << bad.value().error;
+  EXPECT_EQ(run_cli("submit --socket " + daemon.socket_path() + " " +
+                        campaign_flags(16),
+                    dir + "/ok.txt"),
+            0);
+  const Subprocess::ExitStatus st = daemon.stop();
+  EXPECT_FALSE(st.signaled);
+  EXPECT_EQ(st.exit_code, 0);
+}
+
+TEST(ServeCli, ExhaustiveProgressIsSizedFromTheSweep) {
+  Daemon daemon("progress");
+  const std::string dir = fresh_dir("progress");
+  // 12 cycles x 4 droop levels = 48 points, capped at 40; --samples is
+  // unused by the sweep and must not size the progress stream.
+  ASSERT_EQ(run_cli("submit --socket " + daemon.socket_path() +
+                        " --technique voltage-glitch --exhaustive --t-range "
+                        "12 --space-limit 40 --samples 10 --progress",
+                    dir + "/out.txt"),
+            0);
+  std::istringstream err(read_file(dir + "/out.txt.err"));
+  std::size_t frames = 0;
+  for (std::string line; std::getline(err, line);) {
+    unsigned long long done = 0, total = 0;
+    if (std::sscanf(line.c_str(), "fav submit: %llu / %llu samples", &done,
+                    &total) != 2) {
+      continue;
+    }
+    ++frames;
+    EXPECT_EQ(total, 40u) << line;
+    EXPECT_LE(done, total) << line;
+  }
+  EXPECT_GT(frames, 0u);
 }
 
 TEST(ServeCli, BusyJournalIsRefusedAndSigtermDrainsGracefully) {

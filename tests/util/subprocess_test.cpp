@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -266,6 +267,26 @@ std::string fd_target(const std::string& pid, int fd) {
   return std::string(target, static_cast<std::size_t>(n));
 }
 
+// The command name of process `pid` (/proc/<pid>/comm, newline dropped).
+std::string proc_comm(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/comm");
+  std::string comm;
+  std::getline(in, comm);
+  return comm;
+}
+
+// The scheduler state letter of process `pid` (the field after the
+// parenthesized command name in /proc/<pid>/stat), or '?' when unreadable.
+char proc_state(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat;
+  std::getline(in, stat);
+  const std::size_t close = stat.rfind(')');
+  return close != std::string::npos && close + 2 < stat.size()
+             ? stat[close + 2]
+             : '?';
+}
+
 // Every open-fd target of process `pid` (via /proc/<pid>/fd).
 std::vector<std::string> child_fd_targets(pid_t pid) {
   const std::string path = "/proc/" + std::to_string(pid) + "/fd";
@@ -301,17 +322,17 @@ TEST(SubprocessLifecycle, SiblingDoesNotInheritPipes) {
   Result<Subprocess> b = Subprocess::spawn({"sleep", "5"});
   ASSERT_TRUE(b.is_ok()) << b.status().to_string();
   Subprocess sibling = std::move(b).value();
-  // The exec may still be in flight (pre-exec the fork image legitimately
-  // holds the parent's fds); wait until the sibling's own pipes are its
-  // stdin/stdout, which only happens after dup2 + exec.
-  for (int i = 0; i < 5000; ++i) {
-    const std::string sib_pid = std::to_string(sibling.pid());
-    if (fd_target(sib_pid, 0) == fd_target("self", sibling.stdin_fd()) &&
-        fd_target(sib_pid, 0) != "") {
-      break;
-    }
-    ::usleep(1000);
+  // The exec may still be in flight: between fork and exec the child image
+  // legitimately holds the parent's fds, and its stdin is already its own
+  // pipe after the dup2. Wait until the exec is over — the child is named
+  // `sleep` and blocked in its nanosleep — before inspecting its fds.
+  bool execed = false;
+  for (int i = 0; i < 5000 && !execed; ++i) {
+    execed = proc_comm(sibling.pid()) == "sleep" &&
+             proc_state(sibling.pid()) == 'S';
+    if (!execed) ::usleep(1000);
   }
+  ASSERT_TRUE(execed) << "sibling never finished its exec of sleep";
   for (const std::string& target : child_fd_targets(sibling.pid())) {
     EXPECT_NE(target, first_stdin)
         << "sibling holds first's stdin pipe (missing O_CLOEXEC)";
