@@ -1,7 +1,6 @@
 #include "mc/journal.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <iterator>
 
@@ -11,20 +10,12 @@ namespace fav::mc {
 
 namespace {
 
-// "FAVJRNL2": version 2 added the technique tag + depth to the record
-// format; version-1 journals are rejected as header-corrupt rather than
-// silently misparsed.
-constexpr char kFileMagic[8] = {'F', 'A', 'V', 'J', 'R', 'N', 'L', '2'};
-constexpr std::uint32_t kFrameMagic = 0x4652414Du;  // "MARF" on disk
-// Garbage frames must not trigger huge allocations: no sane shard payload
-// approaches this (a record is ~100 bytes, shards are a few hundred records).
-constexpr std::uint32_t kMaxPayload = 1u << 28;
+// "FAVJRNL3": version 3 moved the frames onto util/record_log.h (CRC32C);
+// older journals fail the magic check and are rejected as header-corrupt
+// rather than silently misparsed.
+constexpr std::string_view kFileMagic("FAVJRNL3", 8);
 
-// Checksums and serialization come from the shared util/io layer; the
-// journal keeps only its format knowledge (magic, frame layout) here.
-using io::fnv1a64;
 using io::get_le;
-using io::get_string;
 using io::put_le;
 
 /// Journal writes report two failure classes: storage-full errnos keep
@@ -41,135 +32,93 @@ std::string serialize_meta(const JournalMeta& meta) {
   std::string out;
   put_le(out, meta.fingerprint);
   put_le(out, meta.total_samples);
-  put_le(out, static_cast<std::uint32_t>(meta.context.size()));
-  out += meta.context;
+  io::put_string(out, meta.context);
   return out;
+}
+
+bool parse_meta(std::string_view payload, JournalMeta* meta) {
+  std::size_t off = 0;
+  return get_le(payload, &off, &meta->fingerprint) &&
+         get_le(payload, &off, &meta->total_samples) &&
+         io::get_string(payload, &off, &meta->context) &&
+         off == payload.size();
+}
+
+/// Decodes one shard record into `spans`, extending the last span when the
+/// shard continues it.
+bool parse_shard(std::string_view payload, std::vector<JournalSpan>* spans) {
+  std::size_t off = 0;
+  std::uint64_t first_index = 0;
+  std::uint32_t count = 0;
+  if (!get_le(payload, &off, &first_index) ||
+      !get_le(payload, &off, &count)) {
+    return false;
+  }
+  if (spans->empty() || first_index != spans->back().end_index()) {
+    spans->emplace_back();
+    spans->back().first_index = first_index;
+  }
+  std::vector<SampleRecord>& records = spans->back().records;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    SampleRecord rec;
+    if (!deserialize_record(payload, &off, &rec)) return false;
+    records.push_back(std::move(rec));
+  }
+  return off == payload.size();
 }
 
 std::string journal_path(const std::string& dir, const std::string& file) {
   return (std::filesystem::path(dir) / file).string();
 }
 
-bool read_exact(std::FILE* f, void* buf, std::size_t len) {
-  return std::fread(buf, 1, len, f) == len;
-}
-
-/// Core reader shared by read_journal and JournalReader::read_shards: header
-/// + frames with torn-tail tolerance and mid-file damage detection. Frames
-/// may start at any index but must be strictly increasing and
-/// non-overlapping; adjacent frames coalesce into one span.
+/// Core reader shared by read_journal and JournalReader::read_shards: the
+/// meta record, then shard records. The record log drops a torn tail and
+/// reports mid-file damage; shards may start at any index but must not
+/// overlap, and adjacent shards coalesce into one span.
 Result<JournalShards> read_shards_impl(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  JournalShards shards;
+  bool have_meta = false;
+  Status bad_record;
+  const Result<io::LogScan> scan = io::RecordLog::scan(
+      path, kFileMagic, [&](std::string_view payload) {
+        if (!have_meta) {
+          have_meta = parse_meta(payload, &shards.meta);
+          if (!have_meta) {
+            bad_record = Status(ErrorCode::kJournalCorrupt,
+                                "journal meta corrupt in " + path);
+          }
+          return have_meta;
+        }
+        // Frames need not be in index order: a supervised worker journals
+        // shards in *assignment* order, and a shard rescued from a crashed
+        // peer lands after higher-indexed shards in the survivor's file.
+        // Spans are sorted and overlap-checked after the scan.
+        if (!parse_shard(payload, &shards.spans)) {
+          bad_record = Status(ErrorCode::kJournalCorrupt,
+                              "journal frame payload corrupt in " + path);
+          return false;
+        }
+        return true;
+      });
+  if (!scan.is_ok()) {
+    if (scan.status().code() == ErrorCode::kJournalCorrupt) {
+      return Status(ErrorCode::kJournalCorrupt,
+                    "journal header corrupt in " + path);
+    }
     return Status(ErrorCode::kJournalIoError,
                   "cannot open journal " + path + " for reading");
   }
-  struct Closer {
-    std::FILE* f;
-    ~Closer() { std::fclose(f); }
-  } closer{f};
-
-  // Header: magic + meta + meta checksum.
-  char magic[sizeof(kFileMagic)];
-  std::uint32_t meta_len = 0;
-  if (!read_exact(f, magic, sizeof(magic)) ||
-      std::memcmp(magic, kFileMagic, sizeof(magic)) != 0 ||
-      !read_exact(f, &meta_len, sizeof(meta_len)) || meta_len > kMaxPayload) {
+  if (!bad_record.is_ok()) return bad_record;
+  if (scan.value().damaged) {
+    return Status(ErrorCode::kJournalCorrupt,
+                  "journal damaged mid-file in " + path +
+                      " (bad frame followed by more data)");
+  }
+  if (!have_meta) {
     return Status(ErrorCode::kJournalCorrupt,
                   "journal header corrupt in " + path);
   }
-  std::string meta_bytes(meta_len, '\0');
-  std::uint64_t meta_sum = 0;
-  if (!read_exact(f, meta_bytes.data(), meta_len) ||
-      !read_exact(f, &meta_sum, sizeof(meta_sum)) ||
-      meta_sum != fnv1a64(meta_bytes.data(), meta_bytes.size())) {
-    return Status(ErrorCode::kJournalCorrupt,
-                  "journal header corrupt in " + path);
-  }
-  JournalShards shards;
-  {
-    std::size_t off = 0;
-    if (!get_le(meta_bytes, &off, &shards.meta.fingerprint) ||
-        !get_le(meta_bytes, &off, &shards.meta.total_samples) ||
-        !get_string(meta_bytes, &off, &shards.meta.context, kMaxPayload)) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    "journal meta corrupt in " + path);
-    }
-  }
-
-  shards.valid_bytes = static_cast<std::uint64_t>(std::ftell(f));
-
-  // Frames. `bad_frame` defers the corrupt-vs-torn decision: a bad frame at
-  // the physical end of the file is the normal crash artifact (dropped); a
-  // bad frame followed by more data means the file was damaged in the
-  // middle.
-  bool bad_frame = false;
-  std::string payload;
-  for (;;) {
-    std::uint32_t frame_magic = 0;
-    std::uint64_t first_index = 0;
-    std::uint32_t count = 0, payload_len = 0;
-    if (!read_exact(f, &frame_magic, sizeof(frame_magic))) break;  // clean EOF
-    if (frame_magic != kFrameMagic ||
-        !read_exact(f, &first_index, sizeof(first_index)) ||
-        !read_exact(f, &count, sizeof(count)) ||
-        !read_exact(f, &payload_len, sizeof(payload_len)) ||
-        payload_len > kMaxPayload) {
-      bad_frame = true;
-      break;
-    }
-    payload.resize(payload_len);
-    std::uint64_t sum = 0;
-    if (!read_exact(f, payload.data(), payload_len) ||
-        !read_exact(f, &sum, sizeof(sum))) {
-      bad_frame = true;  // truncated mid-frame: torn tail candidate
-      break;
-    }
-    std::uint64_t expect = fnv1a64(&first_index, sizeof(first_index));
-    expect = fnv1a64(&count, sizeof(count), expect);
-    expect = fnv1a64(payload.data(), payload.size(), expect);
-    if (sum != expect) {
-      bad_frame = true;
-      break;
-    }
-    // Frames need not be in index order: a supervised worker journals shards
-    // in *assignment* order, and a shard rescued from a crashed peer lands
-    // after higher-indexed shards in the survivor's file. Spans are sorted
-    // and overlap-checked after the scan.
-    JournalSpan* span;
-    if (!shards.spans.empty() &&
-        first_index == shards.spans.back().end_index()) {
-      span = &shards.spans.back();
-    } else {
-      shards.spans.emplace_back();
-      span = &shards.spans.back();
-      span->first_index = first_index;
-    }
-    std::size_t off = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      SampleRecord rec;
-      if (!deserialize_record(payload, &off, &rec)) {
-        return Status(ErrorCode::kJournalCorrupt,
-                      "journal frame payload corrupt in " + path);
-      }
-      span->records.push_back(std::move(rec));
-    }
-    if (off != payload.size()) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    "journal frame payload corrupt in " + path);
-    }
-    shards.valid_bytes = static_cast<std::uint64_t>(std::ftell(f));
-  }
-  if (bad_frame) {
-    // Anything readable after the bad frame proves mid-file damage; a bad
-    // frame that extends to EOF is a torn tail and simply dropped.
-    char probe;
-    if (std::fread(&probe, 1, 1, f) == 1) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    "journal damaged mid-file in " + path +
-                        " (bad frame followed by more data)");
-    }
-  }
+  shards.valid_bytes = scan.value().valid_bytes;
   // Restore the JournalShards contract (strictly increasing, non-overlapping,
   // coalesced spans) independently of the on-disk frame order.
   std::sort(shards.spans.begin(), shards.spans.end(),
@@ -232,11 +181,10 @@ void serialize_record(const SampleRecord& record, std::string& out) {
   for (const int bit : record.flipped_bits) {
     put_le(out, static_cast<std::int32_t>(bit));
   }
-  put_le(out, static_cast<std::uint32_t>(record.fail_reason.size()));
-  out += record.fail_reason;
+  io::put_string(out, record.fail_reason);
 }
 
-bool deserialize_record(const std::string& data, std::size_t* offset,
+bool deserialize_record(std::string_view data, std::size_t* offset,
                         SampleRecord* record) {
   std::int32_t t = 0, impact = 0;
   std::uint32_t center = 0;
@@ -271,7 +219,7 @@ bool deserialize_record(const std::string& data, std::size_t* offset,
   record->fail_code = static_cast<ErrorCode>(fail_code);
   std::uint32_t nflips = 0;
   if (!get_le(data, offset, &nflips)) return false;
-  if (nflips > kMaxPayload / sizeof(std::int32_t)) return false;
+  if (nflips > (data.size() - *offset) / sizeof(std::int32_t)) return false;
   record->flipped_bits.clear();
   record->flipped_bits.reserve(nflips);
   for (std::uint32_t i = 0; i < nflips; ++i) {
@@ -279,7 +227,7 @@ bool deserialize_record(const std::string& data, std::size_t* offset,
     if (!get_le(data, offset, &bit)) return false;
     record->flipped_bits.push_back(bit);
   }
-  return get_string(data, offset, &record->fail_reason, kMaxPayload);
+  return io::get_string(data, offset, &record->fail_reason);
 }
 
 bool sample_matches(const faultsim::FaultSample& a,
@@ -423,14 +371,9 @@ Result<JournalContents> JournalReader::merge(const std::string& dir,
   return contents;
 }
 
-JournalWriter::~JournalWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
 Status JournalWriter::open_fresh(const std::string& dir,
                                  const JournalMeta& meta,
                                  const std::string& file) {
-  FAV_CHECK(file_ == nullptr);
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -438,114 +381,37 @@ Status JournalWriter::open_fresh(const std::string& dir,
                   "cannot create journal directory " + dir + ": " +
                       ec.message());
   }
-  const std::string path = journal_path(dir, file);
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) {
-    return Status(ErrorCode::kJournalIoError,
-                  "cannot open journal " + path + " for writing");
-  }
-  const std::string meta_bytes = serialize_meta(meta);
-  // The whole header goes out as one hardened write: one retry scope, and
-  // exactly one chaos-countable physical write per header.
-  std::string header(kFileMagic, sizeof(kFileMagic));
-  put_le(header, static_cast<std::uint32_t>(meta_bytes.size()));
-  header += meta_bytes;
-  put_le(header, fnv1a64(meta_bytes.data(), meta_bytes.size()));
-  const Status written = classify_write(
-      io::write_all(file_, header.data(), header.size(), "journal " + path));
-  if (!written.is_ok()) return written;
-  // The header is fsynced immediately (commit), exactly like every shard
-  // frame after it: a crash between open and the first append must leave a
-  // valid, durable empty journal behind.
-  const Status committed = commit();
-  if (!committed.is_ok()) return committed;
-  // The header fsync above made the *contents* durable; the name->inode link
-  // of the freshly created (or truncated) file lives in the directory, which
-  // needs its own fsync — otherwise a crash here can lose the journal file
-  // entirely while the caller believes it exists.
-  return sync_dir(dir);
+  // The meta record rides in the header write: a crash between open and the
+  // first append leaves a valid, durable empty journal behind.
+  return classify_write(
+      log_.create(journal_path(dir, file), kFileMagic, serialize_meta(meta)));
 }
 
 Status JournalWriter::open_append(const std::string& dir,
                                   std::uint64_t valid_bytes,
                                   const std::string& file) {
-  FAV_CHECK(file_ == nullptr);
-  const std::string path = journal_path(dir, file);
-  // Cut off any torn tail first: appending after it would bury the partial
-  // frame mid-file, which the next read must treat as corruption.
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (ec || size < valid_bytes) {
-    return Status(ErrorCode::kJournalIoError,
-                  "cannot stat journal " + path + " for appending");
-  }
-  if (size > valid_bytes) {
-    std::filesystem::resize_file(path, valid_bytes, ec);
-    if (ec) {
-      return Status(ErrorCode::kJournalIoError,
-                    "cannot truncate torn tail of journal " + path + ": " +
-                        ec.message());
-    }
-  }
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Status(ErrorCode::kJournalIoError,
-                  "cannot open journal " + path + " for appending");
-  }
-  if (size > valid_bytes) {
-    // Make the truncation itself durable before appending after it: the new
-    // length is inode metadata (file fsync) but a crash between truncate and
-    // the next append must not resurrect the torn tail mid-file, so the
-    // directory entry is synced as well, mirroring open_fresh.
-    const Status committed = commit();
-    if (!committed.is_ok()) return committed;
-  }
-  return sync_dir(dir);
+  return classify_write(
+      log_.open_append(journal_path(dir, file), valid_bytes));
 }
 
 Status JournalWriter::append_shard(std::size_t first_index,
                                    const SampleRecord* records,
                                    std::size_t count) {
-  FAV_CHECK(file_ != nullptr);
   std::string payload;
+  put_le(payload, static_cast<std::uint64_t>(first_index));
+  put_le(payload, static_cast<std::uint32_t>(count));
   for (std::size_t i = 0; i < count; ++i) {
     serialize_record(records[i], payload);
   }
-  const auto index64 = static_cast<std::uint64_t>(first_index);
-  const auto count32 = static_cast<std::uint32_t>(count);
-  std::uint64_t sum = fnv1a64(&index64, sizeof(index64));
-  sum = fnv1a64(&count32, sizeof(count32), sum);
-  sum = fnv1a64(payload.data(), payload.size(), sum);
-  // One frame, one hardened write (retry/backoff and errno classification
-  // live in util/io): a storage-full failure surfaces as kStorageFull so the
-  // campaign can stop gracefully and resume later.
-  std::string frame;
-  put_le(frame, kFrameMagic);
-  put_le(frame, index64);
-  put_le(frame, count32);
-  put_le(frame, static_cast<std::uint32_t>(payload.size()));
-  frame += payload;
-  put_le(frame, sum);
-  const Status written = classify_write(
-      io::write_all(file_, frame.data(), frame.size(), "journal frame"));
-  if (!written.is_ok()) return written;
-  if (metrics_ != nullptr) {
+  // A storage-full failure surfaces as kStorageFull so the campaign can stop
+  // gracefully and resume later.
+  const Status appended = classify_write(log_.append(payload));
+  if (appended.is_ok() && metrics_ != nullptr) {
     metrics_->add_counter("journal.shards");
-    metrics_->add_counter("journal.bytes_written", frame.size());
+    metrics_->add_counter("journal.bytes_written",
+                          payload.size() + io::kFrameOverhead);
   }
-  return commit();
-}
-
-Status JournalWriter::commit() {
-  ScopeTimer timer(metrics_, "journal.fsync_ns");
-  if (metrics_ != nullptr) metrics_->add_counter("journal.commits");
-  return classify_write(io::flush_and_fsync(file_, "journal"));
-}
-
-Status JournalWriter::sync_dir(const std::string& dir) {
-  ScopeTimer timer(metrics_, "journal.dir_fsync_ns");
-  if (metrics_ != nullptr) metrics_->add_counter("journal.dir_fsyncs");
-  return classify_write(io::fsync_dir(dir));
+  return appended;
 }
 
 }  // namespace fav::mc

@@ -1,34 +1,36 @@
 // Crash-safe append-only run journal for Monte Carlo campaigns.
 //
 // A campaign of 1e4–1e6 samples can run for hours; the journal makes a
-// SIGKILL (or power loss) cost at most one shard of work. On-disk layout
-// (single file `<dir>/campaign.fj`, all integers little-endian):
+// SIGKILL (or power loss) cost at most one shard of work. The file
+// (`<dir>/campaign.fj`, or `worker-<k>.fj` under a supervisor) is a record
+// log (util/record_log.h: CRC32C frames, torn-tail and mid-file damage
+// rules, one write and one fsync per record); all integers little-endian:
 //
-//   header:  magic "FAVJRNL2" | u32 meta_len | meta | u64 fnv1a(meta)
+//   file:    magic "FAVJRNL3" | frame(meta) | frame(shard)*
 //   meta:    u64 fingerprint | u64 total_samples | u32 ctx_len | ctx bytes
-//   frame*:  u32 'MARF' | u64 first_index | u32 count | u32 payload_len
-//            | payload | u64 fnv1a(frame header fields + payload)
+//   shard:   u64 first_index | u32 count | count serialized SampleRecords
 //
-// Each frame holds the serialized SampleRecords of one completed shard of
-// consecutive sample indices and is flushed + fsynced before the next shard
-// starts, so the file always contains a checksummed prefix of the campaign.
-// The reader accepts a torn tail (a partially-written last frame is the
-// normal crash artifact and is simply dropped) but reports kJournalCorrupt
-// for mid-file damage — a bad frame followed by further valid data — and for
-// header/meta corruption. Resume re-draws the sample stream deterministically
-// and continues from the first missing index, so a killed-and-resumed run is
-// bitwise-identical to an uninterrupted one (see SsfEvaluator::run_journaled).
+// Each shard record holds one completed shard of consecutive sample indices
+// and is fsynced before the next shard starts, so the file always contains
+// a checksummed prefix of the campaign. The reader drops a torn tail (a
+// partially-written last frame is the normal crash artifact) but reports
+// kJournalCorrupt for mid-file damage — a bad frame followed by further
+// data — and for a bad magic or meta record. Resume re-draws the sample
+// stream deterministically and continues from the first missing index, so a
+// killed-and-resumed run is bitwise-identical to an uninterrupted one (see
+// SsfEvaluator::run_journaled).
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "mc/evaluator.h"
 #include "util/metrics.h"
+#include "util/record_log.h"
 #include "util/status.h"
 
 namespace fav::mc {
@@ -93,11 +95,11 @@ struct MergedJournal {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> missing_ranges() const;
 };
 
-/// Serialization used by the journal frames (exposed for tests).
+/// Serialization used by the journal's shard records (exposed for tests).
 void serialize_record(const SampleRecord& record, std::string& out);
 /// Deserializes one record from `data` starting at `*offset`, advancing it.
 /// Returns false on malformed input (offset position is then unspecified).
-bool deserialize_record(const std::string& data, std::size_t* offset,
+bool deserialize_record(std::string_view data, std::size_t* offset,
                         SampleRecord* record);
 
 /// Field-wise identity of two fault samples, used by the resume cross-checks:
@@ -141,24 +143,21 @@ class JournalReader {
                                        const std::string& pattern);
 };
 
-/// Appends completed shards to `<dir>/campaign.fj`. Every append is flushed
-/// and fsynced before returning, so a completed shard survives SIGKILL.
-/// Durability requires fsyncing the *parent directory* too after the file is
-/// created or truncated — POSIX treats the name->inode link as directory
-/// data, so without it a crash right after open_fresh can lose the file
-/// itself even though its contents were fsynced.
+/// Appends completed shards to `<dir>/campaign.fj`. Every append is fsynced
+/// before returning, so a completed shard survives SIGKILL; creating or
+/// truncating the file also fsyncs the parent directory, which holds the
+/// name->inode link.
 class JournalWriter {
  public:
-  JournalWriter() = default;
-  ~JournalWriter();
-  JournalWriter(const JournalWriter&) = delete;
-  JournalWriter& operator=(const JournalWriter&) = delete;
-
   /// Optional observability (see util/metrics.h): fsync latencies
   /// ("journal.fsync_ns", "journal.dir_fsync_ns") and I/O counters
-  /// ("journal.commits", "journal.dir_fsyncs", "journal.bytes_written").
-  /// The sink must outlive the writer; the caller serializes access.
-  void set_metrics(MetricsSink* sink) { metrics_ = sink; }
+  /// ("journal.commits", "journal.dir_fsyncs", "journal.shards",
+  /// "journal.bytes_written"). The sink must outlive the writer; the caller
+  /// serializes access.
+  void set_metrics(MetricsSink* sink) {
+    metrics_ = sink;
+    log_.set_metrics(sink);
+  }
 
   /// Starts a new journal (truncating any existing one) and commits the
   /// header. Creates `dir` if needed. `file` selects the file name inside
@@ -174,17 +173,13 @@ class JournalWriter {
   Status open_append(const std::string& dir, std::uint64_t valid_bytes,
                      const std::string& file = "campaign.fj");
 
-  /// Appends one frame covering records[0, count) at sample indices
+  /// Appends one shard record covering records[0, count) at sample indices
   /// [first_index, first_index + count) and commits it to disk.
   Status append_shard(std::size_t first_index, const SampleRecord* records,
                       std::size_t count);
 
  private:
-  Status commit();
-  /// fsyncs the directory entry of `dir` (create/truncate durability).
-  Status sync_dir(const std::string& dir);
-
-  std::FILE* file_ = nullptr;
+  io::RecordLog log_;
   MetricsSink* metrics_ = nullptr;
 };
 

@@ -23,38 +23,10 @@ namespace fav::mc {
 
 namespace {
 
-// --- wire codec (same shape as the supervisor's) --------------------------
-
-template <typename T>
-void put(std::string& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.append(bytes, sizeof(T));
-}
-
-template <typename T>
-bool get(std::string_view data, std::size_t* offset, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-void put_string(std::string& out, std::string_view s) {
-  put(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s.data(), s.size());
-}
-
-bool get_string(std::string_view data, std::size_t* offset, std::string* s) {
-  std::uint32_t len = 0;
-  if (!get(data, offset, &len)) return false;
-  if (data.size() - *offset < len) return false;
-  s->assign(data.data() + *offset, len);
-  *offset += len;
-  return true;
-}
+using io::get_le;
+using io::get_string;
+using io::put_le;
+using io::put_string;
 
 // --- socket plumbing ------------------------------------------------------
 
@@ -345,16 +317,12 @@ class CampaignMonitor {
 
 // --- ledger wire ----------------------------------------------------------
 
-constexpr char kLedgerMagic[8] = {'F', 'A', 'V', 'L', 'D', 'G', 'R', '1'};
-/// A ledger payload is a state byte, an id, and at most a request argv.
-constexpr std::uint32_t kMaxLedgerPayload =
-    1u + 8u + 4u +
-    static_cast<std::uint32_t>(kMaxRequestArgs * (4u + kMaxRequestArgBytes));
+constexpr std::string_view kLedgerMagic("FAVLDGR1", 8);
 
 std::string encode_ledger_payload(CampaignState state, std::uint64_t id) {
   std::string out;
-  io::put_le(out, static_cast<std::uint8_t>(state));
-  io::put_le(out, id);
+  put_le(out, static_cast<std::uint8_t>(state));
+  put_le(out, id);
   return out;
 }
 
@@ -389,74 +357,74 @@ bool maybe_append_resume(std::vector<std::string>* args) {
 
 std::string encode_serve_request(const std::vector<std::string>& args) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kRequest));
-  put(out, static_cast<std::uint32_t>(args.size()));
+  put_le(out, static_cast<std::uint8_t>(ServeWire::kRequest));
+  put_le(out, static_cast<std::uint32_t>(args.size()));
   for (const std::string& a : args) put_string(out, a);
   return out;
 }
 
 std::string encode_serve_accepted(std::uint64_t campaign_id) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kAccepted));
-  put(out, campaign_id);
+  put_le(out, static_cast<std::uint8_t>(ServeWire::kAccepted));
+  put_le(out, campaign_id);
   return out;
 }
 
 std::string encode_serve_progress(std::uint64_t done, std::uint64_t total) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kProgress));
-  put(out, done);
-  put(out, total);
+  put_le(out, static_cast<std::uint8_t>(ServeWire::kProgress));
+  put_le(out, done);
+  put_le(out, total);
   return out;
 }
 
 std::string encode_serve_stdout(std::string_view text) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kStdout));
+  put_le(out, static_cast<std::uint8_t>(ServeWire::kStdout));
   put_string(out, text);
   return out;
 }
 
 std::string encode_serve_report(std::string_view json) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kReport));
+  put_le(out, static_cast<std::uint8_t>(ServeWire::kReport));
   put_string(out, json);
   return out;
 }
 
 std::string encode_serve_finished(std::int32_t exit_code) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kFinished));
-  put(out, exit_code);
+  put_le(out, static_cast<std::uint8_t>(ServeWire::kFinished));
+  put_le(out, exit_code);
   return out;
 }
 
 std::string encode_serve_error(std::string_view message,
                                std::int32_t exit_code) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kError));
+  put_le(out, static_cast<std::uint8_t>(ServeWire::kError));
   put_string(out, message);
-  put(out, exit_code);
+  put_le(out, exit_code);
   return out;
 }
 
 std::string encode_serve_busy(std::uint64_t retry_after_ms) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kBusy));
-  put(out, retry_after_ms);
+  put_le(out, static_cast<std::uint8_t>(ServeWire::kBusy));
+  put_le(out, retry_after_ms);
   return out;
 }
 
 std::string encode_serve_heartbeat(bool running) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kHeartbeat));
-  put(out, static_cast<std::uint8_t>(running ? 1 : 0));
+  put_le(out, static_cast<std::uint8_t>(ServeWire::kHeartbeat));
+  put_le(out, static_cast<std::uint8_t>(running ? 1 : 0));
   return out;
 }
 
 std::string encode_serve_cancel() {
   std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kCancel));
+  put_le(out, static_cast<std::uint8_t>(ServeWire::kCancel));
   return out;
 }
 
@@ -464,7 +432,7 @@ bool decode_serve_message(std::string_view payload, ServeMessage* out) {
   *out = ServeMessage{};
   std::size_t off = 0;
   std::uint8_t type = 0;
-  if (!get(payload, &off, &type)) return false;
+  if (!get_le(payload, &off, &type)) return false;
   if (type < static_cast<std::uint8_t>(ServeWire::kRequest) ||
       type > static_cast<std::uint8_t>(ServeWire::kCancel)) {
     return false;
@@ -473,7 +441,7 @@ bool decode_serve_message(std::string_view payload, ServeMessage* out) {
   switch (out->type) {
     case ServeWire::kRequest: {
       std::uint32_t argc = 0;
-      if (!get(payload, &off, &argc)) return false;
+      if (!get_le(payload, &off, &argc)) return false;
       if (argc == 0 || argc > kMaxRequestArgs) return false;
       out->args.reserve(argc);
       for (std::uint32_t i = 0; i < argc; ++i) {
@@ -485,24 +453,26 @@ bool decode_serve_message(std::string_view payload, ServeMessage* out) {
       return off == payload.size();
     }
     case ServeWire::kAccepted:
-      return get(payload, &off, &out->campaign_id) && off == payload.size();
+      return get_le(payload, &off, &out->campaign_id) &&
+             off == payload.size();
     case ServeWire::kProgress:
-      return get(payload, &off, &out->done) &&
-             get(payload, &off, &out->total) && off == payload.size();
+      return get_le(payload, &off, &out->done) &&
+             get_le(payload, &off, &out->total) && off == payload.size();
     case ServeWire::kStdout:
     case ServeWire::kReport:
       return get_string(payload, &off, &out->text) && off == payload.size();
     case ServeWire::kFinished:
-      return get(payload, &off, &out->exit_code) && off == payload.size();
+      return get_le(payload, &off, &out->exit_code) &&
+             off == payload.size();
     case ServeWire::kError:
       return get_string(payload, &off, &out->text) &&
-             get(payload, &off, &out->exit_code) && off == payload.size();
+             get_le(payload, &off, &out->exit_code) && off == payload.size();
     case ServeWire::kBusy:
-      return get(payload, &off, &out->retry_after_ms) &&
+      return get_le(payload, &off, &out->retry_after_ms) &&
              off == payload.size();
     case ServeWire::kHeartbeat: {
       std::uint8_t running = 0;
-      if (!get(payload, &off, &running)) return false;
+      if (!get_le(payload, &off, &running)) return false;
       if (running > 1) return false;
       out->running = running == 1;
       return off == payload.size();
@@ -515,163 +485,92 @@ bool decode_serve_message(std::string_view payload, ServeMessage* out) {
 
 // --- ledger ---------------------------------------------------------------
 
-CampaignLedger::~CampaignLedger() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-CampaignLedger::CampaignLedger(CampaignLedger&& other) noexcept {
-  *this = std::move(other);
-}
-
-CampaignLedger& CampaignLedger::operator=(CampaignLedger&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    path_ = std::move(other.path_);
-    file_ = std::exchange(other.file_, nullptr);
-    entries_ = std::move(other.entries_);
-    next_id_ = other.next_id_;
-    discarded_bytes_ = other.discarded_bytes_;
-  }
-  return *this;
-}
-
 Result<CampaignLedger> CampaignLedger::open(const std::string& path) {
   CampaignLedger ledger;
   ledger.path_ = path;
-  std::string content;
-  if (Result<std::string> read = io::read_file(path); read.is_ok()) {
-    content = std::move(read).value();
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec || size == 0) {
+    const Status created = ledger.log_.create(path, kLedgerMagic);
+    if (!created.is_ok()) return created;
+    return ledger;
   }
-  std::size_t valid_len = 0;
-  if (!content.empty()) {
-    if (content.size() < sizeof(kLedgerMagic) ||
-        std::memcmp(content.data(), kLedgerMagic, sizeof(kLedgerMagic)) != 0) {
+  // Replay whole records; the first torn, corrupt or undecodable one ends
+  // the prefix and is truncated away below — a SIGKILL mid-append must never
+  // brick the daemon.
+  const Result<io::LogScan> scan = io::RecordLog::scan(
+      path, kLedgerMagic, [&ledger](std::string_view payload) {
+        // Decode into locals first: a malformed (but CRC-valid) record must
+        // end the prefix without leaving a half-parsed entry behind.
+        std::size_t p = 0;
+        std::uint8_t state = 0;
+        std::uint64_t id = 0;
+        if (!get_le(payload, &p, &state) || !get_le(payload, &p, &id)) {
+          return false;
+        }
+        bool ok = false;
+        std::vector<std::string> args;
+        std::int32_t exit_code = 0;
+        switch (static_cast<CampaignState>(state)) {
+          case CampaignState::kAccepted: {
+            std::uint32_t argc = 0;
+            if (!get_le(payload, &p, &argc) || argc > kMaxRequestArgs) break;
+            ok = true;
+            for (std::uint32_t i = 0; ok && i < argc; ++i) {
+              std::string arg;
+              ok = get_string(payload, &p, &arg) &&
+                   arg.size() <= kMaxRequestArgBytes;
+              args.push_back(std::move(arg));
+            }
+            ok = ok && p == payload.size();
+            break;
+          }
+          case CampaignState::kRunning:
+            ok = p == payload.size();
+            break;
+          case CampaignState::kFinished:
+            ok = get_le(payload, &p, &exit_code) && p == payload.size();
+            break;
+          default:
+            break;
+        }
+        if (!ok) return false;
+        Entry& entry = ledger.entries_[id];
+        entry.id = id;
+        entry.state = static_cast<CampaignState>(state);
+        if (entry.state == CampaignState::kAccepted) {
+          entry.args = std::move(args);
+        } else if (entry.state == CampaignState::kFinished) {
+          entry.exit_code = exit_code;
+        }
+        ledger.next_id_ = std::max(ledger.next_id_, id + 1);
+        return true;
+      });
+  if (!scan.is_ok()) {
+    if (scan.status().code() == ErrorCode::kJournalCorrupt) {
+      // That file is not a ledger: refuse to append records to it.
       return Status(ErrorCode::kJournalCorrupt,
                     "not a campaign ledger (bad magic): " + path);
     }
-    std::size_t off = sizeof(kLedgerMagic);
-    valid_len = off;
-    // Replay whole records; stop at the first torn or corrupt one and
-    // truncate it away — a SIGKILL mid-append must never brick the daemon.
-    for (;;) {
-      std::size_t record_off = off;
-      std::uint32_t len = 0;
-      if (!io::get_le(content, &record_off, &len)) break;
-      if (len == 0 || len > kMaxLedgerPayload) break;
-      if (content.size() - record_off < len + sizeof(std::uint32_t)) break;
-      const std::string_view payload(content.data() + record_off, len);
-      record_off += len;
-      std::uint32_t crc = 0;
-      (void)io::get_le(content, &record_off, &crc);
-      if (crc != io::crc32c(payload.data(), payload.size())) break;
-
-      // Decode into locals first: a malformed (but CRC-valid) record must
-      // truncate the tail without leaving a half-parsed entry behind.
-      std::size_t p = 0;
-      std::uint8_t state = 0;
-      std::uint64_t id = 0;
-      if (!get(payload, &p, &state) || !get(payload, &p, &id)) break;
-      bool ok = false;
-      std::vector<std::string> args;
-      std::int32_t exit_code = 0;
-      switch (static_cast<CampaignState>(state)) {
-        case CampaignState::kAccepted: {
-          std::uint32_t argc = 0;
-          if (!get(payload, &p, &argc) || argc > kMaxRequestArgs) break;
-          ok = true;
-          for (std::uint32_t i = 0; i < argc; ++i) {
-            std::string arg;
-            if (!get_string(payload, &p, &arg) ||
-                arg.size() > kMaxRequestArgBytes) {
-              ok = false;
-              break;
-            }
-            args.push_back(std::move(arg));
-          }
-          ok = ok && p == payload.size();
-          break;
-        }
-        case CampaignState::kRunning:
-          ok = p == payload.size();
-          break;
-        case CampaignState::kFinished:
-          ok = get(payload, &p, &exit_code) && p == payload.size();
-          break;
-        default:
-          break;
-      }
-      if (!ok) break;
-      Entry& entry = ledger.entries_[id];
-      entry.id = id;
-      entry.state = static_cast<CampaignState>(state);
-      if (static_cast<CampaignState>(state) == CampaignState::kAccepted) {
-        entry.args = std::move(args);
-      } else if (static_cast<CampaignState>(state) ==
-                 CampaignState::kFinished) {
-        entry.exit_code = exit_code;
-      }
-      ledger.next_id_ = std::max(ledger.next_id_, id + 1);
-      off = record_off;
-      valid_len = off;
-    }
-    ledger.discarded_bytes_ = content.size() - valid_len;
-    if (ledger.discarded_bytes_ > 0 &&
-        ::truncate(path.c_str(), static_cast<off_t>(valid_len)) != 0) {
-      return io::status_from_errno(errno,
-                                   "truncate torn ledger tail of " + path);
-    }
+    return scan.status();
   }
-  ledger.file_ = std::fopen(path.c_str(), "ab");
-  if (ledger.file_ == nullptr) {
-    return io::status_from_errno(errno, "open campaign ledger " + path);
-  }
-  if (content.empty()) {
-    if (Status s = io::write_all(ledger.file_, kLedgerMagic,
-                                 sizeof(kLedgerMagic), "ledger magic");
-        !s.is_ok()) {
-      return s;
-    }
-    if (Status s = io::flush_and_fsync(ledger.file_, "ledger magic");
-        !s.is_ok()) {
-      return s;
-    }
-    const std::filesystem::path parent =
-        std::filesystem::path(path).parent_path();
-    (void)io::fsync_dir(parent.empty() ? "." : parent.string());
-  }
+  ledger.discarded_bytes_ = size - scan.value().valid_bytes;
+  const Status opened = ledger.log_.open_append(path, scan.value().valid_bytes);
+  if (!opened.is_ok()) return opened;
   return ledger;
-}
-
-Status CampaignLedger::append(std::string_view payload) {
-  if (file_ == nullptr) {
-    return Status(ErrorCode::kFailedPrecondition, "ledger is not open");
-  }
-  std::string record;
-  io::put_le(record, static_cast<std::uint32_t>(payload.size()));
-  record.append(payload.data(), payload.size());
-  io::put_le(record, io::crc32c(payload.data(), payload.size()));
-  if (Status s = io::write_all(file_, record.data(), record.size(),
-                               "campaign ledger " + path_);
-      !s.is_ok()) {
-    return s;
-  }
-  return io::flush_and_fsync(file_, "campaign ledger " + path_);
 }
 
 Status CampaignLedger::accepted(std::uint64_t id,
                                 const std::vector<std::string>& args) {
   std::string payload = encode_ledger_payload(CampaignState::kAccepted, id);
-  io::put_le(payload, static_cast<std::uint32_t>(args.size()));
-  for (const std::string& a : args) {
-    io::put_le(payload, static_cast<std::uint32_t>(a.size()));
-    payload.append(a);
-  }
+  put_le(payload, static_cast<std::uint32_t>(args.size()));
+  for (const std::string& a : args) put_string(payload, a);
   Entry& entry = entries_[id];
   entry.id = id;
   entry.state = CampaignState::kAccepted;
   entry.args = args;
   next_id_ = std::max(next_id_, id + 1);
-  return append(payload);
+  return log_.append(payload);
 }
 
 Status CampaignLedger::running(std::uint64_t id) {
@@ -679,7 +578,7 @@ Status CampaignLedger::running(std::uint64_t id) {
   entry.id = id;
   entry.state = CampaignState::kRunning;
   next_id_ = std::max(next_id_, id + 1);
-  return append(encode_ledger_payload(CampaignState::kRunning, id));
+  return log_.append(encode_ledger_payload(CampaignState::kRunning, id));
 }
 
 Status CampaignLedger::finished(std::uint64_t id, std::int32_t exit_code) {
@@ -689,8 +588,8 @@ Status CampaignLedger::finished(std::uint64_t id, std::int32_t exit_code) {
   entry.exit_code = exit_code;
   next_id_ = std::max(next_id_, id + 1);
   std::string payload = encode_ledger_payload(CampaignState::kFinished, id);
-  io::put_le(payload, exit_code);
-  return append(payload);
+  put_le(payload, exit_code);
+  return log_.append(payload);
 }
 
 std::vector<CampaignLedger::Entry> CampaignLedger::interrupted() const {

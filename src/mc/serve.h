@@ -26,7 +26,8 @@
 //     report — it never burns the slot to completion.
 //   * Crash recovery: when configured with a ledger path, the daemon records
 //     each campaign's argv and lifecycle (accepted / running / finished) in
-//     an append-only CRC-framed ledger. On restart it replays the ledger and
+//     a ledger kept as a record log (util/record_log.h, the journal's
+//     framing). On restart it replays the ledger and
 //     re-runs every campaign that never reached `finished`, resuming from
 //     the journal when one exists — the serving-tier analogue of the
 //     supervisor's worker watchdog.
@@ -39,7 +40,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <list>
 #include <map>
@@ -50,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/record_log.h"
 #include "util/status.h"
 
 namespace fav::mc {
@@ -142,12 +143,12 @@ enum class CampaignState : std::uint8_t {
   kFinished = 3,  // terminal: completed / failed / cancelled / deadline
 };
 
-/// Append-only, CRC-framed campaign ledger (DESIGN.md §6m). Each record is
-/// `u32 payload_len | payload | u32 crc32c(payload)` after an 8-byte magic;
-/// replay tolerates a torn tail (truncated back to the last whole record,
-/// like the journal) so a SIGKILL mid-append never bricks the daemon. A
-/// campaign that never reached kFinished is *interrupted* and is re-run on
-/// the next start.
+/// Append-only campaign ledger (DESIGN.md §6m): a record log
+/// (util/record_log.h) with magic "FAVLDGR1" and one record per lifecycle
+/// step. Replay stops at the first torn, corrupt or undecodable record and
+/// truncates the file back to the records before it, so a SIGKILL
+/// mid-append never bricks the daemon. A campaign that never reached
+/// kFinished is *interrupted* and is re-run on the next start.
 class CampaignLedger {
  public:
   struct Entry {
@@ -161,13 +162,6 @@ class CampaignLedger {
   /// A torn or corrupt tail is truncated away; a bad magic fails instead
   /// (that file is not a ledger — refuse to append garbage to it).
   static Result<CampaignLedger> open(const std::string& path);
-
-  CampaignLedger() = default;
-  ~CampaignLedger();
-  CampaignLedger(CampaignLedger&& other) noexcept;
-  CampaignLedger& operator=(CampaignLedger&& other) noexcept;
-  CampaignLedger(const CampaignLedger&) = delete;
-  CampaignLedger& operator=(const CampaignLedger&) = delete;
 
   /// Lifecycle appends; each record is fsynced before returning so the
   /// ledger never claims less than what actually happened.
@@ -185,10 +179,8 @@ class CampaignLedger {
   const std::string& path() const { return path_; }
 
  private:
-  Status append(std::string_view payload);
-
   std::string path_;
-  std::FILE* file_ = nullptr;
+  io::RecordLog log_;
   std::map<std::uint64_t, Entry> entries_;
   std::uint64_t next_id_ = 1;
   std::uint64_t discarded_bytes_ = 0;

@@ -11,75 +11,56 @@
 #include <filesystem>
 
 #include "mc/journal.h"
+#include "util/io.h"
 #include "util/subprocess.h"
 
 namespace fav::mc {
 
-namespace {
-
-// --- wire codec -----------------------------------------------------------
-
-template <typename T>
-void put(std::string& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.append(bytes, sizeof(T));
-}
-
-template <typename T>
-bool get(std::string_view data, std::size_t* offset, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-}  // namespace
+using io::get_le;
+using io::put_le;
 
 std::string encode_ready() {
   std::string out;
-  put(out, static_cast<std::uint8_t>(WireType::kReady));
+  put_le(out, static_cast<std::uint8_t>(WireType::kReady));
   return out;
 }
 
 std::string encode_assign(std::uint64_t lo, std::uint64_t hi) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(WireType::kAssign));
-  put(out, lo);
-  put(out, hi);
+  put_le(out, static_cast<std::uint8_t>(WireType::kAssign));
+  put_le(out, lo);
+  put_le(out, hi);
   return out;
 }
 
 std::string encode_progress(std::uint64_t index, double contribution,
                             double weight, bool failed) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(WireType::kProgress));
-  put(out, index);
-  put(out, contribution);
-  put(out, weight);
-  put(out, static_cast<std::uint8_t>(failed ? 1 : 0));
+  put_le(out, static_cast<std::uint8_t>(WireType::kProgress));
+  put_le(out, index);
+  put_le(out, contribution);
+  put_le(out, weight);
+  put_le(out, static_cast<std::uint8_t>(failed ? 1 : 0));
   return out;
 }
 
 std::string encode_done(std::uint64_t lo, std::uint64_t hi) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(WireType::kDone));
-  put(out, lo);
-  put(out, hi);
+  put_le(out, static_cast<std::uint8_t>(WireType::kDone));
+  put_le(out, lo);
+  put_le(out, hi);
   return out;
 }
 
 std::string encode_shutdown() {
   std::string out;
-  put(out, static_cast<std::uint8_t>(WireType::kShutdown));
+  put_le(out, static_cast<std::uint8_t>(WireType::kShutdown));
   return out;
 }
 
 std::string encode_metrics(const MetricsSink& sink) {
   std::string out;
-  put(out, static_cast<std::uint8_t>(WireType::kMetrics));
+  put_le(out, static_cast<std::uint8_t>(WireType::kMetrics));
   sink.serialize(out);
   return out;
 }
@@ -87,7 +68,7 @@ std::string encode_metrics(const MetricsSink& sink) {
 bool decode_message(std::string_view payload, WireMessage* out) {
   std::size_t off = 0;
   std::uint8_t type = 0;
-  if (!get(payload, &off, &type)) return false;
+  if (!get_le(payload, &off, &type)) return false;
   if (type < static_cast<std::uint8_t>(WireType::kReady) ||
       type > static_cast<std::uint8_t>(WireType::kMetrics)) {
     return false;
@@ -99,14 +80,14 @@ bool decode_message(std::string_view payload, WireMessage* out) {
       return off == payload.size();
     case WireType::kAssign:
     case WireType::kDone:
-      return get(payload, &off, &out->lo) && get(payload, &off, &out->hi) &&
-             off == payload.size();
+      return get_le(payload, &off, &out->lo) &&
+             get_le(payload, &off, &out->hi) && off == payload.size();
     case WireType::kProgress: {
       std::uint8_t failed = 0;
-      if (!get(payload, &off, &out->index) ||
-          !get(payload, &off, &out->contribution) ||
-          !get(payload, &off, &out->weight) ||
-          !get(payload, &off, &failed) || off != payload.size()) {
+      if (!get_le(payload, &off, &out->index) ||
+          !get_le(payload, &off, &out->contribution) ||
+          !get_le(payload, &off, &out->weight) ||
+          !get_le(payload, &off, &failed) || off != payload.size()) {
         return false;
       }
       out->failed = failed != 0;
@@ -340,9 +321,21 @@ class Fleet {
     return false;
   }
 
-  int next_pending() const {
+  /// Crash-injection flags ride on worker 0's first incarnation (spawn()),
+  /// so until that incarnation takes a shard the first pending shard is held
+  /// for it. Otherwise a peer that starts faster could finish the whole
+  /// campaign before worker 0 is ready and the injected crash would never
+  /// fire. If worker 0 dies first, the hold lapses.
+  bool holding_shard_for_worker0() const {
+    return !config_.first_spawn_args.empty() && !worker0_dispatched_ &&
+           slots_[0].alive && slots_[0].spawns == 1;
+  }
+
+  /// First pending shard for worker k, skipping the one held for worker 0.
+  int next_pending(std::size_t k) const {
+    int skip = k != 0 && holding_shard_for_worker0() ? 1 : 0;
     for (std::size_t i = 0; i < shards_->size(); ++i) {
-      if ((*shards_)[i].state == ShardState::S::kPending) {
+      if ((*shards_)[i].state == ShardState::S::kPending && skip-- == 0) {
         return static_cast<int>(i);
       }
     }
@@ -415,7 +408,14 @@ class Fleet {
     for (std::size_t k = 0; k < slots_.size(); ++k) {
       WorkerSlot& s = slots_[k];
       if (!s.alive || !s.ready || s.shard != -1 || s.shutdown_sent) continue;
-      const int next = stopping_ ? -1 : next_pending();
+      const int next = stopping_ ? -1 : next_pending(k);
+      if (next < 0 && !stopping_ && next_pending(0) >= 0) {
+        // Only the shard held for worker 0 is left: stay idle, since it
+        // returns to the pool if worker 0 crashes on it.
+        s.deadline_at_ns =
+            monotonic_ns() + config_.heartbeat_ms * 1'000'000ull;
+        continue;
+      }
       if (next >= 0) {
         ShardState& sh = (*shards_)[next];
         const Status sent =
@@ -426,6 +426,7 @@ class Fleet {
         }
         sh.state = ShardState::S::kAssigned;
         s.shard = next;
+        if (k == 0) worker0_dispatched_ = true;
         s.deadline_at_ns =
             monotonic_ns() + config_.heartbeat_ms * 1'000'000ull;
       } else {
@@ -704,6 +705,7 @@ class Fleet {
   std::vector<WorkerSlot> slots_;
   std::size_t unresolved_ = 0;
   bool stopping_ = false;
+  bool worker0_dispatched_ = false;
   Status fatal_;
 };
 

@@ -1,22 +1,22 @@
 #include "precharac/artifact.h"
 
 #include <filesystem>
+#include <string_view>
 
 #include "util/io.h"
+#include "util/record_log.h"
 
 namespace fav::precharac {
 
 namespace {
 
-constexpr char kMagic[8] = {'F', 'A', 'V', 'P', 'C', 'A', '1', '\0'};
+constexpr std::string_view kMagic("FAVPCA1\0", 8);
 // Section tags ("CTX\0", "CONE", "SIGS", "CHAR", "POTN" little-endian).
 constexpr std::uint32_t kSecContext = 0x00585443u;
 constexpr std::uint32_t kSecCone = 0x454E4F43u;
 constexpr std::uint32_t kSecSignatures = 0x53474953u;
 constexpr std::uint32_t kSecCharacterization = 0x52414843u;
 constexpr std::uint32_t kSecPotency = 0x4E544F50u;
-// Garbage artifacts must not trigger huge allocations (journal discipline).
-constexpr std::uint64_t kMaxSection = 1ull << 30;
 
 using io::get_le;
 using io::put_le;
@@ -47,25 +47,41 @@ void put_frames(std::string& out, const std::vector<netlist::ConeFrame>& fs) {
   }
 }
 
-bool get_frames(const std::string& data, std::size_t* off,
+/// Reads a u32 element count and checks that the bytes left can hold that
+/// many elements of at least `min_bytes` each, so a garbage count fails
+/// before anything is allocated for it.
+bool get_count(std::string_view data, std::size_t* off, std::size_t min_bytes,
+               std::uint32_t* count) {
+  return get_le(data, off, count) &&
+         *count <= (data.size() - *off) / min_bytes;
+}
+
+bool get_node_ids(std::string_view data, std::size_t* off,
+                  std::vector<netlist::NodeId>* ids) {
+  std::uint32_t n = 0;
+  if (!get_count(data, off, sizeof(netlist::NodeId), &n)) return false;
+  ids->resize(n);
+  for (netlist::NodeId& id : *ids) {
+    if (!get_le(data, off, &id)) return false;
+  }
+  return true;
+}
+
+bool get_frames(std::string_view data, std::size_t* off,
                 std::vector<netlist::ConeFrame>* fs) {
+  // A frame is at least its index and two empty id lists.
+  constexpr std::size_t kMinFrameBytes =
+      sizeof(std::int32_t) + 2 * sizeof(std::uint32_t);
   std::uint32_t count = 0;
-  if (!get_le(data, off, &count) || count > data.size()) return false;
+  if (!get_count(data, off, kMinFrameBytes, &count)) return false;
   fs->resize(count);
   for (netlist::ConeFrame& f : *fs) {
     std::int32_t frame = 0;
-    std::uint32_t n = 0;
     if (!get_le(data, off, &frame)) return false;
     f.frame = frame;
-    if (!get_le(data, off, &n) || n > data.size()) return false;
-    f.gates.resize(n);
-    for (netlist::NodeId& g : f.gates) {
-      if (!get_le(data, off, &g)) return false;
-    }
-    if (!get_le(data, off, &n) || n > data.size()) return false;
-    f.registers.resize(n);
-    for (netlist::NodeId& r : f.registers) {
-      if (!get_le(data, off, &r)) return false;
+    if (!get_node_ids(data, off, &f.gates) ||
+        !get_node_ids(data, off, &f.registers)) {
+      return false;
     }
   }
   return true;
@@ -79,7 +95,7 @@ std::string serialize_cone(const PrecharacBundle& b) {
   return out;
 }
 
-bool parse_cone(const std::string& data, PrecharacBundle* b) {
+bool parse_cone(std::string_view data, PrecharacBundle* b) {
   std::size_t off = 0;
   if (!get_le(data, &off, &b->responding_signal)) return false;
   if (!get_frames(data, &off, &b->fanin_frames)) return false;
@@ -99,19 +115,22 @@ std::string serialize_signatures(const PrecharacBundle& b) {
   return out;
 }
 
-bool parse_signatures(const std::string& data, PrecharacBundle* b) {
+bool parse_signatures(std::string_view data, PrecharacBundle* b) {
+  constexpr std::size_t kMinSignatureBytes =
+      sizeof(std::uint64_t) + sizeof(std::uint32_t);
   std::size_t off = 0;
   std::uint32_t count = 0;
   if (!get_le(data, &off, &b->signature_cycles)) return false;
-  if (!get_le(data, &off, &count) || count > data.size()) return false;
+  if (!get_count(data, &off, kMinSignatureBytes, &count)) return false;
   b->signatures.resize(count);
   for (BitVector& sig : b->signatures) {
     std::uint64_t bits = 0;
     std::uint32_t words = 0;
-    if (!get_le(data, &off, &bits) || !get_le(data, &off, &words)) {
+    if (!get_le(data, &off, &bits) ||
+        !get_count(data, &off, sizeof(std::uint64_t), &words) ||
+        words != bits / 64 + (bits % 64 != 0 ? 1 : 0)) {
       return false;
     }
-    if (words != (bits + 63) / 64 || words > data.size()) return false;
     std::vector<std::uint64_t> storage(words);
     for (std::uint64_t& w : storage) {
       if (!get_le(data, &off, &w)) return false;
@@ -140,7 +159,10 @@ std::string serialize_characterization(const PrecharacBundle& b) {
   return out;
 }
 
-bool parse_characterization(const std::string& data, PrecharacBundle* b) {
+bool parse_characterization(std::string_view data, PrecharacBundle* b) {
+  constexpr std::size_t kMinBitBytes = 3 * sizeof(double) +
+                                       sizeof(std::int32_t) +
+                                       sizeof(std::uint8_t);
   std::size_t off = 0;
   std::uint32_t count = 0;
   if (!get_le(data, &off, &b->charac_config.horizon)) return false;
@@ -150,7 +172,7 @@ bool parse_characterization(const std::string& data, PrecharacBundle* b) {
   if (!get_le(data, &off, &b->charac_config.contamination_threshold)) {
     return false;
   }
-  if (!get_le(data, &off, &count) || count > data.size()) return false;
+  if (!get_count(data, &off, kMinBitBytes, &count)) return false;
   b->bits.resize(count);
   b->characterized.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -175,10 +197,10 @@ std::string serialize_potency(const PrecharacBundle& b) {
   return out;
 }
 
-bool parse_potency(const std::string& data, PrecharacBundle* b) {
+bool parse_potency(std::string_view data, PrecharacBundle* b) {
   std::size_t off = 0;
   std::uint32_t count = 0;
-  if (!get_le(data, &off, &count) || count > data.size()) return false;
+  if (!get_count(data, &off, sizeof(double), &count)) return false;
   b->memory_bit_potency.resize(count);
   for (double& p : b->memory_bit_potency) {
     if (!get_le(data, &off, &p)) return false;
@@ -187,11 +209,11 @@ bool parse_potency(const std::string& data, PrecharacBundle* b) {
 }
 
 void append_section(std::string& out, std::uint32_t tag,
-                    const std::string& payload) {
-  put_le(out, tag);
-  put_le(out, static_cast<std::uint64_t>(payload.size()));
-  out += payload;
-  put_le(out, io::crc32c(payload.data(), payload.size()));
+                    const std::string& section) {
+  std::string payload;
+  put_le(payload, tag);
+  payload += section;
+  io::append_frame(out, payload);
 }
 
 ArtifactLoad fail(ArtifactOutcome outcome, std::string detail) {
@@ -231,19 +253,15 @@ ArtifactLoad load_artifact(const std::string& path,
     return fail(ArtifactOutcome::kMiss,
                 "artifact unreadable: " + contents.status().message());
   }
-  const std::string& data = contents.value();
+  const std::string_view data = contents.value();
 
-  // Header. The version gate runs before the header checksum so a future
-  // format reads as stale (recompute), not as corruption.
-  std::size_t off = 0;
-  if (data.size() < sizeof(kMagic) ||
-      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
+  // Header. The version gate runs before any checksum so a future format
+  // reads as stale (recompute), not as corruption.
+  if (data.substr(0, kMagic.size()) != kMagic) {
     return fail(ArtifactOutcome::kCorrupt, "bad artifact magic in " + path);
   }
-  off = sizeof(kMagic);
-  std::uint32_t version = 0, section_count = 0, header_crc = 0;
-  std::uint64_t file_fingerprint = 0;
-  const std::size_t header_start = off;
+  std::size_t off = kMagic.size();
+  std::uint32_t version = 0;
   if (!get_le(data, &off, &version)) {
     return fail(ArtifactOutcome::kCorrupt, "truncated artifact header");
   }
@@ -253,13 +271,11 @@ ArtifactLoad load_artifact(const std::string& path,
                     " (this build reads " +
                     std::to_string(kArtifactVersion) + ")");
   }
-  if (!get_le(data, &off, &file_fingerprint) ||
-      !get_le(data, &off, &section_count)) {
-    return fail(ArtifactOutcome::kCorrupt, "truncated artifact header");
-  }
-  const std::size_t header_len = off - header_start;
-  if (!get_le(data, &off, &header_crc) ||
-      header_crc != io::crc32c(data.data() + header_start, header_len)) {
+  std::string_view payload;
+  std::size_t pos = 0;
+  std::uint64_t file_fingerprint = 0;
+  if (!io::next_frame(data, &off, &payload) ||
+      !get_le(payload, &pos, &file_fingerprint) || pos != payload.size()) {
     return fail(ArtifactOutcome::kCorrupt,
                 "artifact header checksum failure in " + path);
   }
@@ -269,47 +285,42 @@ ArtifactLoad load_artifact(const std::string& path,
                 "different configuration)");
   }
 
-  // Sections: every payload is checksummed; anything short is corruption
-  // (artifact writes are atomic, so a torn file is disk damage, not a crash
-  // artifact like a torn journal tail).
+  // Sections run to the end of the file, each one checksummed frame; a
+  // short or damaged one is corruption (artifact writes are atomic, so a
+  // torn file is disk damage, not a crash artifact like a torn journal
+  // tail).
   ArtifactLoad load;
   load.outcome = ArtifactOutcome::kHit;
   bool have_cone = false, have_sigs = false, have_charac = false,
        have_potency = false;
-  for (std::uint32_t s = 0; s < section_count; ++s) {
-    std::uint32_t tag = 0, crc = 0;
-    std::uint64_t len = 0;
-    if (!get_le(data, &off, &tag) || !get_le(data, &off, &len) ||
-        len > kMaxSection || data.size() - off < len) {
-      return fail(ArtifactOutcome::kCorrupt,
-                  "truncated artifact section " + std::to_string(s));
-    }
-    const std::string payload = data.substr(off, len);
-    off += len;
-    if (!get_le(data, &off, &crc) ||
-        crc != io::crc32c(payload.data(), payload.size())) {
+  for (int s = 0; off < data.size(); ++s) {
+    std::uint32_t tag = 0;
+    pos = 0;
+    if (!io::next_frame(data, &off, &payload) ||
+        !get_le(payload, &pos, &tag)) {
       return fail(ArtifactOutcome::kCorrupt,
                   "artifact section " + std::to_string(s) +
-                      " checksum failure");
+                      " truncated or checksum failure");
     }
+    const std::string_view section = payload.substr(pos);
     bool parsed = true;
     switch (tag) {
       case kSecContext:
         break;  // provenance only; checksummed but not interpreted
       case kSecCone:
-        parsed = parse_cone(payload, &load.bundle);
+        parsed = parse_cone(section, &load.bundle);
         have_cone = parsed;
         break;
       case kSecSignatures:
-        parsed = parse_signatures(payload, &load.bundle);
+        parsed = parse_signatures(section, &load.bundle);
         have_sigs = parsed;
         break;
       case kSecCharacterization:
-        parsed = parse_characterization(payload, &load.bundle);
+        parsed = parse_characterization(section, &load.bundle);
         have_charac = parsed;
         break;
       case kSecPotency:
-        parsed = parse_potency(payload, &load.bundle);
+        parsed = parse_potency(section, &load.bundle);
         have_potency = parsed;
         break;
       default:
@@ -322,10 +333,6 @@ ArtifactLoad load_artifact(const std::string& path,
                       " payload malformed");
     }
   }
-  if (off != data.size()) {
-    return fail(ArtifactOutcome::kCorrupt,
-                "trailing bytes after the last artifact section");
-  }
   if (!have_cone || !have_sigs || !have_charac || !have_potency) {
     return fail(ArtifactOutcome::kCorrupt,
                 "artifact is missing a required section");
@@ -336,13 +343,11 @@ ArtifactLoad load_artifact(const std::string& path,
 Status save_artifact(const std::string& path, std::uint64_t fingerprint,
                      const std::string& context,
                      const PrecharacBundle& bundle) {
-  std::string out(kMagic, sizeof(kMagic));
-  std::string header;
-  put_le(header, kArtifactVersion);
-  put_le(header, fingerprint);
-  put_le(header, static_cast<std::uint32_t>(5));  // section count
-  out += header;
-  put_le(out, io::crc32c(header.data(), header.size()));
+  std::string out(kMagic);
+  put_le(out, kArtifactVersion);
+  std::string fingerprint_bytes;
+  put_le(fingerprint_bytes, fingerprint);
+  io::append_frame(out, fingerprint_bytes);
   append_section(out, kSecContext, context);
   append_section(out, kSecCone, serialize_cone(bundle));
   append_section(out, kSecSignatures, serialize_signatures(bundle));

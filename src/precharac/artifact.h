@@ -5,12 +5,12 @@
 // the dominant cold-start cost of a campaign and is identical for every
 // process evaluating the same configuration (every supervised worker, every
 // resume, every parallel campaign). This module serializes that bundle to a
-// content-addressed on-disk artifact with the same integrity discipline as
-// the FAVJRNL2 journal:
+// content-addressed on-disk artifact framed like the journal, with the
+// in-memory frame codec of util/record_log.h
+// (frame = u32 len | payload | u32 CRC32C):
 //
-//   magic "FAVPCA1\0" | u32 version | u64 fingerprint | u32 section_count
-//                     | u32 header CRC32C
-//   then per section:  u32 tag | u64 payload_len | payload | u32 CRC32C
+//   magic "FAVPCA1\0" | u32 version | frame(u64 fingerprint)
+//                     | frame(u32 tag | section)*
 //
 // The fingerprint is FNV-1a over every knob that changes the bundle
 // (benchmark, cone depths, characterization config, netlist shape — see
@@ -37,7 +37,8 @@
 namespace fav::precharac {
 
 /// Current artifact format version; loading any other version is kStale.
-constexpr std::uint32_t kArtifactVersion = 1;
+/// Version 2 moved the header and sections onto record-log frames.
+constexpr std::uint32_t kArtifactVersion = 2;
 
 /// Everything that changes the pre-characterization bundle. The fingerprint
 /// over it is the artifact's content address; campaign knobs that do not

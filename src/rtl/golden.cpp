@@ -52,7 +52,7 @@ std::uint16_t GoldenRun::pc_at(std::uint64_t cycle) const {
   const BitVector& bits = state_bits_at(cycle);
   std::uint16_t pc = 0;
   for (int b = 0; b < 16; ++b) {  // pc occupies flat bits 0..15
-    if (bits.get(static_cast<std::size_t>(b))) {
+    if (bits.test(static_cast<std::size_t>(b))) {
       pc |= static_cast<std::uint16_t>(1u << b);
     }
   }
@@ -61,12 +61,12 @@ std::uint16_t GoldenRun::pc_at(std::uint64_t cycle) const {
 
 bool GoldenRun::viol_at(std::uint64_t cycle) const {
   FAV_ENSURE_MSG(cycle < length_, "cycle " << cycle << " beyond golden run");
-  return viol_trace_.get(cycle);
+  return viol_trace_.test(cycle);
 }
 
 std::optional<std::uint64_t> GoldenRun::first_violation_cycle() const {
   for (std::uint64_t c = 0; c < length_; ++c) {
-    if (viol_trace_.get(c)) return c;
+    if (viol_trace_.test(c)) return c;
   }
   return std::nullopt;
 }

@@ -169,7 +169,7 @@ ArchState RegisterMap::unpack(const BitVector& bits) const {
   for (std::size_t fi = 0; fi < fields_.size(); ++fi) {
     std::uint32_t v = 0;
     for (int b = 0; b < fields_[fi].width; ++b) {
-      if (bits.get(static_cast<std::size_t>(fields_[fi].offset + b))) {
+      if (bits.test(static_cast<std::size_t>(fields_[fi].offset + b))) {
         v |= 1u << b;
       }
     }

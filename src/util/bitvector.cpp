@@ -33,7 +33,7 @@ BitVector BitVector::from_words(std::vector<std::uint64_t> words,
   return v;
 }
 
-bool BitVector::get(std::size_t i) const {
+bool BitVector::test(std::size_t i) const {
   FAV_ENSURE_MSG(i < size_, "bit index " << i << " out of range " << size_);
   return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
 }
@@ -137,7 +137,7 @@ bool BitVector::operator==(const BitVector& rhs) const {
 std::string BitVector::to_string() const {
   std::string s(size_, '0');
   for (std::size_t i = 0; i < size_; ++i) {
-    if (get(i)) s[i] = '1';
+    if (test(i)) s[i] = '1';
   }
   return s;
 }

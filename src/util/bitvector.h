@@ -27,7 +27,7 @@ class BitVector {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  bool get(std::size_t i) const;
+  bool test(std::size_t i) const;
   void set(std::size_t i, bool value);
   /// Appends one bit at the end.
   void push_back(bool value);

@@ -92,11 +92,15 @@ std::uint64_t fnv1a64(const void* data, std::size_t len, std::uint64_t seed) {
   return h;
 }
 
-bool get_string(const std::string& data, std::size_t* offset,
-                std::string* value, std::uint32_t max_len) {
+void put_string(std::string& out, std::string_view s) {
+  put_le(out, static_cast<std::uint32_t>(s.size()));
+  out.append(s);
+}
+
+bool get_string(std::string_view data, std::size_t* offset,
+                std::string* value) {
   std::uint32_t len = 0;
-  if (!get_le(data, offset, &len)) return false;
-  if (len > max_len || data.size() - *offset < len) return false;
+  if (!get_le(data, offset, &len) || data.size() - *offset < len) return false;
   value->assign(data.data() + *offset, len);
   *offset += len;
   return true;

@@ -1,10 +1,13 @@
-// Hardened file I/O primitives shared by the journal, the run-report writer
-// and the pre-characterization artifact cache.
+// Hardened file I/O primitives shared by the record log (util/record_log.h),
+// the run-report writer and the pre-characterization artifact cache.
 //
 // Everything that makes campaign state durable funnels through this layer so
 // there is exactly one implementation of each discipline:
-//  * checksums            — CRC32C (artifact sections) and FNV-1a64 (journal
-//                           header/frames, campaign fingerprints),
+//  * checksums            — CRC32C (record-log frames) and FNV-1a64
+//                           (campaign and artifact fingerprints),
+//  * byte codec           — little-endian put_le/get_le/put_string/
+//                           get_string, the one codec of every binary format
+//                           and wire message,
 //  * retrying writes      — short writes and transient EINTR/EAGAIN get a
 //                           bounded exponential-backoff retry; persistent
 //                           failures surface as a classified Status
@@ -27,6 +30,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "util/status.h"
@@ -40,12 +44,14 @@ namespace fav::io {
 /// Chaining: crc32c(b, n_b, crc32c(a, n_a)) == crc32c(a||b, n_a + n_b).
 std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed = 0);
 
-/// FNV-1a 64-bit, seedable for chaining (the FAVJRNL2 frame discipline).
+/// FNV-1a 64-bit, seedable for chaining (content fingerprints).
 std::uint64_t fnv1a64(const void* data, std::size_t len,
                       std::uint64_t seed = 0xCBF29CE484222325ull);
 
 // ---------------------------------------------------------------------------
-// Little-endian primitive (de)serialization over std::string buffers.
+// Little-endian primitive (de)serialization. Every get_* reads from a view
+// at `*offset`, advances it on success, and fails (offset unspecified) when
+// the bytes left cannot hold the value.
 
 template <typename T>
 void put_le(std::string& out, T value) {
@@ -56,7 +62,7 @@ void put_le(std::string& out, T value) {
 }
 
 template <typename T>
-bool get_le(const std::string& data, std::size_t* offset, T* value) {
+bool get_le(std::string_view data, std::size_t* offset, T* value) {
   static_assert(std::is_trivially_copyable_v<T>);
   if (data.size() < *offset || data.size() - *offset < sizeof(T)) return false;
   std::memcpy(value, data.data() + *offset, sizeof(T));
@@ -64,9 +70,11 @@ bool get_le(const std::string& data, std::size_t* offset, T* value) {
   return true;
 }
 
-/// u32 length prefix + raw bytes; rejects lengths above `max_len`.
-bool get_string(const std::string& data, std::size_t* offset,
-                std::string* value, std::uint32_t max_len);
+/// u32 length prefix + raw bytes.
+void put_string(std::string& out, std::string_view s);
+/// Reads a put_string value; a length past the bytes left fails.
+bool get_string(std::string_view data, std::size_t* offset,
+                std::string* value);
 
 // ---------------------------------------------------------------------------
 // JSON string escaping.

@@ -2,69 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+
+#include "util/io.h"
 
 namespace fav {
 
 namespace {
 
-// --- little-endian binary primitives for MetricsSink::serialize ----------
-
-template <typename T>
-void put(std::string& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.append(bytes, sizeof(T));
-}
-
-template <typename T>
-bool get(std::string_view data, std::size_t* offset, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-void put_string(std::string& out, std::string_view s) {
-  put(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s.data(), s.size());
-}
-
-bool get_string(std::string_view data, std::size_t* offset,
-                std::string* value) {
-  std::uint32_t len = 0;
-  if (!get(data, offset, &len)) return false;
-  if (data.size() - *offset < len) return false;
-  value->assign(data.data() + *offset, len);
-  *offset += len;
-  return true;
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters);
-/// metric names are ASCII identifiers, so this is rarely exercised.
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
+using io::get_le;
+using io::get_string;
+using io::put_le;
+using io::put_string;
 
 /// Gauges can legitimately hold non-finite values (e.g. an ESS of an empty
 /// run); JSON has no literal for them, so serialize as null.
@@ -147,16 +95,14 @@ void MetricsSink::write_json(std::ostream& os) const {
   for (const auto& [name, value] : counters_) {
     if (!first) os << ',';
     first = false;
-    write_json_string(os, name);
-    os << ':' << value;
+    os << '"' << io::json_escape(name) << "\":" << value;
   }
   os << "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : gauges_) {
     if (!first) os << ',';
     first = false;
-    write_json_string(os, name);
-    os << ':';
+    os << '"' << io::json_escape(name) << "\":";
     write_json_double(os, value);
   }
   os << "},\"timers\":{";
@@ -164,30 +110,30 @@ void MetricsSink::write_json(std::ostream& os) const {
   for (const auto& [name, stat] : timers_) {
     if (!first) os << ',';
     first = false;
-    write_json_string(os, name);
-    os << ":{\"count\":" << stat.count << ",\"total_ns\":" << stat.total_ns
-       << ",\"max_ns\":" << stat.max_ns << '}';
+    os << '"' << io::json_escape(name) << "\":{\"count\":" << stat.count
+       << ",\"total_ns\":" << stat.total_ns << ",\"max_ns\":" << stat.max_ns
+       << '}';
   }
   os << "}}";
 }
 
 void MetricsSink::serialize(std::string& out) const {
-  put(out, static_cast<std::uint32_t>(counters_.size()));
+  put_le(out, static_cast<std::uint32_t>(counters_.size()));
   for (const auto& [name, value] : counters_) {
     put_string(out, name);
-    put(out, value);
+    put_le(out, value);
   }
-  put(out, static_cast<std::uint32_t>(gauges_.size()));
+  put_le(out, static_cast<std::uint32_t>(gauges_.size()));
   for (const auto& [name, value] : gauges_) {
     put_string(out, name);
-    put(out, value);
+    put_le(out, value);
   }
-  put(out, static_cast<std::uint32_t>(timers_.size()));
+  put_le(out, static_cast<std::uint32_t>(timers_.size()));
   for (const auto& [name, stat] : timers_) {
     put_string(out, name);
-    put(out, stat.count);
-    put(out, stat.total_ns);
-    put(out, stat.max_ns);
+    put_le(out, stat.count);
+    put_le(out, stat.total_ns);
+    put_le(out, stat.max_ns);
   }
 }
 
@@ -196,27 +142,28 @@ bool MetricsSink::deserialize(std::string_view data) {
   std::size_t off = 0;
   std::uint32_t n = 0;
   std::string name;
-  if (!get(data, &off, &n)) return false;
+  if (!get_le(data, &off, &n)) return false;
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint64_t value = 0;
-    if (!get_string(data, &off, &name) || !get(data, &off, &value)) {
+    if (!get_string(data, &off, &name) || !get_le(data, &off, &value)) {
       return false;
     }
     counters_.emplace(name, value);
   }
-  if (!get(data, &off, &n)) return false;
+  if (!get_le(data, &off, &n)) return false;
   for (std::uint32_t i = 0; i < n; ++i) {
     double value = 0;
-    if (!get_string(data, &off, &name) || !get(data, &off, &value)) {
+    if (!get_string(data, &off, &name) || !get_le(data, &off, &value)) {
       return false;
     }
     gauges_.emplace(name, value);
   }
-  if (!get(data, &off, &n)) return false;
+  if (!get_le(data, &off, &n)) return false;
   for (std::uint32_t i = 0; i < n; ++i) {
     TimerStat stat;
-    if (!get_string(data, &off, &name) || !get(data, &off, &stat.count) ||
-        !get(data, &off, &stat.total_ns) || !get(data, &off, &stat.max_ns)) {
+    if (!get_string(data, &off, &name) || !get_le(data, &off, &stat.count) ||
+        !get_le(data, &off, &stat.total_ns) ||
+        !get_le(data, &off, &stat.max_ns)) {
       return false;
     }
     timers_.emplace(name, stat);
@@ -264,11 +211,9 @@ void TraceBuffer::write_json(std::ostream& os) const {
   for (const TraceEvent* ev : sorted) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":";
-    write_json_string(os, ev->name);
-    os << ",\"cat\":";
-    write_json_string(os, ev->category.empty() ? "fav" : ev->category);
-    os << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << ev->tid
+    os << "{\"name\":\"" << io::json_escape(ev->name) << "\",\"cat\":\""
+       << io::json_escape(ev->category.empty() ? "fav" : ev->category)
+       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << ev->tid
        << ",\"ts\":" << static_cast<double>(ev->start_ns - base_ns) / 1e3
        << ",\"dur\":" << static_cast<double>(ev->dur_ns) / 1e3
        << ",\"args\":{\"sample\":" << ev->order_key << "}}";

@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 
 #include "util/io.h"
 #include "util/metrics.h"
@@ -19,29 +18,11 @@
 
 namespace fav {
 
-namespace {
-
-/// Restartable write of the remaining tail after an EINTR/short write.
-/// Returns 0 on success, else the errno of the failing write(2) — captured
-/// at the call site, because by the time the caller formats an error the
-/// global errno may have been clobbered by an intervening retry or by
-/// another thread's syscall.
-int write_all(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno != 0 ? errno : EIO;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return 0;
+Status write_frame(int fd, std::string_view payload) {
+  return write_frame_deadline(fd, payload, -1);
 }
 
-}  // namespace
-
-Status write_frame(int fd, std::string_view payload) {
+Status write_frame_deadline(int fd, std::string_view payload, int timeout_ms) {
   if (payload.size() > kMaxFrameBytes) {
     return Status(ErrorCode::kInvalidArgument, "frame exceeds kMaxFrameBytes");
   }
@@ -49,25 +30,7 @@ Status write_frame(int fd, std::string_view payload) {
   // a pipe, so concurrent heartbeats from worker threads never interleave.
   std::string buf;
   buf.reserve(sizeof(std::uint32_t) + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  buf.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  buf.append(payload.data(), payload.size());
-  if (const int err = write_all(fd, buf.data(), buf.size())) {
-    return Status(ErrorCode::kSubprocessFailed,
-                  "pipe write failed: " + io::errno_message(err));
-  }
-  return Status::ok();
-}
-
-Status write_frame_deadline(int fd, std::string_view payload, int timeout_ms) {
-  if (payload.size() > kMaxFrameBytes) {
-    return Status(ErrorCode::kInvalidArgument, "frame exceeds kMaxFrameBytes");
-  }
-  std::string buf;
-  buf.reserve(sizeof(std::uint32_t) + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  buf.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  buf.append(payload.data(), payload.size());
+  io::put_string(buf, payload);
   const char* data = buf.data();
   std::size_t left = buf.size();
   const std::uint64_t deadline_ns =
@@ -84,7 +47,7 @@ Status write_frame_deadline(int fd, std::string_view payload, int timeout_ms) {
     if (errno == EINTR) continue;
     if (errno != EAGAIN && errno != EWOULDBLOCK) {
       return Status(ErrorCode::kSubprocessFailed,
-                    "socket write failed: " + io::errno_message(errno));
+                    "frame write failed: " + io::errno_message(errno));
     }
     int wait_ms = -1;
     if (timeout_ms >= 0) {
@@ -118,16 +81,16 @@ bool FrameBuffer::next(std::string* payload) {
     buf_.erase(0, pos_);
     pos_ = 0;
   }
-  if (buf_.size() - pos_ < sizeof(std::uint32_t)) return false;
+  std::size_t off = pos_;
   std::uint32_t len = 0;
-  std::memcpy(&len, buf_.data() + pos_, sizeof(len));
+  if (!io::get_le(buf_, &off, &len)) return false;
   if (len > kMaxFrameBytes) {
     corrupt_ = true;
     return false;
   }
-  if (buf_.size() - pos_ < sizeof(len) + len) return false;
-  payload->assign(buf_.data() + pos_ + sizeof(len), len);
-  pos_ += sizeof(len) + len;
+  if (buf_.size() - off < len) return false;
+  payload->assign(buf_.data() + off, len);
+  pos_ = off + len;
   return true;
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "precharac/artifact.h"
 #include "util/check.h"
 #include "util/io.h"
 #include "util/status.h"
@@ -548,6 +549,27 @@ TEST_F(PrecharacCacheTest, DifferentConfigIsStaleNotCorrupt) {
   EXPECT_EQ(stale.precharac_cache().outcome, "stale");
   EXPECT_TRUE(stale.precharac_cache().stored);  // last writer wins
   EXPECT_EQ(stale.metrics().counter("precharac.cache_stale"), 1u);
+}
+
+TEST_F(PrecharacCacheTest, VersionOneArtifactIsStaleAndRewritten) {
+  // A version-1 artifact (the header layout before record-log frames):
+  // magic, u32 version 1, then a header and sections this build no longer
+  // reads. The version gate must classify it as stale, never corrupt.
+  std::string v1("FAVPCA1\0", 8);
+  const std::uint32_t version = 1;
+  v1.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  v1.append(16, '\x5A');  // fingerprint, section count, header CRC
+  ASSERT_TRUE(io::atomic_write_file(path_, v1).is_ok());
+  EXPECT_EQ(precharac::load_artifact(path_, 0).outcome,
+            precharac::ArtifactOutcome::kStale);
+
+  FaultAttackEvaluator upgraded(soc::make_illegal_write_benchmark(),
+                                cache_config());
+  EXPECT_EQ(upgraded.precharac_cache().outcome, "stale");
+  EXPECT_TRUE(upgraded.precharac_cache().stored);
+  FaultAttackEvaluator warm(soc::make_illegal_write_benchmark(),
+                            cache_config());
+  EXPECT_EQ(warm.precharac_cache().outcome, "hit");
 }
 
 TEST_F(PrecharacCacheTest, HeldLockDegradesToUnlockedElaboration) {

@@ -319,6 +319,25 @@ TEST(JournalReader, CorruptHeaderIsDetected) {
   EXPECT_EQ(read.status().code(), ErrorCode::kJournalCorrupt);
 }
 
+TEST(JournalReader, PreviousFormatIsRejectedAsCorrupt) {
+  // A FAVJRNL2 journal (FNV-1a frames) must not be misparsed by the record
+  // log reader: its magic alone marks it as another format.
+  const std::string dir = fresh_dir("favjrnl2");
+  std::string v2("FAVJRNL2", 8);
+  const std::string meta(20, '\0');  // fingerprint, total, empty context
+  const std::uint32_t meta_len = static_cast<std::uint32_t>(meta.size());
+  v2.append(reinterpret_cast<const char*>(&meta_len), sizeof(meta_len));
+  v2 += meta;
+  v2.append(8, '\0');  // the meta checksum slot
+  {
+    std::ofstream f(journal_file(dir), std::ios::binary);
+    f.write(v2.data(), static_cast<std::streamsize>(v2.size()));
+  }
+  const Result<JournalContents> read = read_journal(dir);
+  ASSERT_FALSE(read.is_ok());
+  EXPECT_EQ(read.status().code(), ErrorCode::kJournalCorrupt);
+}
+
 void expect_bitwise_equal(const SsfResult& a, const SsfResult& b) {
   EXPECT_EQ(a.ssf(), b.ssf());
   EXPECT_EQ(a.sample_variance(), b.sample_variance());

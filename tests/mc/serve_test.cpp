@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -804,6 +805,80 @@ TEST(CampaignLedger, RefusesANonLedgerFile) {
   Result<CampaignLedger> lg = CampaignLedger::open(path);
   ASSERT_FALSE(lg.is_ok());
   EXPECT_EQ(lg.status().code(), ErrorCode::kJournalCorrupt);
+}
+
+// The ledger's on-disk bytes for accepted(1, {"evaluate"}), running(1),
+// finished(1, 0): magic "FAVLDGR1", then one `u32 len | payload |
+// u32 crc32c` frame per record. Ledgers written before the record log
+// existed must replay unchanged, so the writer must keep producing them.
+constexpr char kPinnedLedgerHex[] =
+    "4641564c44475231"
+    "19000000" "01" "0100000000000000" "01000000" "08000000"
+    "6576616c75617465" "f629cb5c"
+    "09000000" "02" "0100000000000000" "e5cf481f"
+    "0d000000" "03" "0100000000000000" "00000000" "7b395cdc";
+
+std::string hex_of(const std::string& bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out += kDigits[(static_cast<unsigned char>(c) >> 4) & 0xF];
+    out += kDigits[static_cast<unsigned char>(c) & 0xF];
+  }
+  return out;
+}
+
+std::string bytes_of(const std::string& hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
+  }
+  return out;
+}
+
+TEST(CampaignLedger, WritesAndReplaysThePinnedFormatBytes) {
+  const std::string path = fresh_ledger_path("pinned");
+  {
+    Result<CampaignLedger> lg = CampaignLedger::open(path);
+    ASSERT_TRUE(lg.is_ok()) << lg.status().to_string();
+    ASSERT_TRUE(lg.value().accepted(1, {"evaluate"}).is_ok());
+    ASSERT_TRUE(lg.value().running(1).is_ok());
+    ASSERT_TRUE(lg.value().finished(1, 0).is_ok());
+  }
+  std::string written;
+  {
+    std::ifstream f(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << f.rdbuf();
+    written = ss.str();
+  }
+  EXPECT_EQ(hex_of(written), kPinnedLedgerHex);
+
+  // Replay the pinned bytes, whole and without the finished record.
+  const std::string pinned = bytes_of(kPinnedLedgerHex);
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(pinned.data(), static_cast<std::streamsize>(pinned.size()));
+  }
+  Result<CampaignLedger> whole = CampaignLedger::open(path);
+  ASSERT_TRUE(whole.is_ok()) << whole.status().to_string();
+  EXPECT_EQ(whole.value().discarded_bytes(), 0u);
+  EXPECT_EQ(whole.value().next_campaign_id(), 2u);
+  EXPECT_TRUE(whole.value().interrupted().empty());
+
+  const std::string unfinished = pinned.substr(0, pinned.size() - 21);
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(unfinished.data(),
+            static_cast<std::streamsize>(unfinished.size()));
+  }
+  Result<CampaignLedger> open = CampaignLedger::open(path);
+  ASSERT_TRUE(open.is_ok()) << open.status().to_string();
+  EXPECT_EQ(open.value().discarded_bytes(), 0u);
+  ASSERT_EQ(open.value().interrupted().size(), 1u);
+  EXPECT_EQ(open.value().interrupted()[0].state, CampaignState::kRunning);
+  EXPECT_EQ(open.value().interrupted()[0].args,
+            std::vector<std::string>{"evaluate"});
 }
 
 TEST(CampaignServer, RecoversInterruptedCampaignsFromLedger) {

@@ -217,7 +217,7 @@ TEST(WordSimulator, LoadLanesGathersEachLaneFromItsImage) {
     for (NodeId id = 0; id < nl.node_count(); ++id) {
       for (int l = 0; l < 64; ++l) {
         const bool expect = static_cast<std::size_t>(l) < lanes &&
-                            lane_images[l]->get(id);
+                            lane_images[l]->test(id);
         ASSERT_EQ(words.value(id, l), expect)
             << "node " << id << " lane " << l;
       }
@@ -236,7 +236,7 @@ TEST(WordSimulator, LoadLanesFromOneImageIsARowCopy) {
     const std::uint64_t mask =
         lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
     for (NodeId id = 0; id < nl.node_count(); ++id) {
-      EXPECT_EQ(words.word(id), image.get(id) ? mask : 0) << "node " << id;
+      EXPECT_EQ(words.word(id), image.test(id) ? mask : 0) << "node " << id;
     }
   }
 }

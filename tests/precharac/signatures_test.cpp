@@ -42,7 +42,7 @@ TEST(SignatureTrace, FirstCycleNeverSwitches) {
   const auto& nl = soc().netlist();
   for (netlist::NodeId id = 0; id < nl.node_count(); id += 97) {
     if (trace.signature(id).size() > 0) {
-      EXPECT_FALSE(trace.signature(id).get(0)) << "node " << id;
+      EXPECT_FALSE(trace.signature(id).test(0)) << "node " << id;
     }
   }
 }
@@ -107,7 +107,7 @@ TEST(SignatureTrace, CorrelationMatchesManualComputation) {
   for (int frame : {0, 1, 3}) {
     std::size_t overlap = 0;
     for (std::size_t c = 0; c + frame < sg.size(); ++c) {
-      if (sg.get(c) && sr.get(c + static_cast<std::size_t>(frame))) ++overlap;
+      if (sg.test(c) && sr.test(c + static_cast<std::size_t>(frame))) ++overlap;
     }
     const double expected =
         sg.count() == 0

@@ -109,7 +109,7 @@ TEST(RegisterMap, PackDiffersAfterSingleFlip) {
   const BitVector pa = map.pack(a);
   const BitVector pb = map.pack(b);
   EXPECT_EQ((pa ^ pb).count(), 1u);
-  EXPECT_TRUE((pa ^ pb).get(100));
+  EXPECT_TRUE((pa ^ pb).test(100));
 }
 
 TEST(RegisterMap, UnpackWrongSizeThrows) {

@@ -40,7 +40,7 @@ TEST(GoldenSettledTable, RowsMatchRestoreAndSettleNodeForNode) {
     EXPECT_EQ(row.warmup, te - golden.nearest_checkpoint(te).cycle);
     ASSERT_EQ(row.values.size(), nodes);
     for (std::size_t id = 0; id < nodes; ++id) {
-      ASSERT_EQ(row.values.get(id),
+      ASSERT_EQ(row.values.test(id),
                 gate.sim().value(static_cast<netlist::NodeId>(id)))
           << "node " << id;
     }

@@ -167,6 +167,20 @@ TEST(SuperviseCli, WorkerCrashMidCampaignChangesNothing) {
                                 worker_journal_pattern());
 }
 
+TEST(SuperviseCli, InjectedCrashFiresEvenWhenAPeerCouldDrainTheCampaign) {
+  // Two shards: a peer that starts first could finish both before worker 0
+  // is ready. The supervisor holds the first shard for worker 0's first
+  // incarnation, so its --crash-after-samples always fires.
+  const std::string dir = fresh_dir("tiny_chaos");
+  ASSERT_EQ(run_cli(campaign_flags(32) + " --journal " + dir +
+                    " --supervise 2 --crash-after-samples 7" +
+                    " --metrics-out " + dir + "/report.json"),
+            0);
+  EXPECT_NE(json_field(dir + "/report.json", "restarts"), "0");
+  EXPECT_EQ(json_field(dir + "/report.json", "quarantined_shards"), "0");
+  EXPECT_EQ(json_field(dir + "/report.json", "interrupted"), "false");
+}
+
 TEST(SuperviseCli, DeterministicCrashIsQuarantined) {
   const std::string dir = fresh_dir("quarantine");
   const std::string flags = campaign_flags(120);

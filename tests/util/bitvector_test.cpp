@@ -19,13 +19,13 @@ TEST(BitVector, ConstructAllZero) {
   BitVector v(130);
   EXPECT_EQ(v.size(), 130u);
   EXPECT_EQ(v.count(), 0u);
-  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_FALSE(v.get(i));
+  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_FALSE(v.test(i));
 }
 
 TEST(BitVector, ConstructAllOne) {
   BitVector v(130, true);
   EXPECT_EQ(v.count(), 130u);
-  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_TRUE(v.get(i));
+  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_TRUE(v.test(i));
 }
 
 TEST(BitVector, SetGet) {
@@ -34,20 +34,20 @@ TEST(BitVector, SetGet) {
   v.set(63, true);
   v.set(64, true);
   v.set(99, true);
-  EXPECT_TRUE(v.get(0));
-  EXPECT_TRUE(v.get(63));
-  EXPECT_TRUE(v.get(64));
-  EXPECT_TRUE(v.get(99));
-  EXPECT_FALSE(v.get(1));
+  EXPECT_TRUE(v.test(0));
+  EXPECT_TRUE(v.test(63));
+  EXPECT_TRUE(v.test(64));
+  EXPECT_TRUE(v.test(99));
+  EXPECT_FALSE(v.test(1));
   EXPECT_EQ(v.count(), 4u);
   v.set(63, false);
-  EXPECT_FALSE(v.get(63));
+  EXPECT_FALSE(v.test(63));
   EXPECT_EQ(v.count(), 3u);
 }
 
 TEST(BitVector, OutOfRangeThrows) {
   BitVector v(8);
-  EXPECT_THROW(v.get(8), CheckError);
+  EXPECT_THROW(v.test(8), CheckError);
   EXPECT_THROW(v.set(8, true), CheckError);
 }
 
@@ -68,7 +68,7 @@ TEST(BitVector, PushBack) {
   for (int i = 0; i < 70; ++i) v.push_back(i % 3 == 0);
   EXPECT_EQ(v.size(), 70u);
   for (int i = 0; i < 70; ++i) {
-    EXPECT_EQ(v.get(static_cast<std::size_t>(i)), i % 3 == 0) << i;
+    EXPECT_EQ(v.test(static_cast<std::size_t>(i)), i % 3 == 0) << i;
   }
 }
 
@@ -134,12 +134,12 @@ TEST(BitVector, ShiftCrossesWordBoundary) {
   v.set(127, true);
   v.set(128, true);
   const auto down = v.shifted_down(65);
-  EXPECT_TRUE(down.get(62));
-  EXPECT_TRUE(down.get(63));
+  EXPECT_TRUE(down.test(62));
+  EXPECT_TRUE(down.test(63));
   EXPECT_EQ(down.count(), 2u);
   const auto up = down.shifted_up(65);
-  EXPECT_TRUE(up.get(127));
-  EXPECT_TRUE(up.get(128));
+  EXPECT_TRUE(up.test(127));
+  EXPECT_TRUE(up.test(128));
   EXPECT_EQ(up.count(), 2u);
 }
 
@@ -195,8 +195,8 @@ TEST_P(BitVectorShiftProperty, ShiftDownMatchesNaive) {
   for (std::size_t i = 0; i < n; ++i) v.set(i, rng.bernoulli(0.4));
   const BitVector s = v.shifted_down(shift);
   for (std::size_t i = 0; i < n; ++i) {
-    const bool expect = (i + shift < n) ? v.get(i + shift) : false;
-    EXPECT_EQ(s.get(i), expect) << "shift " << shift << " bit " << i;
+    const bool expect = (i + shift < n) ? v.test(i + shift) : false;
+    EXPECT_EQ(s.test(i), expect) << "shift " << shift << " bit " << i;
   }
 }
 
