@@ -463,6 +463,65 @@ BENCHMARK(BM_PrecharacColdVsWarm)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+// Warm-start layers of a sampled campaign, on the `write` benchmark's
+// subblock model (radius 1.5, t-range 50). BM_ImportanceSamplerBuild times
+// the importance-sampler construction alone, with the analytical
+// direct-hit boosts computed once outside the loop. BM_ArtifactLoad times
+// reading a warm pre-characterization artifact and installing its cone and
+// signatures, as a warm framework construction does.
+core::FaultAttackEvaluator& write_fw() {
+  static core::FaultAttackEvaluator f(soc::make_illegal_write_benchmark());
+  return f;
+}
+
+void BM_ImportanceSamplerBuild(benchmark::State& state) {
+  const core::FaultAttackEvaluator& fw = write_fw();
+  const faultsim::AttackModel attack = fw.subblock_attack_model(1.5, 50);
+  const precharac::SamplingParams params = fw.sampling_params_for(attack);
+  for (auto _ : state) {
+    precharac::SamplingModel model(fw.soc(), fw.placement(), fw.cone(),
+                                   fw.signatures(), fw.characterization(),
+                                   attack, params);
+    benchmark::DoNotOptimize(model.g_t().size());
+  }
+}
+BENCHMARK(BM_ImportanceSamplerBuild)->Unit(benchmark::kMillisecond);
+
+void BM_ArtifactLoad(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("fav_bench_artifact_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  core::FrameworkConfig cfg;
+  cfg.precharac_cache_path = (dir / "bundle.fpa").string();
+  cfg.log = [](const std::string&) {};
+  // Seeds the artifact; its key fixes the fingerprint every load checks.
+  const core::FaultAttackEvaluator seed(soc::make_illegal_write_benchmark(),
+                                        cfg);
+  const std::uint64_t fingerprint =
+      precharac::precharac_fingerprint(seed.precharac_key());
+  const std::size_t node_count = seed.soc().netlist().node_count();
+  for (auto _ : state) {
+    precharac::ArtifactLoad load =
+        precharac::load_artifact(cfg.precharac_cache_path, fingerprint);
+    if (load.outcome != precharac::ArtifactOutcome::kHit) {
+      state.SkipWithError("artifact did not load as a hit");
+      break;
+    }
+    const netlist::UnrolledCone cone(load.bundle.responding_signal,
+                                     node_count,
+                                     std::move(load.bundle.fanin_frames),
+                                     std::move(load.bundle.fanout_frames));
+    const precharac::SignatureTrace signatures(
+        load.bundle.signature_cycles, std::move(load.bundle.signatures));
+    benchmark::DoNotOptimize(cone.fanin_frames().size());
+    benchmark::DoNotOptimize(signatures.cycles());
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+BENCHMARK(BM_ArtifactLoad)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

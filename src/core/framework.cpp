@@ -35,14 +35,30 @@ std::string bundle_shape_error(const precharac::PrecharacBundle& b,
       b.fanout_frames.size() != static_cast<std::size_t>(fanout_depth)) {
     return "cone frame count mismatch";
   }
+  // Frame i of the fanin side is frame i; frame i of the fanout side is
+  // -(i + 1). Members are strictly ascending ids inside the netlist.
+  auto ids_error = [&](const std::vector<NodeId>& ids,
+                       const char* kind) -> std::string {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] >= node_count) {
+        return std::string("cone ") + kind + " id out of range";
+      }
+      if (i > 0 && ids[i] <= ids[i - 1]) {
+        return std::string("cone ") + kind + " ids not strictly ascending";
+      }
+    }
+    return "";
+  };
   for (const auto* frames : {&b.fanin_frames, &b.fanout_frames}) {
-    for (const netlist::ConeFrame& f : *frames) {
-      for (const NodeId g : f.gates) {
-        if (g >= node_count) return "cone gate id out of range";
-      }
-      for (const NodeId r : f.registers) {
-        if (r >= node_count) return "cone register id out of range";
-      }
+    const bool fanin = frames == &b.fanin_frames;
+    for (std::size_t i = 0; i < frames->size(); ++i) {
+      const netlist::ConeFrame& f = (*frames)[i];
+      const int expected =
+          fanin ? static_cast<int>(i) : -static_cast<int>(i) - 1;
+      if (f.frame != expected) return "cone frame index out of sequence";
+      std::string error = ids_error(f.gates, "gate");
+      if (error.empty()) error = ids_error(f.registers, "register");
+      if (!error.empty()) return error;
     }
   }
   if (b.signatures.size() != node_count) return "signature count mismatch";
@@ -240,7 +256,8 @@ bool FaultAttackEvaluator::try_load_precharac(std::uint64_t fingerprint,
   }
   if (!hit) return false;
   cone_ = std::make_unique<netlist::UnrolledCone>(
-      load.bundle.responding_signal, std::move(load.bundle.fanin_frames),
+      load.bundle.responding_signal, soc_.netlist().node_count(),
+      std::move(load.bundle.fanin_frames),
       std::move(load.bundle.fanout_frames));
   signatures_ = std::make_unique<precharac::SignatureTrace>(
       load.bundle.signature_cycles, std::move(load.bundle.signatures));
@@ -596,6 +613,7 @@ AdaptiveRunResult FaultAttackEvaluator::run_adaptive_glitch(
 SamplerSelection FaultAttackEvaluator::make_sampler_with_fallback(
     const faultsim::GlitchAttackModel& model,
     const std::string& strategy) const {
+  ScopeTimer timer(&metrics_, "sampler.build_ns");
   SamplerSelection sel;
   sel.requested = strategy;
   sel.sampler = make_glitch_sampler(model);
@@ -617,6 +635,7 @@ SamplerSelection FaultAttackEvaluator::make_sampler_with_fallback(
   FAV_ENSURE_MSG(strategy == "importance" || strategy == "cone" ||
                      strategy == "random",
                  "unknown sampling strategy '" << strategy << "'");
+  ScopeTimer timer(&metrics_, "sampler.build_ns");
   SamplerSelection sel;
   sel.requested = strategy;
   auto downgrade = [&](const std::string& from, const std::string& to,

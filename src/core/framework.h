@@ -179,11 +179,12 @@ class FaultAttackEvaluator {
   /// timers ("precharac.golden_runs_ns", "precharac.cone_ns",
   /// "precharac.signatures_ns", "precharac.characterization_ns",
   /// "precharac.injector_ns", "precharac.potency_ns"), potency counters,
-  /// and sampler-fallback provenance ("sampler.downgrades",
-  /// "sampler.built.<strategy>"). Merge into a campaign sink for run
-  /// reports. Counters mutate under make_sampler_with_fallback /
-  /// run_adaptive; access is not synchronized — same single-caller contract
-  /// as those methods.
+  /// the sampler build time of each make_sampler_with_fallback call
+  /// ("sampler.build_ns"), and sampler-fallback provenance
+  /// ("sampler.downgrades", "sampler.built.<strategy>"). Merge into a
+  /// campaign sink for run reports. Counters mutate under
+  /// make_sampler_with_fallback / run_adaptive; access is not synchronized
+  /// — same single-caller contract as those methods.
   const MetricsSink& metrics() const { return metrics_; }
 
   /// How the pre-characterization cache resolved (outcome "off" when

@@ -12,6 +12,28 @@ struct Visit {
   int frame;
 };
 
+/// Marks `id` in `seen`; true when it was not marked before.
+bool claim(BitVector& seen, NodeId id) {
+  if (seen.test(id)) return false;
+  seen.set(id, true);
+  return true;
+}
+
+/// Union of one member list over `frames`, deduplicated, ascending id.
+std::vector<NodeId> union_of(const std::vector<ConeFrame>& frames,
+                             std::vector<NodeId> ConeFrame::*list,
+                             std::size_t node_count) {
+  BitVector seen(node_count);
+  for (const ConeFrame& f : frames) {
+    for (const NodeId id : f.*list) seen.set(id, true);
+  }
+  std::vector<NodeId> out;
+  for (const std::size_t id : seen.set_bits()) {
+    out.push_back(static_cast<NodeId>(id));
+  }
+  return out;
+}
+
 }  // namespace
 
 UnrolledCone::UnrolledCone(const Netlist& nl, NodeId responding_signal,
@@ -28,7 +50,8 @@ UnrolledCone::UnrolledCone(const Netlist& nl, NodeId responding_signal,
   for (int i = 0; i < fanout_depth; ++i) {
     fanout_[static_cast<std::size_t>(i)].frame = -(i + 1);
   }
-  members_.resize(static_cast<std::size_t>(fanin_depth + fanout_depth) + 1);
+  members_.assign(static_cast<std::size_t>(fanin_depth + fanout_depth) + 1,
+                  BitVector(nl.node_count()));
 
   extract_fanin(nl, fanin_depth);
   extract_fanout(nl, fanout_depth);
@@ -41,7 +64,7 @@ UnrolledCone::UnrolledCone(const Netlist& nl, NodeId responding_signal,
   for (auto& f : fanout_) sort_frame(f);
 }
 
-UnrolledCone::UnrolledCone(NodeId responding_signal,
+UnrolledCone::UnrolledCone(NodeId responding_signal, std::size_t node_count,
                            std::vector<ConeFrame> fanin_frames,
                            std::vector<ConeFrame> fanout_frames)
     : rs_(responding_signal),
@@ -49,6 +72,8 @@ UnrolledCone::UnrolledCone(NodeId responding_signal,
       fanout_(std::move(fanout_frames)) {
   fanout_depth_ = static_cast<int>(fanout_.size());
   FAV_ENSURE_MSG(!fanin_.empty(), "cone needs at least frame 0");
+  FAV_ENSURE_MSG(responding_signal < node_count,
+                 "responding signal id out of range");
   for (std::size_t i = 0; i < fanin_.size(); ++i) {
     FAV_ENSURE_MSG(fanin_[i].frame == static_cast<int>(i),
                   "fanin frame order violated at index " << i);
@@ -57,14 +82,17 @@ UnrolledCone::UnrolledCone(NodeId responding_signal,
     FAV_ENSURE_MSG(fanout_[i].frame == -static_cast<int>(i) - 1,
                   "fanout frame order violated at index " << i);
   }
-  members_.resize(fanin_.size() + fanout_.size());
-  auto index = [&](const ConeFrame& f) {
-    return static_cast<std::size_t>(f.frame + fanout_depth_);
-  };
+  members_.assign(fanin_.size() + fanout_.size(), BitVector(node_count));
   for (const auto& frames : {&fanin_, &fanout_}) {
     for (const ConeFrame& f : *frames) {
-      members_[index(f)].insert(f.gates.begin(), f.gates.end());
-      members_[index(f)].insert(f.registers.begin(), f.registers.end());
+      BitVector& bits =
+          members_[static_cast<std::size_t>(f.frame + fanout_depth_)];
+      for (const auto* ids : {&f.gates, &f.registers}) {
+        for (const NodeId id : *ids) {
+          FAV_ENSURE_MSG(id < node_count, "cone member id out of range");
+          bits.set(id, true);
+        }
+      }
     }
   }
 }
@@ -82,24 +110,23 @@ bool UnrolledCone::has_frame(int frame_index) const {
 
 bool UnrolledCone::contains(int frame_index, NodeId node) const {
   if (!has_frame(frame_index)) return false;
-  const auto offset = static_cast<std::size_t>(frame_index + fanout_depth_);
-  return members_[offset].count(node) > 0;
+  const BitVector& bits =
+      members_[static_cast<std::size_t>(frame_index + fanout_depth_)];
+  return node < bits.size() && bits.test(node);
+}
+
+const BitVector& UnrolledCone::members(int frame_index) const {
+  FAV_ENSURE_MSG(has_frame(frame_index),
+                 "frame " << frame_index << " not extracted");
+  return members_[static_cast<std::size_t>(frame_index + fanout_depth_)];
 }
 
 std::vector<NodeId> UnrolledCone::all_fanin_registers() const {
-  std::unordered_set<NodeId> seen;
-  for (const auto& f : fanin_) seen.insert(f.registers.begin(), f.registers.end());
-  std::vector<NodeId> out(seen.begin(), seen.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  return union_of(fanin_, &ConeFrame::registers, members_[0].size());
 }
 
 std::vector<NodeId> UnrolledCone::all_fanin_gates() const {
-  std::unordered_set<NodeId> seen;
-  for (const auto& f : fanin_) seen.insert(f.gates.begin(), f.gates.end());
-  std::vector<NodeId> out(seen.begin(), seen.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  return union_of(fanin_, &ConeFrame::gates, members_[0].size());
 }
 
 void UnrolledCone::extract_fanin(const Netlist& nl, int depth) {
@@ -112,7 +139,7 @@ void UnrolledCone::extract_fanin(const Netlist& nl, int depth) {
   while (!queue.empty()) {
     const auto [id, frame] = queue.front();
     queue.pop_front();
-    if (!members_[offset(frame)].insert(id).second) continue;
+    if (!claim(members_[offset(frame)], id)) continue;
 
     const Node& n = nl.node(id);
     auto& cf = fanin_[static_cast<std::size_t>(frame)];
@@ -139,13 +166,13 @@ void UnrolledCone::extract_fanout(const Netlist& nl, int depth) {
   // in both the fanin and the fanout cone of the same frame (reconvergence
   // through the responding signal), and frame-0 membership was already
   // claimed by extract_fanin for the fanin side.
-  std::vector<std::unordered_set<NodeId>> seen(
-      static_cast<std::size_t>(depth) + 1);
+  std::vector<BitVector> seen(static_cast<std::size_t>(depth) + 1,
+                              BitVector(nl.node_count()));
 
   while (!queue.empty()) {
     const auto [id, frame] = queue.front();
     queue.pop_front();
-    if (!seen[static_cast<std::size_t>(-frame)].insert(id).second) continue;
+    if (!claim(seen[static_cast<std::size_t>(-frame)], id)) continue;
 
     for (const auto& e : fanouts[id]) {
       const Node& c = nl.node(e.consumer);
@@ -154,26 +181,23 @@ void UnrolledCone::extract_fanout(const Netlist& nl, int depth) {
         const int next = frame - 1;
         if (next < -depth) continue;
         auto& cf = fanout_[static_cast<std::size_t>(-next - 1)];
-        if (members_[static_cast<std::size_t>(next + fanout_depth_)]
-                .insert(e.consumer)
-                .second) {
+        if (claim(members_[static_cast<std::size_t>(next + fanout_depth_)],
+                  e.consumer)) {
           cf.registers.push_back(e.consumer);
         }
         queue.push_back({e.consumer, next});
       } else if (is_combinational_gate(c.type)) {
         if (frame < 0) {
           auto& cf = fanout_[static_cast<std::size_t>(-frame - 1)];
-          if (members_[static_cast<std::size_t>(frame + fanout_depth_)]
-                  .insert(e.consumer)
-                  .second) {
+          if (claim(members_[static_cast<std::size_t>(frame + fanout_depth_)],
+                    e.consumer)) {
             cf.gates.push_back(e.consumer);
           }
         } else {
           // Combinational fanout inside the observation cycle: timing
           // distance is still 0, so it joins frame 0 (shared with fanin).
-          if (members_[static_cast<std::size_t>(fanout_depth_)]
-                  .insert(e.consumer)
-                  .second) {
+          if (claim(members_[static_cast<std::size_t>(fanout_depth_)],
+                    e.consumer)) {
             fanin_[0].gates.push_back(e.consumer);
           }
         }

@@ -9,10 +9,10 @@
 // exactly matching the sign convention of Corr_i in the paper.
 #pragma once
 
-#include <unordered_set>
 #include <vector>
 
 #include "netlist/netlist.h"
+#include "util/bitvector.h"
 
 namespace fav::netlist {
 
@@ -33,8 +33,10 @@ class UnrolledCone {
 
   /// Rebuilds a cone from previously extracted frames (the artifact-cache
   /// load path). Frames must follow the extraction convention: fanin frames
-  /// 0..N ascending, fanout frames -1..-M descending, members sorted.
-  UnrolledCone(NodeId responding_signal, std::vector<ConeFrame> fanin_frames,
+  /// 0..N ascending, fanout frames -1..-M descending, members sorted, every
+  /// id below `node_count`.
+  UnrolledCone(NodeId responding_signal, std::size_t node_count,
+               std::vector<ConeFrame> fanin_frames,
                std::vector<ConeFrame> fanout_frames);
 
   NodeId responding_signal() const { return rs_; }
@@ -49,8 +51,12 @@ class UnrolledCone {
   bool has_frame(int frame_index) const;
 
   /// True if `node`'s fault in `frame_index` can influence the responding
-  /// signal (i.e. the node is a cone member of that frame).
+  /// signal (i.e. the node is a cone member of that frame). False for a
+  /// frame that was not extracted and for an id past the netlist.
   bool contains(int frame_index, NodeId node) const;
+  /// Membership of an extracted frame as one bit per node id (the set
+  /// contains() tests).
+  const BitVector& members(int frame_index) const;
 
   /// Union of registers over all fanin frames (deduplicated, ascending id).
   std::vector<NodeId> all_fanin_registers() const;
@@ -64,8 +70,8 @@ class UnrolledCone {
   NodeId rs_;
   std::vector<ConeFrame> fanin_;
   std::vector<ConeFrame> fanout_;
-  // membership[frame offset] = set of node ids; offset = frame + fanout depth
-  std::vector<std::unordered_set<NodeId>> members_;
+  // members_[frame + fanout depth] = one bit per node id of the netlist
+  std::vector<BitVector> members_;
   int fanout_depth_ = 0;
 };
 

@@ -24,7 +24,6 @@ SamplingModel::SamplingModel(const soc::SocNetlist& soc,
   FAV_ENSURE(params.defensive_mix >= 0.0 && params.defensive_mix <= 1.0);
   FAV_ENSURE(params.transit_boost >= 0);
   const netlist::Netlist& nl = soc.netlist();
-  const NodeId rs = cone.responding_signal();
 
   // --- L(g): reverse-topological max over same-cycle fanout registers ----
   lifetime_l_.assign(nl.node_count(), 0.0);
@@ -90,22 +89,36 @@ SamplingModel::SamplingModel(const soc::SocNetlist& soc,
   }
 
   // --- per-candidate spot summaries --------------------------------------
+  // Spot i (of candidate_centers[i]) covers spot_cells[spot_begin[i] ..
+  // spot_begin[i + 1]). Each cell points at its gate-term column and says
+  // which frame it reads in weighted frame t (see the frame alignment
+  // below): a gate reads frame t, a DFF frame t - 1.
+  const GateTermTable table(cone, signatures, lifetime_l_, params.beta,
+                            attack.t_max);
+  struct SpotCell {
+    const double* column;  // table.column(g)
+    int lag;               // 1 for a DFF, 0 for a gate
+  };
   const double max_radius =
       *std::max_element(attack.radii.begin(), attack.radii.end());
-  mem_score_.assign(nl.node_count(), 0.0);
-  transit_count_.assign(nl.node_count(), 0);
-  // spot[c] = cells covered by the largest radiated region centered at c.
-  std::vector<std::vector<NodeId>> spots(nl.node_count());
+  const std::size_t n = nl.node_count();
+  mem_score_.assign(n, 0.0);
+  transit_count_.assign(n, 0);
+  std::vector<std::size_t> spot_begin{0};
+  std::vector<SpotCell> spot_cells;
+  std::vector<NodeId> spot;  // query buffer reused across centers
   for (const NodeId c : attack.candidate_centers) {
     FAV_ENSURE_MSG(placement.is_placed(c),
                   "candidate center " << c << " is not a placed cell");
-    placement.nodes_within(c, max_radius, spots[c]);
+    placement.nodes_within(c, max_radius, spot);
     double score = 0.0;
     int transit = 0;
-    for (const NodeId g : spots[c]) {
+    for (const NodeId g : spot) {
       score += mem_score_dff[g];
       if (potent_reach[g] != 0 && nl.is_comb_gate(g)) ++transit;
+      spot_cells.push_back({table.column(g), nl.is_dff(g) ? 1 : 0});
     }
+    spot_begin.push_back(spot_cells.size());
     mem_score_[c] = score;
     transit_count_[c] = transit;
   }
@@ -115,46 +128,54 @@ SamplingModel::SamplingModel(const soc::SocNetlist& soc,
   // corresponds to unrolled frame t (the gate copy feeding the registers
   // whose frame-(t-1) value reaches rs); a *direct* DFF upset corrupts the
   // register's value starting at frame t-1.
-  auto weight_of = [&](int frame, NodeId c) -> double {
-    double corr_term = 0.0;
-    bool touches_cone = false;
-    for (const NodeId g : spots[c]) {
-      const bool dff = nl.is_dff(g);
-      const int eff_frame = dff ? frame - 1 : frame;
-      if (eff_frame < 0 || !cone.contains(eff_frame, g)) continue;
-      touches_cone = true;
-      if (lifetime_l_[g] >= params.beta * eff_frame) {
-        corr_term =
-            std::max(corr_term, signatures.correlation(g, rs, eff_frame));
+  //
+  // For one center, reach[t - t_min] is the largest gate term its spot's
+  // cells read in weighted frame t: -1 when none of them is a cone member
+  // there, else the α term's correlation factor. Frames past the cone's
+  // fanin depth have no column entries, stay at -1, and so get only the
+  // memory, transit and direct terms. Centers run in candidate order, so
+  // every frame lists (and sums) its centers in that order.
+  const auto t_count = static_cast<std::size_t>(attack.t_count());
+  frames_.resize(t_count);
+  for (Frame& fr : frames_) fr.center_index.assign(n, -1);
+  std::vector<double> reach(t_count);
+  for (std::size_t i = 0; i < attack.candidate_centers.size(); ++i) {
+    const NodeId c = attack.candidate_centers[i];
+    std::fill(reach.begin(), reach.end(), -1.0);
+    for (std::size_t k = spot_begin[i]; k < spot_begin[i + 1]; ++k) {
+      const SpotCell& cell = spot_cells[k];
+      const int hi = std::min(attack.t_max, table.rows() - 1 + cell.lag);
+      for (int t = std::max(attack.t_min, cell.lag); t <= hi; ++t) {
+        double& best = reach[static_cast<std::size_t>(t - attack.t_min)];
+        best = std::max(best, cell.column[t - cell.lag]);
       }
     }
-    const double mem = frame >= 1 ? mem_score_[c] : 0.0;
-    const double transit =
-        frame >= 1 ? static_cast<double>(transit_count_[c]) : 0.0;
-    double direct = 0.0;
-    if (frame >= 1 && c < params.center_boost.size()) {
-      direct = params.center_boost[c];
-    }
-    if (!touches_cone && mem == 0.0 && transit == 0.0 && direct == 0.0) {
-      return 0.0;
-    }
-    return 1.0 + params.alpha * corr_term + params.memory_boost * mem +
-           params.transit_boost * transit + direct;
-  };
-
-  std::vector<double> omegas;
-  frames_.resize(static_cast<std::size_t>(attack.t_count()));
-  for (int t = attack.t_min; t <= attack.t_max; ++t) {
-    Frame& fr = frames_[static_cast<std::size_t>(t - attack.t_min)];
-    fr.center_index.assign(nl.node_count(), -1);
-    for (const NodeId c : attack.candidate_centers) {
-      const double w = weight_of(t, c);
-      if (w <= 0.0) continue;
+    for (int t = attack.t_min; t <= attack.t_max; ++t) {
+      const auto ti = static_cast<std::size_t>(t - attack.t_min);
+      const bool touches_cone = reach[ti] >= 0.0;
+      const double corr_term = touches_cone ? reach[ti] : 0.0;
+      const double mem = t >= 1 ? mem_score_[c] : 0.0;
+      const double transit =
+          t >= 1 ? static_cast<double>(transit_count_[c]) : 0.0;
+      double direct = 0.0;
+      if (t >= 1 && c < params.center_boost.size()) {
+        direct = params.center_boost[c];
+      }
+      if (!touches_cone && mem == 0.0 && transit == 0.0 && direct == 0.0) {
+        continue;
+      }
+      const double w = 1.0 + params.alpha * corr_term +
+                       params.memory_boost * mem +
+                       params.transit_boost * transit + direct;
+      Frame& fr = frames_[ti];
       fr.center_index[c] = static_cast<int>(fr.centers.size());
       fr.centers.push_back(c);
       fr.weights.push_back(w);
       fr.total_weight += w;
     }
+  }
+  std::vector<double> omegas;
+  for (Frame& fr : frames_) {
     if (!fr.centers.empty()) {
       fr.conditional = DiscreteDistribution(fr.weights);
     }
@@ -165,6 +186,44 @@ SamplingModel::SamplingModel(const soc::SocNetlist& soc,
                 "no candidate spot touches the responding signal's cones — "
                 "importance sampling has empty support");
   g_t_ = DiscreteDistribution(omegas);
+}
+
+GateTermTable::GateTermTable(const netlist::UnrolledCone& cone,
+                             const SignatureTrace& signatures,
+                             const std::vector<double>& lifetime_l,
+                             double beta, int max_frame)
+    : node_count_(lifetime_l.size()),
+      rows_(std::clamp(max_frame + 1, 0,
+                       static_cast<int>(cone.fanin_frames().size()))) {
+  const auto rows = static_cast<std::size_t>(rows_);
+  terms_.assign(node_count_ * rows, -1.0);
+  // Corr_f(g, rs) = |ss(g) & (ss(rs) << f)| / |ss(g)|, as in
+  // SignatureTrace::correlation, with ss(rs) shifted once per frame.
+  const BitVector& sr = signatures.signature(cone.responding_signal());
+  std::vector<BitVector> shifted;
+  std::vector<const BitVector*> members;
+  for (int f = 0; f < rows_; ++f) {
+    shifted.push_back(sr.shifted_down(static_cast<std::size_t>(f)));
+    members.push_back(&cone.members(f));
+  }
+  for (NodeId g = 0; g < node_count_; ++g) {
+    const BitVector& sg = signatures.signature(g);
+    const std::size_t norm = sg.count();
+    double* column = terms_.data() + g * rows;
+    for (int f = 0; f < rows_; ++f) {
+      const auto fi = static_cast<std::size_t>(f);
+      if (!members[fi]->test(g)) continue;
+      column[fi] = !(lifetime_l[g] >= beta * f) || norm == 0
+                       ? 0.0
+                       : static_cast<double>(sg.and_count(shifted[fi])) /
+                             static_cast<double>(norm);
+    }
+  }
+}
+
+double GateTermTable::term(int frame, NodeId node) const {
+  FAV_ENSURE(frame >= 0 && frame < rows_ && node < node_count_);
+  return column(node)[frame];
 }
 
 double SamplingModel::lifetime_l(NodeId node) const {

@@ -74,6 +74,38 @@ struct SamplingParams {
   double defensive_mix = 0.1;
 };
 
+/// The α term's per-gate factor for every fanin frame the sampler reads,
+/// frames 0..min(max_frame, fanin depth), one entry per (node, frame):
+///   -1              g is not a member of cone frame f,
+///    0              g is a member but fails the lifetime test L(g) >= β·f,
+///   Corr_f(g, rs)   otherwise, equal to SignatureTrace::correlation.
+/// `lifetime_l` holds L(g) per node id and sets the node count. Laid out
+/// node-major, so a node's frames are one contiguous column. ss(rs) is
+/// shifted once per frame and |ss(g)| counted once per node.
+class GateTermTable {
+ public:
+  GateTermTable(const netlist::UnrolledCone& cone,
+                const SignatureTrace& signatures,
+                const std::vector<double>& lifetime_l, double beta,
+                int max_frame);
+
+  /// Frames per column.
+  int rows() const { return rows_; }
+  std::size_t node_count() const { return node_count_; }
+  /// Entry for (frame, node); frame in [0, rows()), node < node_count().
+  double term(int frame, netlist::NodeId node) const;
+  /// The rows() entries of `node`, frame 0 first.
+  const double* column(netlist::NodeId node) const {
+    return terms_.data() + static_cast<std::size_t>(node) *
+                               static_cast<std::size_t>(rows_);
+  }
+
+ private:
+  std::size_t node_count_ = 0;
+  int rows_ = 0;
+  std::vector<double> terms_;  // node-major: (g, f) at g * rows_ + f
+};
+
 class SamplingModel {
  public:
   SamplingModel(const soc::SocNetlist& soc, const layout::Placement& placement,

@@ -58,26 +58,52 @@ int chaos_next_fsync_error() {
 
 // --- CRC32C ---------------------------------------------------------------
 
-std::array<std::uint32_t, 256> make_crc32c_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: table[0] is the bytewise table of the reflected
+// polynomial, and table[k][b] is the CRC of byte b followed by k zero bytes,
+// so eight table lookups advance the CRC by one 8-byte word.
+using Crc32cTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+Crc32cTables make_crc32c_tables() {
+  Crc32cTables table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int k = 0; k < 8; ++k) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
     }
-    table[i] = crc;
+    table[0][i] = crc;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = table[k - 1][i];
+      table[k][i] = (prev >> 8) ^ table[0][prev & 0xFFu];
+    }
   }
   return table;
+}
+
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc32c_table();
+  static const Crc32cTables table = make_crc32c_tables();
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t crc = ~seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ p[i]) & 0xFFu];
+  for (; len >= 8; p += 8, len -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = table[7][lo & 0xFFu] ^ table[6][(lo >> 8) & 0xFFu] ^
+          table[5][(lo >> 16) & 0xFFu] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xFFu] ^ table[2][(hi >> 8) & 0xFFu] ^
+          table[1][(hi >> 16) & 0xFFu] ^ table[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = (crc >> 8) ^ table[0][(crc ^ *p) & 0xFFu];
   }
   return ~crc;
 }

@@ -40,7 +40,7 @@ namespace fav::io {
 // ---------------------------------------------------------------------------
 // Checksums.
 
-/// CRC32C (Castagnoli, reflected poly 0x82F63B78), software table-driven.
+/// CRC32C (Castagnoli, reflected poly 0x82F63B78), software slicing-by-8.
 /// Chaining: crc32c(b, n_b, crc32c(a, n_a)) == crc32c(a||b, n_a + n_b).
 std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed = 0);
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "precharac/artifact.h"
@@ -216,6 +217,23 @@ TEST(FrameworkFallback, HealthyImportanceStrategyIsNotDowngraded) {
   EXPECT_FALSE(sel.downgraded());
 }
 
+std::uint64_t sampler_builds(const FaultAttackEvaluator& f) {
+  const TimerStat* t = f.metrics().timer("sampler.build_ns");
+  return t == nullptr ? 0 : t->count;
+}
+
+TEST(FrameworkFallback, ImportanceBuildIsTimedOnce) {
+  // The run report accounts for the sampler build: one selection records
+  // exactly one sampler.build_ns sample.
+  const auto attack = fw().subblock_attack_model(1.5, 50);
+  const std::uint64_t before = sampler_builds(fw());
+  const SamplerSelection sel =
+      fw().make_sampler_with_fallback(attack, "importance");
+  EXPECT_EQ(sel.actual, "importance");
+  EXPECT_EQ(sampler_builds(fw()), before + 1);
+  EXPECT_GT(fw().metrics().timer("sampler.build_ns")->total_ns, 0u);
+}
+
 TEST(FrameworkFallback, BrokenImportanceModelDowngradesToCone) {
   // An invalid sampling parameter makes the importance-model construction
   // throw; the facade must fall back to the cone sampler, log the downgrade,
@@ -233,6 +251,8 @@ TEST(FrameworkFallback, BrokenImportanceModelDowngradesToCone) {
   EXPECT_EQ(sel.actual, "cone");
   EXPECT_TRUE(sel.downgraded());
   EXPECT_NE(sel.downgrade_reason.find("importance"), std::string::npos);
+  // The whole fallback chain is one timed build.
+  EXPECT_EQ(sampler_builds(broken), 1u);
   ASSERT_FALSE(logged.empty());
   EXPECT_NE(logged.front().find("downgrade"), std::string::npos);
   // The fallback sampler is actually usable end to end.
@@ -319,6 +339,8 @@ TEST(FrameworkTechnique, GlitchFallbackDowngradesSpatialStrategies) {
   ASSERT_NE(random_sel.sampler, nullptr);
   EXPECT_EQ(random_sel.actual, "glitch-uniform");
   EXPECT_FALSE(random_sel.downgraded());
+  const std::uint64_t builds = sampler_builds(glitch_fw());
+  EXPECT_GE(builds, 1u);
   // …while spatial strategies have no glitch equivalent and are downgraded
   // with recorded provenance.
   const SamplerSelection imp_sel =
@@ -327,6 +349,7 @@ TEST(FrameworkTechnique, GlitchFallbackDowngradesSpatialStrategies) {
   EXPECT_EQ(imp_sel.requested, "importance");
   EXPECT_EQ(imp_sel.actual, "glitch-uniform");
   EXPECT_TRUE(imp_sel.downgraded());
+  EXPECT_EQ(sampler_builds(glitch_fw()), builds + 1);
   Rng rng(7);
   const auto res = glitch_fw().evaluator().run(*imp_sel.sampler, rng, 100);
   EXPECT_EQ(res.stats.count(), 100u);
@@ -534,6 +557,47 @@ TEST_F(PrecharacCacheTest, CorruptArtifactRecomputesAndRewrites) {
   expect_identical(campaign(fw()), campaign(recovered));
 
   // The rewrite restored a loadable artifact.
+  FaultAttackEvaluator warm(soc::make_illegal_write_benchmark(),
+                            cache_config());
+  EXPECT_EQ(warm.precharac_cache().outcome, "hit");
+}
+
+TEST_F(PrecharacCacheTest, MisorderedConeFrameIsCorruptAndRecomputed) {
+  // Checksum-clean artifacts under the right fingerprint whose cone frames
+  // break the extraction convention: a frame index out of sequence, and
+  // member ids out of order. Each must read as corrupt and be rewritten,
+  // never throw out of the cone's constructor.
+  FaultAttackEvaluator cold(soc::make_illegal_write_benchmark(),
+                            cache_config());
+  ASSERT_TRUE(cold.precharac_cache().stored);
+  const std::uint64_t fingerprint =
+      precharac::precharac_fingerprint(cold.precharac_key());
+  precharac::ArtifactLoad load = precharac::load_artifact(path_, fingerprint);
+  ASSERT_EQ(load.outcome, precharac::ArtifactOutcome::kHit);
+  const precharac::PrecharacBundle good = std::move(load.bundle);
+  ASSERT_GT(good.fanin_frames.size(), 3u);
+  ASSERT_GE(good.fanin_frames[3].gates.size(), 2u);
+
+  precharac::PrecharacBundle misnumbered = good;
+  misnumbered.fanin_frames[3].frame = 4;
+  precharac::PrecharacBundle unsorted = good;
+  std::swap(unsorted.fanin_frames[3].gates[0],
+            unsorted.fanin_frames[3].gates[1]);
+  const std::pair<const precharac::PrecharacBundle*, std::string> cases[] = {
+      {&misnumbered, "cone frame index out of sequence"},
+      {&unsorted, "cone gate ids not strictly ascending"},
+  };
+  for (const auto& [bundle, detail] : cases) {
+    ASSERT_TRUE(
+        precharac::save_artifact(path_, fingerprint, "test", *bundle).is_ok());
+    FaultAttackEvaluator recovered(soc::make_illegal_write_benchmark(),
+                                   cache_config());
+    EXPECT_EQ(recovered.precharac_cache().outcome, "corrupt") << detail;
+    EXPECT_EQ(recovered.precharac_cache().detail, detail);
+    EXPECT_TRUE(recovered.precharac_cache().stored);  // rewrote
+    expect_identical(campaign(fw()), campaign(recovered));
+  }
+
   FaultAttackEvaluator warm(soc::make_illegal_write_benchmark(),
                             cache_config());
   EXPECT_EQ(warm.precharac_cache().outcome, "hit");

@@ -86,6 +86,32 @@ TEST_F(Pipeline, MembershipQuery) {
   EXPECT_FALSE(cone.contains(-1, r4));
   EXPECT_FALSE(cone.contains(5, rs));   // out of extracted range
   EXPECT_FALSE(cone.contains(-5, rs));
+  EXPECT_FALSE(cone.contains(0, nl.node_count()));  // id past the netlist
+  EXPECT_FALSE(cone.contains(0, kInvalidNode));
+}
+
+TEST_F(Pipeline, LoadedConeMatchesExtractedMembership) {
+  // The artifact load path rebuilds membership from the stored frames; it
+  // must answer contains() like the extraction for every cell and frame.
+  const UnrolledCone extracted(nl, rs, 3, 2);
+  const UnrolledCone loaded(rs, nl.node_count(), extracted.fanin_frames(),
+                            extracted.fanout_frames());
+  for (int frame = -2; frame <= 3; ++frame) {
+    for (NodeId id = 0; id < nl.node_count(); ++id) {
+      if (!nl.is_comb_gate(id) && !nl.is_dff(id)) continue;
+      EXPECT_EQ(loaded.contains(frame, id), extracted.contains(frame, id))
+          << "frame " << frame << " node " << id;
+    }
+    EXPECT_FALSE(loaded.contains(frame, nl.node_count()));
+  }
+  EXPECT_EQ(loaded.all_fanin_registers(), extracted.all_fanin_registers());
+  EXPECT_EQ(loaded.all_fanin_gates(), extracted.all_fanin_gates());
+  // Ids past the netlist are rejected instead of read out of bounds.
+  std::vector<ConeFrame> fanin = extracted.fanin_frames();
+  fanin[1].gates.push_back(nl.node_count());
+  EXPECT_THROW(UnrolledCone(rs, nl.node_count(), fanin,
+                            extracted.fanout_frames()),
+               CheckError);
 }
 
 TEST_F(Pipeline, DepthZeroLimitsTraversal) {

@@ -201,6 +201,50 @@ TEST(SamplingModel, SamplesRespectAttackRanges) {
   }
 }
 
+TEST(GateTermTable, EveryEntryMatchesScalarDefinition) {
+  // Each entry against cone membership, the lifetime test and the scalar
+  // SignatureTrace::correlation, for every node of every row. max_frame
+  // passes the cone's fanin depth (12), so the row count is clamped; the
+  // large beta makes the lifetime test fail for part of the members.
+  const auto& nl = ctx().soc.netlist();
+  const NodeId rs = ctx().cone.responding_signal();
+  std::vector<double> lifetime(nl.node_count());
+  for (NodeId g = 0; g < nl.node_count(); ++g) {
+    lifetime[g] = model().lifetime_l(g);
+  }
+  for (const double beta : {1.0, 4.0}) {
+    const GateTermTable table(ctx().cone, ctx().signatures, lifetime, beta,
+                              20);
+    ASSERT_EQ(table.rows(), 13);
+    ASSERT_EQ(table.node_count(), nl.node_count());
+    int members = 0, short_lived = 0;
+    for (int f = 0; f < table.rows(); ++f) {
+      for (NodeId g = 0; g < nl.node_count(); ++g) {
+        double expect = -1.0;
+        if (ctx().cone.contains(f, g)) {
+          ++members;
+          if (lifetime[g] >= beta * f) {
+            expect = ctx().signatures.correlation(g, rs, f);
+          } else {
+            expect = 0.0;
+            ++short_lived;
+          }
+        }
+        ASSERT_EQ(table.term(f, g), expect)
+            << "beta " << beta << " frame " << f << " node " << g;
+      }
+    }
+    EXPECT_GT(members, 0);
+    if (beta > 1.0) {
+      EXPECT_GT(short_lived, 0);
+    }
+  }
+  // A window that ends before the fanin depth stops the rows there.
+  EXPECT_EQ(GateTermTable(ctx().cone, ctx().signatures, lifetime, 1.0, 4)
+                .rows(),
+            5);
+}
+
 TEST(SamplingModel, UnplacedCandidateThrows) {
   AttackModel bad = ctx().attack;
   bad.candidate_centers = {ctx().soc.netlist().inputs()[0]};  // PI: unplaced

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace fav::io {
 namespace {
@@ -55,6 +56,47 @@ TEST_F(IoTest, Crc32cChains) {
     const std::uint32_t whole =
         crc32c(data.data() + split, data.size() - split, head);
     EXPECT_EQ(whole, crc32c(data.data(), data.size())) << "split " << split;
+  }
+}
+
+/// Bytewise reference CRC32C: one bit at a time over the reflected
+/// Castagnoli polynomial, the definition the word-at-a-time crc32c must
+/// reproduce for every length, alignment and seed.
+std::uint32_t crc32c_reference(const unsigned char* p, std::size_t len,
+                               std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST_F(IoTest, Crc32cMatchesBytewiseReference) {
+  // 257 + 8 bytes of non-repeating data: every length 0..257 at each of the
+  // 8 start alignments, from a zero seed and chained from a prefix CRC.
+  std::vector<unsigned char> data(257 + 8);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t align = 0; align < 8; ++align) {
+    const unsigned char* base = data.data() + align;
+    for (std::size_t len = 0; len <= 257; ++len) {
+      EXPECT_EQ(crc32c(base, len), crc32c_reference(base, len, 0))
+          << "align " << align << " len " << len;
+      const std::size_t split = len / 3;
+      const std::uint32_t head = crc32c(base, split);
+      EXPECT_EQ(crc32c(base + split, len - split, head),
+                crc32c_reference(base, len, 0))
+          << "chained align " << align << " len " << len;
+      EXPECT_EQ(crc32c(base, len, 0xDEADBEEFu),
+                crc32c_reference(base, len, 0xDEADBEEFu))
+          << "seeded align " << align << " len " << len;
+    }
   }
 }
 
