@@ -229,11 +229,12 @@ BENCHMARK(BM_MonteCarloRunThreads)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Scalar vs word-parallel campaign split (Arg = EvaluatorConfig::batch_lanes,
-// threads fixed at 1). Arg(1) is the pre-batching scalar engine, Arg(64) the
-// full PPSFP path: 64 samples of any injection cycle per bit-parallel sweep,
-// each lane gathered from its cycle's golden settled row. Results are
-// bitwise identical across rows — only the schedule changes.
+// Campaign cost by word width (Arg = EvaluatorConfig::batch_lanes, threads
+// fixed at 1). Arg(1) runs one-lane words — one sweep, and one restore per
+// diverging sample — and Arg(64) the full PPSFP path: 64 samples of any
+// injection cycle per bit-parallel sweep, each lane gathered from its
+// cycle's golden settled row. Results are bitwise identical across rows —
+// only the schedule changes.
 void BM_MonteCarloRunBatchLanes(benchmark::State& state) {
   static core::FaultAttackEvaluator fw(soc::make_illegal_write_benchmark());
   static const faultsim::AttackModel attack = fw.subblock_attack_model(1.5, 50);

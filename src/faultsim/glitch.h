@@ -103,7 +103,6 @@ class GlitchTechnique final : public AttackTechnique {
   void flip_set(const netlist::LogicSimulator& sim, TechniqueScratch& scratch,
                 const FaultSample& sample,
                 std::vector<netlist::NodeId>& flipped) const override;
-  bool supports_batch() const override { return true; }
   void flip_set_batch(const netlist::WordSimulator& sim,
                       TechniqueScratch& scratch,
                       std::span<const FaultSample> samples,

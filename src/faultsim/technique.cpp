@@ -2,29 +2,6 @@
 
 namespace fav::faultsim {
 
-void AttackTechnique::flip_set_batch(
-    const netlist::WordSimulator& sim, TechniqueScratch& scratch,
-    std::span<const FaultSample> samples,
-    std::vector<std::vector<netlist::NodeId>>& flipped) const {
-  (void)sim;
-  (void)scratch;
-  (void)samples;
-  (void)flipped;
-  FAV_ENSURE_MSG(false, "technique '" << name()
-                                      << "' does not implement batch "
-                                      << "flip-set evaluation");
-}
-
-void AttackTechnique::enumerate(std::uint64_t begin, std::uint64_t end,
-                                std::vector<FaultSample>& out) const {
-  (void)begin;
-  (void)end;
-  (void)out;
-  FAV_ENSURE_MSG(false, "technique '" << name()
-                                      << "' has no bound fault space to "
-                                      << "enumerate (call bind_space first)");
-}
-
 void AttackTechnique::check_common(const FaultSample& sample) const {
   FAV_ENSURE_MSG(sample.technique == kind(),
                  "sample carries '" << technique_kind_name(sample.technique)

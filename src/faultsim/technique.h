@@ -63,26 +63,28 @@ class AttackTechnique {
   /// DFFs whose latched value flips during the injection cycle. `sim` must
   /// hold the cycle's settled values (soc::GateLevelMachine::settle_inputs);
   /// `flipped` is overwritten (sorted, unique node ids). Deterministic: the
-  /// same (sim state, sample) yields the same flip set on every call.
+  /// same (sim state, sample) yields the same flip set on every call. The
+  /// scalar reference: the engine evaluates through flip_set_batch(), and
+  /// this stays as its oracle and for the benchmark replay.
   virtual void flip_set(const netlist::LogicSimulator& sim,
                         TechniqueScratch& scratch, const FaultSample& sample,
                         std::vector<netlist::NodeId>& flipped) const = 0;
 
-  /// True if flip_set_batch() is implemented; the evaluator only packs
-  /// samples into word-parallel batches for techniques that opt in.
-  virtual bool supports_batch() const { return false; }
+  /// Always true: every technique implements flip_set_batch(), the engine's
+  /// only flip-set path. Kept only because the benchmark replay
+  /// (perfbench/favbench.cpp) still calls it.
+  bool supports_batch() const { return true; }
 
   /// Bit-parallel flip sets for up to 64 samples: lane l of `sim` holds the
   /// settled values of samples[l]'s injection cycle (lanes may come from
   /// different cycles), and lane l evaluates `samples[l]`. On return
   /// `flipped[l]` equals what flip_set() would produce for samples[l] on
-  /// that lane's values — bit for bit. The default
-  /// implementation throws; only call when supports_batch() is true.
+  /// that lane's values — bit for bit.
   virtual void flip_set_batch(const netlist::WordSimulator& sim,
                               TechniqueScratch& scratch,
                               std::span<const FaultSample> samples,
                               std::vector<std::vector<netlist::NodeId>>&
-                                  flipped) const;
+                                  flipped) const = 0;
 
   /// --- enumerable fault space -------------------------------------------
   /// Number of points in the technique's bound fault space; 0 means no
@@ -100,10 +102,9 @@ class AttackTechnique {
   /// (equal injection cycle) samples are consecutive and the engine's
   /// word-parallel batcher packs full lanes. Every emitted sample carries
   /// weight 1.0 — an exhaustive sweep averages the uniform holistic model
-  /// exactly. The default implementation throws; only call when
-  /// space_size() > 0.
+  /// exactly. Throws unless [begin, end) lies inside the bound space.
   virtual void enumerate(std::uint64_t begin, std::uint64_t end,
-                         std::vector<FaultSample>& out) const;
+                         std::vector<FaultSample>& out) const = 0;
 
  protected:
   /// Technique-independent sample checks shared by every implementation.
@@ -129,7 +130,6 @@ class RadiationTechnique final : public AttackTechnique {
   void flip_set(const netlist::LogicSimulator& sim, TechniqueScratch& scratch,
                 const FaultSample& sample,
                 std::vector<netlist::NodeId>& flipped) const override;
-  bool supports_batch() const override { return true; }
   void flip_set_batch(const netlist::WordSimulator& sim,
                       TechniqueScratch& scratch,
                       std::span<const FaultSample> samples,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <unordered_set>
 
 #include "mc/journal.h"
@@ -28,6 +29,28 @@ namespace {
 /// Per-outcome-path latency timer name ("eval.sample.<path>_ns").
 std::string path_timer_name(OutcomePath path) {
   return std::string("eval.sample.") + outcome_path_name(path) + "_ns";
+}
+
+/// The error code and reason a failed evaluation records.
+std::pair<ErrorCode, std::string> describe_failure(
+    const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const StatusError& e) {
+    return {e.code(), e.what()};
+  } catch (const std::exception& e) {
+    return {ErrorCode::kSampleEvalFailed, e.what()};
+  }
+}
+
+SampleRecord failed_record(const faultsim::FaultSample& sample,
+                           const std::exception_ptr& error, bool retried) {
+  SampleRecord rec;
+  rec.sample = sample;
+  rec.path = OutcomePath::kFailed;
+  std::tie(rec.fail_code, rec.fail_reason) = describe_failure(error);
+  rec.retried = retried;
+  return rec;
 }
 
 }  // namespace
@@ -170,105 +193,34 @@ SampleRecord SsfEvaluator::evaluate_sample(
 SampleRecord SsfEvaluator::evaluate_sample(const faultsim::FaultSample& sample,
                                            EvalScratch& scratch,
                                            MetricsSink* sink) const {
-  SampleRecord rec;
-  rec.sample = sample;
-  technique_->check_sample(sample);
-  if (static_cast<std::uint64_t>(sample.t) > target_cycle_) {
-    // Injection before the program starts: nothing to strike.
-    rec.te = 0;
-    rec.path = OutcomePath::kMasked;
-    return rec;
-  }
-  rec.te = target_cycle_ - static_cast<std::uint64_t>(sample.t);
-
-  // Gate-level injection cycle(s). Multi-cycle impact (sample.impact_cycles
-  // > 1) applies the same technique parameters on consecutive cycles: each
-  // cycle is settled on the *already-corrupted* state, its latched errors
-  // overlaid, and the machine advanced — the paper's "multi-cycle impact"
-  // extension.
-  EvalBudget budget(config_.cycle_budget, config_.sample_deadline_ms);
-  const RegisterMap& map = Machine::reg_map();
-
-  // The scratch machines are fully re-loaded here: restore_into rewrites the
-  // RTL state/RAM/cycle, and load_state + settle_inputs rewrite every
-  // register, input, and combinational value of the gate-level simulator —
-  // no state survives from the previous sample.
-  Machine& machine = scratch.machine_;
-  std::uint64_t warmup = 0;
-  {
-    ScopeTimer timer(sink, "eval.restore_ns");
-    golden_->restore_into(machine, rec.te, &warmup);
-  }
-  if (sink != nullptr) {
-    sink->add_counter("rtl.warmup_cycles", warmup);
-    sink->add_counter("rtl.restore_bytes", golden_->restore_byte_size());
-  }
-  budget.charge_cycles(warmup);
-  soc::GateLevelMachine& gate = scratch.gate_;
-  std::set<int> flipped;
-  {
-    ScopeTimer timer(sink, "eval.gate_inject_ns");
-    const std::uint64_t settles_before = gate.total_settles();
-    std::uint64_t injection_cycles = 0;
-    for (int j = 0; j < sample.impact_cycles && !machine.halted(); ++j) {
-      budget.charge_cycles(1);
-      ++injection_cycles;
-      gate.load_state(machine.state());
-      gate.mutable_ram() = machine.ram();
-      gate.settle_inputs();
-      technique_->flip_set(gate.sim(), scratch.technique_, sample,
-                           scratch.flipped_dffs_);
-      machine.step();
-      for (const netlist::NodeId dff : scratch.flipped_dffs_) {
-        const int bit = soc_->flat_bit_for_dff(dff);
-        FAV_CHECK(bit >= 0);
-        map.flip_bit(machine.mutable_state(), bit);
-        flipped.insert(bit);
-      }
-    }
-    if (sink != nullptr) {
-      sink->add_counter("gate.injection_cycles", injection_cycles);
-      sink->add_counter("gate.settle_passes",
-                        gate.total_settles() - settles_before);
-    }
-  }
-  rec.flipped_bits.assign(flipped.begin(), flipped.end());
-
-  // `machine` is already positioned just past the last injection cycle with
-  // every latched error overlaid; for impact_cycles == 1 this is exactly the
-  // state outcome_for_flips would reconstruct.
-  rec.success = decide_outcome(
-      machine, rec.flipped_bits,
-      rec.te + static_cast<std::uint64_t>(sample.impact_cycles), &rec.path,
-      budget, sink);
-  rec.contribution = rec.success ? sample.weight : 0.0;
-  return rec;
+  // A one-lane word: the campaign's packing verdict and word evaluation,
+  // except that a failure propagates instead of being isolated.
+  LanePlan plan = plan_lane(sample, scratch, sink);
+  const std::vector<faultsim::FaultSample> samples{sample};
+  std::vector<SampleRecord> records(1);
+  evaluate_word(samples, records, 0, 1, {&plan, 1}, scratch, sink,
+                /*timing=*/sink != nullptr, [](std::size_t, std::uint64_t) {});
+  if (plan.error) std::rethrow_exception(plan.error);
+  return std::move(records.front());
 }
 
 SampleRecord SsfEvaluator::evaluate_sample_isolated(
     const faultsim::FaultSample& sample,
     std::unique_ptr<EvalScratch>& scratch, MetricsSink* sink) const {
-  auto classify = [](const std::exception& e) {
-    if (const auto* se = dynamic_cast<const StatusError*>(&e)) {
-      return se->code();
-    }
-    return ErrorCode::kSampleEvalFailed;
-  };
-  ErrorCode code;
-  std::string reason;
+  std::exception_ptr error;
   try {
     return evaluate_sample(sample, *scratch, sink);
-  } catch (const std::exception& e) {
-    code = classify(e);
-    reason = e.what();
+  } catch (const std::exception&) {
+    error = std::current_exception();
   }
   // A cycle-budget overrun is deterministic — the retry would burn the same
   // cycles and fail identically, so only other failures are re-attempted,
   // on a *fresh* scratch in case the failed attempt left the machines in an
   // inconsistent state.
-  bool retried = false;
-  if (config_.retry_failed && code != ErrorCode::kCycleBudgetExceeded) {
-    retried = true;
+  const bool retry =
+      config_.retry_failed &&
+      describe_failure(error).first != ErrorCode::kCycleBudgetExceeded;
+  if (retry) {
     {
       ScopeTimer timer(sink, "eval.scratch_rebuild_ns");
       scratch = std::make_unique<EvalScratch>(*this);
@@ -277,18 +229,11 @@ SampleRecord SsfEvaluator::evaluate_sample_isolated(
       SampleRecord rec = evaluate_sample(sample, *scratch, sink);
       rec.retried = true;
       return rec;
-    } catch (const std::exception& e) {
-      code = classify(e);
-      reason = e.what();
+    } catch (const std::exception&) {
+      error = std::current_exception();
     }
   }
-  SampleRecord rec;
-  rec.sample = sample;
-  rec.path = OutcomePath::kFailed;
-  rec.fail_code = code;
-  rec.fail_reason = reason;
-  rec.retried = retried;
-  return rec;
+  return failed_record(sample, error, retry);
 }
 
 void SsfEvaluator::fold_record(ReduceState& state, SampleRecord&& rec) const {
@@ -449,13 +394,36 @@ void SsfEvaluator::merge_observers(WorkerObservers&& observers) const {
   }
 }
 
+SsfEvaluator::LanePlan SsfEvaluator::plan_lane(
+    const faultsim::FaultSample& sample, EvalScratch& sc,
+    MetricsSink* sink) const {
+  technique_->check_sample(sample);
+  LanePlan plan;
+  if (static_cast<std::uint64_t>(sample.t) > target_cycle_) return plan;
+  const std::uint64_t settles_before = sc.gate_.total_settles();
+  const std::uint64_t t0 = sink != nullptr ? monotonic_ns() : 0;
+  bool built = false;
+  plan.row = &settled_->row(
+      target_cycle_ - static_cast<std::uint64_t>(sample.t), sc.machine_,
+      sc.gate_, &built);
+  if (built && sink != nullptr) {
+    sink->add_timer_ns("eval.golden_rows_ns", monotonic_ns() - t0);
+    sink->add_counter("eval.golden_rows", 1);
+    sink->add_counter("rtl.warmup_cycles", plan.row->warmup);
+    sink->add_counter("rtl.restore_bytes", golden_->restore_byte_size());
+    sink->add_counter("gate.settle_passes",
+                      sc.gate_.total_settles() - settles_before);
+  }
+  return plan;
+}
+
 void SsfEvaluator::evaluate_range(
     const std::vector<faultsim::FaultSample>& samples,
     std::vector<SampleRecord>& records, std::size_t lo, std::size_t hi,
     std::vector<std::unique_ptr<EvalScratch>>& scratch,
     WorkerObservers* observers) const {
-  // Evaluate each sample into its own slot; workers reuse per-thread scratch
-  // machines. Block scheduling is dynamic (sample cost varies by outcome
+  // Evaluate each word into its samples' own slots; workers reuse per-thread
+  // scratch machines. Word scheduling is dynamic (cost varies by outcome
   // path), which is safe because slot writes, not schedule order, carry the
   // results. Instrumentation writes only into the worker's own sink/trace
   // slot (merged later), so observing a run cannot perturb it.
@@ -487,127 +455,105 @@ void SsfEvaluator::evaluate_range(
     }
     if (config_.on_sample) config_.on_sample(records[i], i);
   };
-  auto eval_one = [&](std::size_t worker, std::size_t i) {
-    const std::uint64_t t0 = timing ? monotonic_ns() : 0;
-    records[i] =
-        evaluate_sample_isolated(samples[i], scratch[worker], sink_for(worker));
-    publish(worker, i, t0);
-  };
 
-  // Word-parallel batching: pack samples into words of up to lane_cap lanes
-  // in sample order, whatever their injection cycle te; each lane reads its
-  // gate-level values from te's golden settled row. Eligibility mirrors the
-  // scalar flow exactly — a sample whose parameters fail check_sample, that
-  // lands before the program starts, that needs multi-cycle impact, or
-  // whose row cannot be built keeps its scalar evaluation (a singleton
-  // unit), which reproduces any failure. Packing and row building run
-  // sequentially on this thread from the sample order, so the unit list —
-  // and with it every record and counter — is identical at every thread
-  // count.
-  const std::size_t lane_cap = std::min<std::size_t>(config_.batch_lanes, 64);
-  const bool batching =
-      lane_cap >= 2 && technique_->supports_batch() && hi - lo >= 2;
-  // rows[i - lo]: sample i's golden row (null when it stays scalar).
-  std::vector<const soc::GoldenSettledTable::Row*> rows(hi - lo, nullptr);
-  MetricsSink* sink0 = sink_for(0);
-  auto find_row = [&](std::size_t i, std::uint64_t te) {
-    EvalScratch& sc = *scratch[0];
-    const std::uint64_t settles_before = sc.gate_.total_settles();
-    const std::uint64_t t0 = sink0 != nullptr ? monotonic_ns() : 0;
-    bool built = false;
-    try {
-      rows[i - lo] = &settled_->row(te, sc.machine_, sc.gate_, &built);
-    } catch (const std::exception&) {
-      return false;
-    }
-    if (built && sink0 != nullptr) {
-      sink0->add_timer_ns("eval.golden_rows_ns", monotonic_ns() - t0);
-      sink0->add_counter("eval.golden_rows", 1);
-      sink0->add_counter("rtl.warmup_cycles", rows[i - lo]->warmup);
-      sink0->add_counter("rtl.restore_bytes", golden_->restore_byte_size());
-      sink0->add_counter("gate.settle_passes",
-                         sc.gate_.total_settles() - settles_before);
-    }
-    return true;
-  };
-  std::vector<std::vector<std::size_t>> units;
-  std::size_t word = hi;  // the unit being filled; hi = none yet
+  // Packing: every sample is a lane, and words are consecutive runs of up
+  // to lane_cap samples, whatever their injection cycle te. Each lane's plan
+  // — its te's golden row, or the error check_sample or the row build threw
+  // — is settled here, sequentially on this thread, so the words and every
+  // record and counter are identical at every thread count.
+  const std::size_t lane_cap =
+      std::clamp<std::size_t>(config_.batch_lanes, 1, 64);
+  std::vector<LanePlan> plans(hi - lo);
   for (std::size_t i = lo; i < hi; ++i) {
-    const faultsim::FaultSample& s = samples[i];
-    bool eligible = batching && s.impact_cycles == 1;
-    if (eligible) {
-      try {
-        technique_->check_sample(s);
-      } catch (const std::exception&) {
-        eligible = false;  // the scalar path records the failure
-      }
+    try {
+      plans[i - lo] = plan_lane(samples[i], *scratch[0], sink_for(0));
+    } catch (const std::exception&) {
+      plans[i - lo].error = std::current_exception();
     }
-    if (eligible && static_cast<std::uint64_t>(s.t) > target_cycle_) {
-      eligible = false;  // early-masked: nothing to strike, stays scalar
-    }
-    if (eligible) {
-      eligible = find_row(i, target_cycle_ - static_cast<std::uint64_t>(s.t));
-    }
-    if (!eligible) {
-      units.push_back({i});
-      continue;
-    }
-    if (word == hi || units[word].size() == lane_cap) {
-      word = units.size();
-      units.emplace_back();
-    }
-    units[word].push_back(i);
   }
 
-  auto eval_unit = [&](std::size_t worker, std::size_t u) {
-    const std::vector<std::size_t>& unit = units[u];
-    if (unit.size() == 1) {
-      eval_one(worker, unit[0]);
-      return;
-    }
+  auto eval_word = [&](std::size_t worker, std::size_t w) {
+    const std::size_t begin = lo + w * lane_cap;
+    const std::size_t end = std::min(begin + lane_cap, hi);
     evaluate_word(
-        samples, records, unit, rows, lo, *scratch[worker], sink_for(worker),
-        timing, [&](std::size_t i) { eval_one(worker, i); },
+        samples, records, begin, end,
+        std::span<LanePlan>(plans).subspan(begin - lo, end - begin),
+        *scratch[worker], sink_for(worker), timing,
         [&](std::size_t i, std::uint64_t t0) { publish(worker, i, t0); });
+    // Isolation, once the word is done with the scratch: a cycle-budget
+    // overrun is deterministic and recorded as is; any other failure goes
+    // through evaluate_sample_isolated (a one-lane re-run, then one retry on
+    // fresh scratch).
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::exception_ptr& error = plans[i - lo].error;
+      if (!error) continue;
+      const std::uint64_t t0 = timing ? monotonic_ns() : 0;
+      records[i] = describe_failure(error).first ==
+                           ErrorCode::kCycleBudgetExceeded
+                       ? failed_record(samples[i], error, false)
+                       : evaluate_sample_isolated(samples[i], scratch[worker],
+                                                  sink_for(worker));
+      publish(worker, i, t0);
+    }
   };
+  const std::size_t words = (hi - lo + lane_cap - 1) / lane_cap;
   if (scratch.size() <= 1) {
-    for (std::size_t u = 0; u < units.size(); ++u) eval_unit(0, u);
+    for (std::size_t w = 0; w < words; ++w) eval_word(0, w);
     return;
   }
-  parallel_for(units.size(), scratch.size(), /*grain=*/batching ? 1 : 8,
+  parallel_for(words, scratch.size(), /*grain=*/1,
                [&](std::size_t worker, std::size_t b, std::size_t e) {
-                 for (std::size_t u = b; u < e; ++u) eval_unit(worker, u);
+                 for (std::size_t w = b; w < e; ++w) eval_word(worker, w);
                });
 }
 
 void SsfEvaluator::evaluate_word(
     const std::vector<faultsim::FaultSample>& samples,
-    std::vector<SampleRecord>& records, const std::vector<std::size_t>& unit,
-    const std::vector<const soc::GoldenSettledTable::Row*>& rows,
-    std::size_t lo, EvalScratch& sc, MetricsSink* sink, bool timing,
-    const std::function<void(std::size_t)>& scalar_eval,
+    std::vector<SampleRecord>& records, std::size_t begin, std::size_t end,
+    std::span<LanePlan> plans, EvalScratch& sc, MetricsSink* sink,
+    bool timing,
     const std::function<void(std::size_t, std::uint64_t)>& publish) const {
   std::uint64_t word_ns = 0;  // the shared phases, timed once per word
-  auto te_of = [&](std::size_t lane) {
-    return target_cycle_ - static_cast<std::uint64_t>(samples[unit[lane]].t);
+  auto te_of = [&](std::size_t i) {
+    return target_cycle_ - static_cast<std::uint64_t>(samples[i].t);
   };
-  auto row_of = [&](std::size_t lane) -> const soc::GoldenSettledTable::Row& {
-    return *rows[unit[lane] - lo];
+  auto row_of = [&](std::size_t i) -> const soc::GoldenSettledTable::Row& {
+    return *plans[i - begin].row;
   };
+
+  // Lanes without a row skip the sweep: one struck before the program
+  // starts is masked with te = 0, and one packing refused keeps its error.
+  // The rest are swept, in te order (lanes are independent, so their order
+  // in the word changes nothing but the restores below).
+  sc.lane_index_.clear();
+  for (std::size_t i = begin; i < end; ++i) {
+    const LanePlan& plan = plans[i - begin];
+    if (plan.row != nullptr) {
+      sc.lane_index_.push_back(i);
+    } else if (!plan.error) {
+      const std::uint64_t t0 = timing ? monotonic_ns() : 0;
+      records[i] = SampleRecord{};
+      records[i].sample = samples[i];
+      publish(i, t0);
+    }
+  }
+  const std::size_t lanes = sc.lane_index_.size();
+  if (lanes == 0) return;
+  std::stable_sort(
+      sc.lane_index_.begin(), sc.lane_index_.end(),
+      [&](std::size_t a, std::size_t b) { return te_of(a) < te_of(b); });
+  sc.lane_images_.clear();
+  sc.lane_samples_.clear();
+  for (const std::size_t i : sc.lane_index_) {
+    sc.lane_images_.push_back(&row_of(i).values);
+    sc.lane_samples_.push_back(samples[i]);
+  }
 
   // Shared phase: gather each lane's settled injection cycle from its te's
   // golden row, then one bit-parallel flip-set sweep for the whole word. No
   // budget is charged here — the per-lane finalization below replays the
-  // scalar charge sequence exactly, so budget overruns fail lane-by-lane
-  // with scalar-identical records.
-  const std::size_t lanes = unit.size();
-  sc.lane_images_.clear();
-  sc.lane_samples_.clear();
-  for (const std::size_t i : unit) {
-    sc.lane_images_.push_back(&rows[i - lo]->values);
-    sc.lane_samples_.push_back(samples[i]);
-  }
-  bool shared_ok = true;
+  // oracle's charge sequence exactly, so budget overruns fail lane by lane.
+  bool swept = true;
   {
     const std::uint64_t t0 = timing ? monotonic_ns() : 0;
     try {
@@ -626,119 +572,115 @@ void SsfEvaluator::evaluate_word(
         sink->add_counter("faultsim.sweep_nodes", visited);
       }
     } catch (const std::exception&) {
-      shared_ok = false;
+      // Deterministic: isolation reproduces the failure lane by lane.
+      swept = false;
+      for (const std::size_t i : sc.lane_index_) {
+        plans[i - begin].error = std::current_exception();
+      }
     }
     if (timing) word_ns += monotonic_ns() - t0;
   }
-  if (!shared_ok) {
-    // The sweep failed deterministically; the scalar replay reproduces the
-    // identical failure — and its retry / kFailed record — per sample.
+  if (!swept) {
     if (sink != nullptr) sink->add_timer_ns("eval.batch.word_ns", word_ns);
-    for (const std::size_t i : unit) scalar_eval(i);
     return;
   }
 
-  // Per-lane finalization, timed from its own start. `injected` is the
-  // lane's te just past the injection cycle (null for a masked lane).
+  // Per-lane finalization. A lane that can diverge — a flip in its first
+  // cycle, or later cycles still to strike — needs the post-injection
+  // machine of its te; lanes are in te order, so each distinct te costs one
+  // restore + injection-cycle step, shared by its lanes. A lane is timed
+  // from its own start, after that restore.
   const RegisterMap& map = Machine::reg_map();
-  auto finalize = [&](std::size_t l, const Machine* injected) {
-    const std::size_t i = unit[l];
-    const std::uint64_t t0 = timing ? monotonic_ns() : 0;
-    const faultsim::FaultSample& s = samples[i];
-    const soc::GoldenSettledTable::Row& row = row_of(l);
-    SampleRecord rec;
-    bool done = false;
-    try {
-      rec.sample = s;
-      rec.te = te_of(l);
-      // Replay the scalar budget charges: warm-up after restore, then one
-      // cycle for the injection cycle (skipped when the machine was already
-      // halted, exactly as the scalar loop guard skips it — the scalar flow
-      // then flips nothing either).
-      EvalBudget budget(config_.cycle_budget, config_.sample_deadline_ms);
-      budget.charge_cycles(row.warmup);
-      if (!row.halted) budget.charge_cycles(1);
-      if (injected != nullptr) {
-        std::set<int> flipped;
-        for (const netlist::NodeId dff : sc.lane_flips_[l]) {
-          const int bit = soc_->flat_bit_for_dff(dff);
-          FAV_CHECK(bit >= 0);
-          flipped.insert(bit);
-        }
-        rec.flipped_bits.assign(flipped.begin(), flipped.end());
-        // Only diverging lanes pay for an RTL resume: copy the post-injection
-        // state of their te, overlay this lane's errors, and decide.
-        sc.resume_ = *injected;
-        for (const int bit : rec.flipped_bits) {
-          map.flip_bit(sc.resume_.mutable_state(), bit);
-        }
-        rec.success = decide_outcome(sc.resume_, rec.flipped_bits,
-                                     rec.te + 1, &rec.path, budget, sink);
-      }
-      rec.contribution = rec.success ? s.weight : 0.0;
-      done = true;
-    } catch (const StatusError& e) {
-      if (e.code() == ErrorCode::kCycleBudgetExceeded) {
-        // Deterministic overrun: the scalar path records it without retry.
-        rec = SampleRecord{};
-        rec.sample = s;
-        rec.path = OutcomePath::kFailed;
-        rec.fail_code = e.code();
-        rec.fail_reason = e.what();
-        done = true;
-      }
-    } catch (const std::exception&) {
-      // Fall through to the scalar replay below.
+  auto overlay = [&](const std::vector<netlist::NodeId>& dffs,
+                     std::set<int>& flipped) {
+    for (const netlist::NodeId dff : dffs) {
+      const int bit = soc_->flat_bit_for_dff(dff);
+      FAV_CHECK(bit >= 0);
+      map.flip_bit(sc.resume_.mutable_state(), bit);
+      flipped.insert(bit);
     }
-    if (!done) {
-      // Retryable failure (deadline, check failure, ...): the scalar replay
-      // owns the full isolation protocol, including the fresh-scratch retry.
-      scalar_eval(i);
-      return;
-    }
-    records[i] = std::move(rec);
-    publish(i, t0);
   };
-
-  // Masked lanes finish at once. Lanes that flipped bits are sorted by te,
-  // so each distinct te costs one restore + injection-cycle step.
-  sc.flipping_lanes_.clear();
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (row_of(l).halted || sc.lane_flips_[l].empty()) {
-      finalize(l, nullptr);
-    } else {
-      sc.flipping_lanes_.push_back(l);
-    }
-  }
-  std::stable_sort(
-      sc.flipping_lanes_.begin(), sc.flipping_lanes_.end(),
-      [&](std::size_t a, std::size_t b) { return te_of(a) < te_of(b); });
   std::uint64_t restores = 0;
-  bool restored = false;
-  for (std::size_t k = 0; k < sc.flipping_lanes_.size(); ++k) {
-    const std::size_t l = sc.flipping_lanes_[k];
-    if (k == 0 || te_of(l) != te_of(sc.flipping_lanes_[k - 1])) {
+  std::uint64_t restored_te = 0;  // the te sc.machine_ holds once restores > 0
+  std::exception_ptr restore_error;
+  for (std::size_t k = 0; k < lanes; ++k) {
+    const std::size_t i = sc.lane_index_[k];
+    const faultsim::FaultSample& s = samples[i];
+    const soc::GoldenSettledTable::Row& row = row_of(i);
+    const bool diverges =
+        !row.halted && (!sc.lane_flips_[k].empty() || s.impact_cycles > 1);
+    if (diverges && (restores == 0 || restored_te != te_of(i))) {
       const std::uint64_t t0 = timing ? monotonic_ns() : 0;
+      restored_te = te_of(i);
+      restore_error = nullptr;
       try {
         ScopeTimer timer(sink, "eval.restore_ns");
-        golden_->restore_into(sc.machine_, te_of(l));
+        golden_->restore_into(sc.machine_, restored_te);
         sc.machine_.step();
-        restored = true;
       } catch (const std::exception&) {
-        restored = false;
+        restore_error = std::current_exception();
       }
       if (timing) word_ns += monotonic_ns() - t0;
       ++restores;
       if (sink != nullptr) {
-        sink->add_counter("rtl.warmup_cycles", row_of(l).warmup);
+        sink->add_counter("rtl.warmup_cycles", row.warmup);
         sink->add_counter("rtl.restore_bytes", golden_->restore_byte_size());
       }
     }
-    if (restored) {
-      finalize(l, &sc.machine_);
-    } else {
-      scalar_eval(unit[l]);
+    if (diverges && restore_error) {
+      plans[i - begin].error = restore_error;
+      continue;
     }
+    const std::uint64_t t0 = timing ? monotonic_ns() : 0;
+    SampleRecord rec;
+    try {
+      rec.sample = s;
+      rec.te = te_of(i);
+      // The oracle's budget charges: warm-up after restore, then one cycle
+      // per injection cycle run (none when the machine was already halted,
+      // which then flips nothing either).
+      EvalBudget budget(config_.cycle_budget, config_.sample_deadline_ms);
+      budget.charge_cycles(row.warmup);
+      if (!row.halted) budget.charge_cycles(1);
+      if (diverges) {
+        // Only lanes that can diverge pay for an RTL resume: copy the
+        // post-injection state of their te and overlay this lane's errors.
+        sc.resume_ = sc.machine_;
+        std::set<int> flipped;
+        overlay(sc.lane_flips_[k], flipped);
+        // Multi-cycle impact: each later cycle is settled on the lane's
+        // already-corrupted machine and struck as a one-lane word.
+        for (int j = 1; j < s.impact_cycles && !sc.resume_.halted(); ++j) {
+          budget.charge_cycles(1);
+          ScopeTimer timer(sink, "eval.gate_inject_ns");
+          const std::uint64_t settles_before = sc.gate_.total_settles();
+          sc.gate_.load_state(sc.resume_.state());
+          sc.gate_.mutable_ram() = sc.resume_.ram();
+          sc.gate_.settle_inputs();
+          sc.gate_.broadcast_settled(sc.words_);
+          technique_->flip_set_batch(sc.words_, sc.technique_, {&s, 1},
+                                     sc.cycle_flips_);
+          sc.resume_.step();
+          overlay(sc.cycle_flips_.front(), flipped);
+          if (sink != nullptr) {
+            sink->add_counter("gate.injection_cycles", 1);
+            sink->add_counter("gate.settle_passes",
+                              sc.gate_.total_settles() - settles_before);
+          }
+        }
+        rec.flipped_bits.assign(flipped.begin(), flipped.end());
+        rec.success = decide_outcome(
+            sc.resume_, rec.flipped_bits,
+            rec.te + static_cast<std::uint64_t>(s.impact_cycles), &rec.path,
+            budget, sink);
+      }
+      rec.contribution = rec.success ? s.weight : 0.0;
+    } catch (const std::exception&) {
+      plans[i - begin].error = std::current_exception();
+      continue;
+    }
+    records[i] = std::move(rec);
+    publish(i, t0);
   }
   if (sink != nullptr) {
     sink->add_counter("eval.batch_groups", 1);

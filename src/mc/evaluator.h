@@ -1,17 +1,25 @@
 // Cross-level Monte Carlo SSF evaluation engine (paper Fig. 5).
 //
 // For each fault sample (t, p):
-//   1. Te = Tt - t; restore the RTL machine from the nearest golden
-//      checkpoint and warm up to Te,
-//   2. hand the state to the gate level, settle the injection cycle, and ask
-//      the AttackTechnique for the latched bit errors its parameters p cause
-//      (radiation: transient simulation; clock glitch: setup-miss analysis),
+//   1. Te = Tt - t; the injection cycle's gate-level values come from the
+//      golden settled row of Te (soc/golden_settled.h): the cycle is
+//      fault-free until the fault strikes,
+//   2. ask the AttackTechnique for the latched bit errors its parameters p
+//      cause (radiation: transient simulation; clock/voltage glitch:
+//      setup-miss analysis),
 //   3. if no bits flipped            -> masked, e = 0,
 //      if only memory-type bits flip -> analytical evaluation,
-//      otherwise                     -> inject the errors back into the RTL
-//                                       model, resume to completion, apply
-//                                       the benchmark's success oracle,
+//      otherwise                     -> restore the RTL machine to Te, step
+//                                       the injection cycle, overlay the
+//                                       errors, resume to completion and
+//                                       apply the benchmark's success oracle,
 //   4. accumulate e * (f/g) into the importance-weighted SSF estimate.
+//
+// There is one evaluation path: every sample is a lane of a 64-lane word
+// (DESIGN.md §6i). Samples are packed in sample order, whatever their
+// injection cycle, and each word runs one bit-parallel flip-set sweep; a
+// single evaluate_sample() call is a one-lane word. The scalar per-sample
+// flow survives only as the test oracle (tests/mc/scalar_oracle.h).
 //
 // The engine is technique-generic: only step 2's flip-set computation is
 // delegated (see faultsim/technique.h), so every technique inherits the
@@ -29,9 +37,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "faultsim/injection.h"
@@ -172,15 +182,13 @@ struct EvaluatorConfig {
   /// Retry a failed evaluation once on fresh scratch before recording
   /// kFailed (cycle-budget overruns are deterministic and never retried).
   bool retry_failed = true;
-  /// Word-parallel batching width: samples with impact_cycles == 1 are
-  /// packed, in sample order and whatever their injection cycle te, up to
-  /// `batch_lanes` at a time into one bit-parallel topological sweep (lane =
-  /// sample = one bit of a 64-bit word); each lane's gate-level values come
-  /// from its te's golden settled row (soc/golden_settled.h). 0 or 1
-  /// disables batching; values above 64 are clamped. Batching never changes
-  /// results: every record is bitwise identical to the scalar path at every
-  /// lane count and thread count — packing only changes how the work is
-  /// scheduled.
+  /// Word width: samples are packed, in sample order and whatever their
+  /// injection cycle te, up to `batch_lanes` at a time into one
+  /// bit-parallel sweep (lane = sample = one bit of a 64-bit word); each
+  /// lane's gate-level values come from its te's golden settled row
+  /// (soc/golden_settled.h). Values are clamped to [1, 64]. The width never
+  /// changes results: every record is bitwise identical at every width and
+  /// thread count — it only decides where words break.
   std::size_t batch_lanes = 64;
 
   /// --- observability (util/metrics.h; all optional, null = disabled) ----
@@ -239,13 +247,15 @@ class EvalBudget {
 
 class SsfEvaluator;
 
-/// Reusable per-worker evaluation state: one RTL machine, one gate-level
-/// machine, and the technique/flip-set query buffers, constructed once and
-/// re-loaded for every sample. Constructing a GateLevelMachine allocates the
-/// full logic-simulator state (~every net of the SoC) and a 64K-word RAM;
-/// doing that per sample dominates the masked-sample path, so the engine
-/// keeps one scratch per worker thread. Not thread-safe: one scratch per
-/// thread.
+/// Reusable per-worker evaluation state, constructed once and re-loaded for
+/// every word: the 64-lane simulator the lanes' golden rows are gathered
+/// into, the RTL machine holding the post-injection state of one te, the
+/// machine a diverging lane resumes on (a copy, so the te's machine stays
+/// valid for its other lanes), the gate-level machine a multi-cycle lane
+/// settles its later cycles on, and the technique/lane buffers.
+/// Constructing the machines allocates the full logic-simulator state and a
+/// 64K-word RAM, so the engine keeps one scratch per worker thread. Not
+/// thread-safe: one scratch per thread.
 class EvalScratch {
  public:
   explicit EvalScratch(const SsfEvaluator& evaluator);
@@ -255,18 +265,13 @@ class EvalScratch {
   rtl::Machine machine_;
   soc::GateLevelMachine gate_;
   faultsim::TechniqueScratch technique_;
-  std::vector<netlist::NodeId> flipped_dffs_;
-  /// Word-parallel batch state: the 64-lane simulator the lanes' golden
-  /// rows are gathered into, the per-lane image/sample/flip buffers, and
-  /// the machine a diverging lane's RTL resume runs on (copied from the
-  /// post-injection state of its te so machine_ stays valid for the other
-  /// lanes of that te).
   netlist::WordSimulator words_;
   rtl::Machine resume_;
+  std::vector<std::size_t> lane_index_;  // sample index of each swept lane
   std::vector<const BitVector*> lane_images_;
   std::vector<faultsim::FaultSample> lane_samples_;
   std::vector<std::vector<netlist::NodeId>> lane_flips_;
-  std::vector<std::size_t> flipping_lanes_;
+  std::vector<std::vector<netlist::NodeId>> cycle_flips_;
 };
 
 /// Options for crash-safe journaled campaigns (see mc/journal.h for the
@@ -326,30 +331,29 @@ class SsfEvaluator {
   /// invalid samples and budget overruns — campaign loops use the isolated
   /// variant below instead.
   SampleRecord evaluate_sample(const faultsim::FaultSample& sample) const;
-  /// Same, reusing `scratch`'s machines and buffers. Thread-safe as long as
-  /// each thread uses its own scratch: the evaluator itself is only read.
-  /// A non-null `sink` receives the per-phase time split of this sample
-  /// (eval.restore_ns / eval.gate_inject_ns / eval.rtl_resume_ns /
-  /// eval.analytical_ns) and simulation-cost counters (rtl.warmup_cycles,
-  /// rtl.restore_bytes, rtl.resume_cycles, gate.injection_cycles,
-  /// gate.settle_passes); the sink must be private to the calling thread.
+  /// Same, reusing `scratch`'s machines and buffers: the sample runs as a
+  /// one-lane word of the campaign path. Thread-safe as long as each thread
+  /// uses its own scratch: the evaluator itself is only read. A non-null
+  /// `sink` receives the word's phase timers and simulation-cost counters
+  /// (DESIGN.md §6i); the sink must be private to the calling thread.
   SampleRecord evaluate_sample(const faultsim::FaultSample& sample,
                                EvalScratch& scratch,
                                MetricsSink* sink = nullptr) const;
 
-  /// Fault-isolated evaluation: never throws on a per-sample failure.
-  /// Exceptions and budget overruns are captured; non-deterministic failures
-  /// are retried once on a fresh scratch (replacing `scratch`), and a sample
-  /// that still fails returns a record with path == OutcomePath::kFailed
-  /// carrying the error code and reason.
+  /// Fault-isolated evaluation, the campaign's isolation routine: never
+  /// throws on a per-sample failure. Runs the sample as a one-lane word;
+  /// a failure other than a (deterministic) cycle-budget overrun is retried
+  /// once on a fresh scratch (replacing `scratch`), and a sample that still
+  /// fails returns a record with path == OutcomePath::kFailed carrying the
+  /// error code and reason.
   SampleRecord evaluate_sample_isolated(
       const faultsim::FaultSample& sample,
       std::unique_ptr<EvalScratch>& scratch,
       MetricsSink* sink = nullptr) const;
 
   /// Decides the outcome of a given flipped-bit set injected at the end of
-  /// cycle `te` (used by evaluate_sample and by hardening re-evaluation,
-  /// which filters flip sets).
+  /// cycle `te` (used by hardening re-evaluation, which filters flip sets,
+  /// and by the layer-by-layer benchmark replay).
   bool outcome_for_flips(std::uint64_t te, const std::vector<int>& flips,
                          OutcomePath* path = nullptr) const;
 
@@ -430,6 +434,15 @@ class SsfEvaluator {
     std::vector<TraceBuffer> traces;
   };
 
+  /// One lane of a word: its golden row from packing, and the error that
+  /// keeps it from a record — a failed check_sample or row build, or what
+  /// the lane threw in its word. Both empty: the sample strikes before the
+  /// program starts (t > Tt).
+  struct LanePlan {
+    const soc::GoldenSettledTable::Row* row = nullptr;
+    std::exception_ptr error;
+  };
+
   /// Evaluates samples[lo, hi) into records[lo, hi) on the worker pool,
   /// reusing `scratch` (one slot per worker; isolated evaluation). Golden
   /// settled rows the range needs and the table lacks are built first, on
@@ -440,24 +453,27 @@ class SsfEvaluator {
                       std::size_t hi,
                       std::vector<std::unique_ptr<EvalScratch>>& scratch,
                       WorkerObservers* observers) const;
-  /// Evaluates one word of batch-eligible samples (unit = their indices,
-  /// any mix of injection cycles; rows[i - lo] = sample i's golden row)
-  /// through the word-parallel path: gather each lane from its te's row,
-  /// one bit-parallel flip-set sweep, one restore + step per distinct te
-  /// among the lanes that flipped bits, then per-lane finalization with
-  /// scalar-identical budget accounting, each finished record handed to
-  /// `publish(i, t0)` with its finalization start. Lanes the batch path
-  /// cannot finish identically (non-budget exceptions) are replayed through
-  /// `scalar_eval(i)`, the same per-sample evaluation the scalar engine
-  /// runs, so every record stays bitwise-identical to the scalar baseline.
+  /// Evaluates the word samples[begin, end) (plans[i - begin] = sample i's
+  /// plan, any mix of injection cycles): gather each swept lane from its
+  /// te's row, one bit-parallel flip-set sweep, one restore + step per
+  /// distinct te among the lanes that can diverge, then per-lane
+  /// finalization with the oracle's budget accounting. A multi-cycle lane
+  /// strikes its later cycles on its own corrupted machine as one-lane
+  /// words. Each finished record is handed to `publish(i, t0)` with its
+  /// finalization start; a lane that throws keeps the exception in its
+  /// plan, and it and any lane packing refused leave their records
+  /// untouched.
   void evaluate_word(
       const std::vector<faultsim::FaultSample>& samples,
-      std::vector<SampleRecord>& records,
-      const std::vector<std::size_t>& unit,
-      const std::vector<const soc::GoldenSettledTable::Row*>& rows,
-      std::size_t lo, EvalScratch& scratch, MetricsSink* sink, bool timing,
-      const std::function<void(std::size_t)>& scalar_eval,
+      std::vector<SampleRecord>& records, std::size_t begin, std::size_t end,
+      std::span<LanePlan> plans, EvalScratch& scratch, MetricsSink* sink,
+      bool timing,
       const std::function<void(std::size_t, std::uint64_t)>& publish) const;
+  /// Packing of one sample: check_sample, then its te's golden settled row,
+  /// built on `scratch` if the table lacks it (the build's cost lands in
+  /// `sink`). Throws what the check or the build throws.
+  LanePlan plan_lane(const faultsim::FaultSample& sample, EvalScratch& scratch,
+                     MetricsSink* sink) const;
   WorkerObservers make_observers(std::size_t workers) const;
   /// Folds the per-worker sinks/traces into config_.metrics/config_.trace
   /// in worker-index order.

@@ -423,7 +423,7 @@ TEST(FrameworkTechnique, DefaultGlitchSweepFlipSetsArePinned) {
   // The default 200-point exhaustive sweep on `write` has SSF exactly 0 for
   // both kinds, so only the flip sets show whether a refactor preserved each
   // kind's threshold rule. The digests were recorded when clock and voltage
-  // glitch still had separate simulators; scalar and 64-lane sweeps must
+  // glitch still had separate simulators; one-lane and 64-lane words must
   // both reproduce them.
   const FaultAttackEvaluator& f = glitch_fw();
   const struct {

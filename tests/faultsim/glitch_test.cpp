@@ -2,13 +2,17 @@
 // per-kind threshold analysis on a netlist with known path depths, the exact
 // floating-point boundary of each kind's rule, attack-model validation, and
 // the enumerable-fault-space contract (index-stable, chunk-invariant,
-// t-major) the exhaustive sweep keys on. Properties shared by both
-// kinds are written once and run under each kind's test suite.
+// t-major) the exhaustive sweep keys on, and the word-parallel flip sets
+// against the scalar ones lane by lane. Properties shared by both kinds are
+// written once and run under each kind's test suite.
 #include "faultsim/glitch.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "gen/builder.h"
@@ -337,6 +341,95 @@ TEST(ClockGlitchTechnique, EnumerationIsTMajorIndexStableAndChunkInvariant) {
 }
 TEST(VoltageGlitchTechnique, EnumerationIsTMajorIndexStableAndChunkInvariant) {
   expect_technique_enumeration_t_major_index_stable_chunk_invariant(kVoltage);
+}
+
+// --- word-parallel flip sets ------------------------------------------------
+
+// Nine registers behind NOT chains of 0..8 gates, each fed by its own input:
+// every register has its own D arrival, so a level splits them into those
+// that meet setup and those that miss it.
+struct Chains {
+  Netlist nl;
+  std::vector<NodeId> regs;
+  Chains() {
+    for (int k = 0; k <= 8; ++k) {
+      NodeId cur = nl.add_input("in" + std::to_string(k));
+      for (int i = 0; i < k; ++i) cur = nl.add_gate(CellType::kNot, {cur});
+      const NodeId r = nl.add_dff("r" + std::to_string(k));
+      nl.connect_dff(r, cur);
+      regs.push_back(r);
+    }
+  }
+};
+
+TEST(GlitchTechnique, FlipSetBatchMatchesScalarLaneByLane) {
+  // Every lane gets its own random inputs and register values (divergent
+  // settled states) and a level one ulp either side of some register's
+  // misses_setup threshold; flip_set_batch must equal flip_set per lane.
+  const Chains c;
+  const GlitchSimulator glitch(c.nl);
+  const double period = glitch.timing().clock_period();
+  const double setup = glitch.timing().model().setup_time;
+  for (const TechniqueKind kind : {kClock, kVoltage}) {
+    SCOPED_TRACE(technique_kind_name(kind));
+    const GlitchTechnique technique(glitch, kind);
+    std::vector<double> levels;
+    for (const NodeId r : c.regs) {
+      const double arrival = glitch.timing().arrival(c.nl.node(r).fanins[0]);
+      const double threshold = kind == TechniqueKind::kClockGlitch
+                                   ? (arrival + setup) / period
+                                   : 1.0 - arrival / (period - setup);
+      if (threshold <= 0.0 || threshold >= 1.0) continue;
+      levels.push_back(std::nextafter(threshold, 0.0));
+      levels.push_back(std::nextafter(threshold, 1.0));
+    }
+    ASSERT_GE(levels.size(), 8u);
+    std::mt19937 gen(2017);
+    std::size_t flips = 0;
+    std::size_t held = 0;  // D != Q, yet setup met: no error
+    for (const int lanes : {1, 7, 64}) {
+      netlist::WordSimulator words(c.nl);
+      std::vector<LogicSimulator> scalar;
+      scalar.reserve(lanes);
+      std::vector<FaultSample> samples(lanes);
+      for (int l = 0; l < lanes; ++l) {
+        scalar.emplace_back(c.nl);
+        for (const NodeId in : c.nl.inputs()) {
+          const bool v = gen() & 1;
+          scalar[l].set_input(in, v);
+          words.set_input_lane(in, l, v);
+        }
+        for (const NodeId r : c.regs) {
+          const bool v = gen() & 1;
+          scalar[l].set_register(r, v);
+          words.set_register_lane(r, l, v);
+        }
+        scalar[l].evaluate_comb();
+        samples[l].technique = kind;
+        samples[l].depth = levels[gen() % levels.size()];
+      }
+      words.evaluate_comb();
+      TechniqueScratch scratch;
+      std::vector<std::vector<NodeId>> flipped;
+      technique.flip_set_batch(words, scratch, samples, flipped);
+      ASSERT_EQ(flipped.size(), static_cast<std::size_t>(lanes));
+      for (int l = 0; l < lanes; ++l) {
+        std::vector<NodeId> reference;
+        technique.flip_set(scalar[l], scratch, samples[l], reference);
+        EXPECT_EQ(flipped[l], reference) << "lanes " << lanes << " lane " << l;
+        std::size_t changing = 0;
+        for (const NodeId r : c.regs) {
+          changing += scalar[l].value(c.nl.node(r).fanins[0]) !=
+                      scalar[l].value(r);
+        }
+        flips += reference.size();
+        held += changing - reference.size();
+      }
+    }
+    // Both sides of the thresholds were exercised.
+    EXPECT_GT(flips, 0u);
+    EXPECT_GT(held, 0u);
+  }
 }
 
 }  // namespace

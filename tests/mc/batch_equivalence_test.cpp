@@ -1,9 +1,9 @@
-// The word-parallel batching contract (DESIGN.md §6i): packing samples of
+// The word-parallel contract (DESIGN.md §6i): the engine packs samples of
 // any injection cycle up to 64 per bit-parallel sweep, each lane gathered
-// from its cycle's golden settled row, is a pure scheduling change. Every
-// SsfResult — records, fail codes, traces, contributions — must be bitwise
-// identical to the scalar path at every lane count, thread count, and
-// through journaled kill-and-resume.
+// from its cycle's golden settled row, and that is its only evaluation
+// path. Every SsfResult — records, fail codes, traces, contributions — must
+// be bitwise identical to the scalar reference model (scalar_oracle.h) at
+// every word width, thread count, and through journaled kill-and-resume.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -14,6 +14,7 @@
 
 #include "faultsim/glitch.h"
 #include "mc/evaluator.h"
+#include "scalar_oracle.h"
 #include "precharac/sampling_model.h"
 #include "soc/benchmark.h"
 #include "util/metrics.h"
@@ -71,69 +72,51 @@ std::string fresh_dir(const std::string& name) {
   return dir.string();
 }
 
-/// Bitwise equality down to the failure metadata — batching must reproduce
-/// even the scalar path's deterministic failures record for record.
-void expect_bitwise_equal(const SsfResult& a, const SsfResult& b) {
-  EXPECT_EQ(a.ssf(), b.ssf());
-  EXPECT_EQ(a.sample_variance(), b.sample_variance());
-  EXPECT_EQ(a.stats.count(), b.stats.count());
-  EXPECT_EQ(a.stats.min(), b.stats.min());
-  EXPECT_EQ(a.stats.max(), b.stats.max());
-  EXPECT_EQ(a.masked, b.masked);
-  EXPECT_EQ(a.analytical, b.analytical);
-  EXPECT_EQ(a.rtl, b.rtl);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.successes, b.successes);
-  EXPECT_EQ(a.total_weight, b.total_weight);
-  EXPECT_EQ(a.failure_counts, b.failure_counts);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.bit_contribution, b.bit_contribution);
-  EXPECT_EQ(a.field_contribution, b.field_contribution);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].te, b.records[i].te) << i;
-    EXPECT_EQ(a.records[i].flipped_bits, b.records[i].flipped_bits) << i;
-    EXPECT_EQ(a.records[i].path, b.records[i].path) << i;
-    EXPECT_EQ(a.records[i].success, b.records[i].success) << i;
-    EXPECT_EQ(a.records[i].contribution, b.records[i].contribution) << i;
-    EXPECT_EQ(a.records[i].fail_code, b.records[i].fail_code) << i;
-    EXPECT_EQ(a.records[i].fail_reason, b.records[i].fail_reason) << i;
-    EXPECT_EQ(a.records[i].retried, b.records[i].retried) << i;
-  }
-}
-
 SsfResult run_with(std::size_t batch_lanes, std::size_t threads,
                    std::uint64_t seed, std::size_t n,
                    MetricsSink* sink = nullptr,
-                   std::uint64_t cycle_budget = 0) {
+                   std::uint64_t cycle_budget = 0,
+                   const faultsim::AttackModel& attack = test_attack()) {
   EvaluatorConfig cfg;
   cfg.batch_lanes = batch_lanes;
   cfg.threads = threads;
   cfg.metrics = sink;
   cfg.cycle_budget = cycle_budget;
   const SsfEvaluator ev = ctx().make(cfg);
-  const auto attack = test_attack();
   RandomSampler sampler(attack);
   Rng rng(seed);
   return ev.run(sampler, rng, n);
 }
 
-TEST(BatchEquivalence, LaneAndThreadCountsAreBitwiseIdentical) {
-  MetricsSink scalar_sink;
-  const SsfResult scalar =
-      run_with(/*batch_lanes=*/1, /*threads=*/1, 31, 300, &scalar_sink);
-  EXPECT_EQ(scalar_sink.counter("eval.batch_groups"), 0u);
+/// The scalar oracle over the same sample stream run_with draws.
+SsfResult oracle_with(std::uint64_t seed, std::size_t n,
+                      std::uint64_t cycle_budget = 0,
+                      const faultsim::AttackModel& attack = test_attack()) {
+  EvaluatorConfig cfg;
+  cfg.cycle_budget = cycle_budget;
+  const SsfEvaluator ev = ctx().make(cfg);
+  RandomSampler sampler(attack);
+  Rng rng(seed);
+  return ScalarOracle(ev).run(ev.draw_batch(sampler, rng, n));
+}
 
-  for (const std::size_t lanes : {2u, 7u, 64u}) {
-    for (const std::size_t threads : {1u, 4u}) {
-      SCOPED_TRACE("lanes=" + std::to_string(lanes) +
-                   " threads=" + std::to_string(threads));
+std::string grid_point(std::size_t lanes, std::size_t threads) {
+  return "lanes=" + std::to_string(lanes) +
+         " threads=" + std::to_string(threads);
+}
+
+TEST(BatchEquivalence, LaneAndThreadCountsAreBitwiseIdentical) {
+  const SsfResult oracle = oracle_with(31, 300);
+  ASSERT_GT(oracle.rtl + oracle.analytical, 0u);
+  for (const std::size_t lanes : kOracleLanes) {
+    for (const std::size_t threads : kOracleThreads) {
+      SCOPED_TRACE(grid_point(lanes, threads));
       MetricsSink sink;
       const SsfResult batched = run_with(lanes, threads, 31, 300, &sink);
-      expect_bitwise_equal(batched, scalar);
-      // The runs above must actually exercise the batch path, not fall back.
-      EXPECT_GT(sink.counter("eval.batch_groups"), 0u);
-      EXPECT_GT(sink.counter("eval.batch_lanes"), 0u);
+      expect_bitwise_equal(batched, oracle);
+      // Every sample is a lane, and words break every `lanes` samples.
+      EXPECT_EQ(sink.counter("eval.batch_lanes"), 300u);
+      EXPECT_EQ(sink.counter("eval.batch_groups"), (300 + lanes - 1) / lanes);
       EXPECT_EQ(sink.counter("eval.batch_restore_saved"),
                 sink.counter("eval.batch_lanes") -
                     sink.counter("eval.batch_restores"));
@@ -143,21 +126,63 @@ TEST(BatchEquivalence, LaneAndThreadCountsAreBitwiseIdentical) {
 
 TEST(BatchEquivalence, CycleBudgetFailuresAreIdenticalLaneForLane) {
   // A tight budget makes some samples fail deterministically with
-  // kCycleBudgetExceeded. The batch path replays the scalar budget charges
+  // kCycleBudgetExceeded. The engine replays the oracle's budget charges
   // per lane, so the same samples must fail with the same code and reason.
   const std::uint64_t budget = 20;
-  const SsfResult scalar = run_with(1, 1, 47, 256, nullptr, budget);
-  ASSERT_GT(scalar.failed, 0u);  // the scenario must actually trigger
-  ASSERT_LT(scalar.failed, 256u);
-  for (const std::size_t threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const SsfResult batched = run_with(64, threads, 47, 256, nullptr, budget);
-    expect_bitwise_equal(batched, scalar);
+  const SsfResult oracle = oracle_with(47, 256, budget);
+  ASSERT_GT(oracle.failed, 0u);  // the scenario must actually trigger
+  ASSERT_LT(oracle.failed, 256u);
+  for (const std::size_t lanes : kOracleLanes) {
+    for (const std::size_t threads : kOracleThreads) {
+      SCOPED_TRACE(grid_point(lanes, threads));
+      expect_bitwise_equal(run_with(lanes, threads, 47, 256, nullptr, budget),
+                           oracle);
+    }
   }
 }
 
-/// The word-parallel flip_set_batch of one setup-violation kind must
-/// reproduce the scalar flip_set lane for lane, at one thread and at four.
+TEST(BatchEquivalence, MultiCycleLanesMatchScalarOracle) {
+  // impact_cycles = 3: cycle 1 comes from the shared sweep, cycles 2 and 3
+  // strike each lane's own corrupted machine. Warm-up from the nearest
+  // checkpoint is te mod 32 (0..13 and 26..31 for te = Tt - t, Tt = 109),
+  // so a budget of 12 fails lanes with warm-up 10 or 11 in the middle of
+  // their injection cycles, next to lanes that fail at warm-up, in the RTL
+  // resume, or not at all.
+  faultsim::AttackModel attack = test_attack();
+  attack.impact_cycles = 3;
+  const std::uint64_t budget = 12;
+  const std::uint64_t tt = ctx().make({}).target_cycle();
+  for (const std::uint64_t cycle_budget : {std::uint64_t{0}, budget}) {
+    SCOPED_TRACE("cycle_budget=" + std::to_string(cycle_budget));
+    const SsfResult oracle = oracle_with(83, 300, cycle_budget, attack);
+    ASSERT_GT(oracle.rtl + oracle.analytical, 0u);
+    if (cycle_budget > 0) {
+      std::size_t mid_cycle = 0;
+      for (const SampleRecord& rec : oracle.records) {
+        const std::uint64_t warmup =
+            (tt - static_cast<std::uint64_t>(rec.sample.t)) % 32;
+        if (rec.path == OutcomePath::kFailed && warmup + 2 >= budget &&
+            warmup + 1 <= budget) {
+          ++mid_cycle;
+        }
+      }
+      ASSERT_GT(mid_cycle, 0u);
+      ASSERT_LT(oracle.failed, 300u);
+    }
+    for (const std::size_t lanes : kOracleLanes) {
+      for (const std::size_t threads : kOracleThreads) {
+        SCOPED_TRACE(grid_point(lanes, threads));
+        expect_bitwise_equal(
+            run_with(lanes, threads, 83, 300, nullptr, cycle_budget, attack),
+            oracle);
+      }
+    }
+  }
+}
+
+/// The engine's word-parallel flip_set_batch of one setup-violation kind
+/// must reproduce the oracle's scalar flip_set lane for lane, at every word
+/// width and thread count.
 void expect_glitch_batches_bitwise_identically(faultsim::TechniqueKind kind) {
   faultsim::GlitchAttackModel model(kind);
   model.t_min = 1;
@@ -166,23 +191,19 @@ void expect_glitch_batches_bitwise_identically(faultsim::TechniqueKind kind) {
                      ? std::vector<double>{0.35, 0.55}
                      : std::vector<double>{0.3, 0.5};
   const faultsim::GlitchTechnique technique(ctx().glitch, kind);
-  auto run = [&](std::size_t lanes, std::size_t threads) {
-    EvaluatorConfig cfg;
-    cfg.batch_lanes = lanes;
-    cfg.threads = threads;
-    const SsfEvaluator ev(ctx().soc, technique, ctx().bench, ctx().golden,
-                          &ctx().charac, cfg);
-    GlitchSampler sampler(model, ev.target_cycle());
-    Rng rng(9);
-    return ev.run(sampler, rng, 300);
+  auto make = [&](const EvaluatorConfig& cfg) {
+    return SsfEvaluator(ctx().soc, technique, ctx().bench, ctx().golden,
+                        &ctx().charac, cfg);
   };
-  const SsfResult scalar = run(1, 1);
+  const SsfEvaluator ev = make({});
+  GlitchSampler sampler(model, ev.target_cycle());
+  Rng rng(9);
+  const std::vector<faultsim::FaultSample> samples =
+      ev.draw_batch(sampler, rng, 300);
   // The scenario must flip registers, or lane identity is vacuous.
-  ASSERT_GT(scalar.rtl + scalar.analytical, 0u);
-  for (const std::size_t threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_bitwise_equal(run(64, threads), scalar);
-  }
+  const SsfResult oracle = ScalarOracle(ev).run(samples);
+  ASSERT_GT(oracle.rtl + oracle.analytical, 0u);
+  expect_engine_matches_oracle(make, {}, samples);
 }
 
 TEST(BatchEquivalence, ClockGlitchTechniqueBatchesBitwiseIdentically) {
@@ -196,11 +217,11 @@ TEST(BatchEquivalence, VoltageGlitchTechniqueBatchesBitwiseIdentically) {
 }
 
 TEST(BatchEquivalence, JournaledKillAndResumeAcrossLaneCounts) {
-  // A batched campaign killed mid-run (journal torn back to a prefix, as
-  // SIGKILL leaves it) and resumed with a *different* lane count must still
-  // reproduce the scalar un-journaled run bit for bit: the journal carries
-  // records, not batching decisions.
-  const SsfResult reference = run_with(1, 1, 53, 200);
+  // A campaign killed mid-run (journal torn back to a prefix, as SIGKILL
+  // leaves it) and resumed with a *different* word width must still
+  // reproduce the oracle bit for bit: the journal carries records, not
+  // packing decisions.
+  const SsfResult reference = oracle_with(53, 200);
 
   const std::string dir = fresh_dir("resume_lanes");
   JournalOptions options;
@@ -250,40 +271,57 @@ const faultsim::AttackModel& wide_attack() {
   return attack;
 }
 
-SsfResult run_importance(std::size_t batch_lanes, std::size_t threads,
-                         std::uint64_t cycle_budget = 0,
-                         MetricsSink* sink = nullptr) {
+const precharac::SamplingModel& wide_model() {
   static const precharac::SamplingModel model(
       ctx().soc, ctx().placement, ctx().cone, ctx().signatures, ctx().charac,
       wide_attack());
+  return model;
+}
+
+SsfResult run_importance(std::size_t batch_lanes, std::size_t threads,
+                         std::uint64_t cycle_budget = 0,
+                         MetricsSink* sink = nullptr) {
   EvaluatorConfig cfg;
   cfg.batch_lanes = batch_lanes;
   cfg.threads = threads;
   cfg.cycle_budget = cycle_budget;
   cfg.metrics = sink;
   const SsfEvaluator ev = ctx().make(cfg);
-  ImportanceSampler sampler(model);
+  ImportanceSampler sampler(wide_model());
   Rng rng(61);
   return ev.run(sampler, rng, 640);
 }
 
+SsfResult oracle_importance(std::uint64_t cycle_budget = 0) {
+  EvaluatorConfig cfg;
+  cfg.cycle_budget = cycle_budget;
+  const SsfEvaluator ev = ctx().make(cfg);
+  ImportanceSampler sampler(wide_model());
+  Rng rng(61);
+  return ScalarOracle(ev).run(ev.draw_batch(sampler, rng, 640));
+}
+
 TEST(BatchEquivalence, MixedCycleWordsAreBitwiseIdentical) {
-  const SsfResult scalar = run_importance(1, 1);
+  const SsfResult oracle = oracle_importance();
   std::set<std::uint64_t> cycles;
-  for (const SampleRecord& rec : scalar.records) cycles.insert(rec.te);
+  for (const SampleRecord& rec : oracle.records) cycles.insert(rec.te);
   ASSERT_GT(cycles.size(), 10u);  // the words must really mix cycles
-  ASSERT_GT(scalar.rtl + scalar.analytical, 0u);
-  for (const std::size_t threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    MetricsSink sink;
-    expect_bitwise_equal(run_importance(64, threads, 0, &sink), scalar);
-    // Cross-cycle packing fills the words: 640 samples in 10 words, and
-    // one golden row per distinct cycle.
-    EXPECT_EQ(sink.counter("eval.batch_groups"), 10u);
-    EXPECT_EQ(sink.counter("eval.batch_lanes"), 640u);
-    EXPECT_EQ(sink.counter("eval.golden_rows"), cycles.size());
-    ASSERT_NE(sink.gauge("eval.lane_occupancy"), nullptr);
-    EXPECT_EQ(*sink.gauge("eval.lane_occupancy"), 1.0);
+  ASSERT_GT(oracle.rtl + oracle.analytical, 0u);
+  for (const std::size_t lanes : kOracleLanes) {
+    for (const std::size_t threads : kOracleThreads) {
+      SCOPED_TRACE(grid_point(lanes, threads));
+      MetricsSink sink;
+      expect_bitwise_equal(run_importance(lanes, threads, 0, &sink), oracle);
+      // Cross-cycle packing fills the words — 640 samples in 10 words of
+      // 64 — with one golden row per distinct cycle.
+      EXPECT_EQ(sink.counter("eval.batch_groups"), (640 + lanes - 1) / lanes);
+      EXPECT_EQ(sink.counter("eval.batch_lanes"), 640u);
+      EXPECT_EQ(sink.counter("eval.golden_rows"), cycles.size());
+      if (lanes == 64) {
+        ASSERT_NE(sink.gauge("eval.lane_occupancy"), nullptr);
+        EXPECT_EQ(*sink.gauge("eval.lane_occupancy"), 1.0);
+      }
+    }
   }
 }
 
@@ -292,11 +330,11 @@ TEST(BatchEquivalence, MixedCycleWordsFailBudgetsLaneForLane) {
   // 16 cycles sits between the smallest and the largest warm-up + 1: lanes
   // of one word fail with kCycleBudgetExceeded next to lanes that complete.
   const std::uint64_t budget = 16;
-  const SsfResult scalar = run_importance(1, 1, budget);
+  const SsfResult oracle = oracle_importance(budget);
   std::size_t failed = 0;
   std::size_t completed = 0;
   for (std::size_t i = 0; i < 64; ++i) {  // the first word's lanes
-    const SampleRecord& rec = scalar.records[i];
+    const SampleRecord& rec = oracle.records[i];
     if (rec.path == OutcomePath::kFailed) {
       EXPECT_EQ(rec.fail_code, ErrorCode::kCycleBudgetExceeded);
       ++failed;
@@ -306,9 +344,11 @@ TEST(BatchEquivalence, MixedCycleWordsFailBudgetsLaneForLane) {
   }
   ASSERT_GT(failed, 0u);
   ASSERT_GT(completed, 0u);
-  for (const std::size_t threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_bitwise_equal(run_importance(64, threads, budget), scalar);
+  for (const std::size_t lanes : kOracleLanes) {
+    for (const std::size_t threads : kOracleThreads) {
+      SCOPED_TRACE(grid_point(lanes, threads));
+      expect_bitwise_equal(run_importance(lanes, threads, budget), oracle);
+    }
   }
 }
 

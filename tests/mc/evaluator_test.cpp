@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 
+#include "scalar_oracle.h"
 #include "soc/benchmark.h"
 #include "util/check.h"
 
@@ -231,7 +232,8 @@ SsfResult seed_sequential_run(const SsfEvaluator& ev, Sampler& sampler,
   return result;
 }
 
-void expect_bitwise_equal(const SsfResult& a, const SsfResult& b) {
+/// Equality of the fields seed_sequential_run accumulates.
+void expect_seed_fields_equal(const SsfResult& a, const SsfResult& b) {
   EXPECT_EQ(a.ssf(), b.ssf());
   EXPECT_EQ(a.sample_variance(), b.sample_variance());
   EXPECT_EQ(a.stats.count(), b.stats.count());
@@ -275,7 +277,7 @@ TEST(SsfEvaluatorParallel, ThreadCountDoesNotChangeAnyResultBit) {
     Rng rng(31);
     const SsfResult res = ev.run(sampler, rng, 300);
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_bitwise_equal(res, seed);
+    expect_seed_fields_equal(res, seed);
   }
 }
 
@@ -297,24 +299,31 @@ TEST(SsfEvaluatorParallel, AutoThreadsMatchesSequential) {
 
 TEST(SsfEvaluator, ScratchReuseMatchesFreshMachines) {
   // Evaluating a stream of samples through one scratch must give exactly the
-  // per-sample results of fresh-machine evaluation, in any order.
+  // oracle's per-sample records, as must fresh-machine evaluation and the
+  // campaign over the same stream at every word width and thread count.
   faultsim::AttackModel attack;
   attack.t_min = 0;
   attack.t_max = 19;
   attack.candidate_centers = ctx().placement.placed_nodes();
   RandomSampler sampler(attack);
   Rng rng(13);
+  const std::vector<FaultSample> samples =
+      ctx().evaluator.draw_batch(sampler, rng, 60);
+  ScalarOracle oracle(ctx().evaluator);
   EvalScratch scratch(ctx().evaluator);
-  for (int i = 0; i < 60; ++i) {
-    const faultsim::FaultSample s = sampler.draw(rng);
-    const SampleRecord fresh = ctx().evaluator.evaluate_sample(s);
-    const SampleRecord reused = ctx().evaluator.evaluate_sample(s, scratch);
-    EXPECT_EQ(fresh.te, reused.te);
-    EXPECT_EQ(fresh.flipped_bits, reused.flipped_bits);
-    EXPECT_EQ(fresh.path, reused.path);
-    EXPECT_EQ(fresh.success, reused.success);
-    EXPECT_EQ(fresh.contribution, reused.contribution);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const SampleRecord expected = oracle.evaluate(samples[i]);
+    expect_records_equal(ctx().evaluator.evaluate_sample(samples[i]),
+                         expected, i);
+    expect_records_equal(ctx().evaluator.evaluate_sample(samples[i], scratch),
+                         expected, i);
   }
+  expect_engine_matches_oracle(
+      [](const EvaluatorConfig& cfg) {
+        return SsfEvaluator(ctx().soc, ctx().placement, ctx().injector,
+                            ctx().bench, ctx().golden, &ctx().charac, cfg);
+      },
+      {}, samples);
 }
 
 TEST(SsfEvaluatorParallel, WorkerFailureIsIsolatedNotFatal) {
@@ -353,26 +362,30 @@ TEST(SsfEvaluatorParallel, WorkerFailureIsIsolatedNotFatal) {
 }
 
 TEST(SsfEvaluator, MultiCycleImpactAccumulatesErrors) {
-  // Striking the same spot on consecutive cycles can only add flips; the
-  // single-cycle flip set must be a subset of the multi-cycle one when the
-  // spot covers persistent (memory-type) registers.
+  // Striking the same spot on consecutive cycles settles each later cycle
+  // on the already-corrupted state and overlays that cycle's flips on it.
+  // The spot covers the memory-type perm bit, which every strike upsets: an
+  // odd number of strikes grants the illegal write, an even number flips
+  // the bit back — yet the record lists the bit either way. The engine must
+  // match the oracle's cycle-by-cycle flow record for record.
   const NodeId dff = ctx().soc.dff_for_bit(perm_bit(1, 1));
   FaultSample one;
   one.t = 10;
   one.center = dff;
   one.radius = 1.2;
   one.weight = 1.0;
-  FaultSample three = one;
-  three.impact_cycles = 3;
-  const SampleRecord r1 = ctx().evaluator.evaluate_sample(one);
-  const SampleRecord r3 = ctx().evaluator.evaluate_sample(three);
-  for (const int bit : r1.flipped_bits) {
-    // A bit flipped in cycle 1 may be re-flipped later, but the perm bit is
-    // memory-type and re-struck: odd number of strikes keeps it flipped.
-    (void)bit;
+  ScalarOracle oracle(ctx().evaluator);
+  for (const int cycles : {1, 2, 3}) {
+    SCOPED_TRACE("impact_cycles=" + std::to_string(cycles));
+    FaultSample s = one;
+    s.impact_cycles = cycles;
+    const SampleRecord rec = ctx().evaluator.evaluate_sample(s);
+    expect_records_equal(rec, oracle.evaluate(s), 0);
+    EXPECT_EQ(rec.flipped_bits, std::vector<int>{perm_bit(1, 1)});
+    EXPECT_EQ(rec.path, OutcomePath::kAnalytical);
+    EXPECT_EQ(rec.success, cycles % 2 == 1);
+    EXPECT_EQ(rec.te, ctx().evaluator.target_cycle() - 10);
   }
-  EXPECT_GE(r3.flipped_bits.size(), 1u);
-  EXPECT_EQ(r3.te, r1.te);
 }
 
 TEST(SsfEvaluator, MultiCycleSamplerPropagatesModel) {

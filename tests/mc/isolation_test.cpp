@@ -5,6 +5,7 @@
 #include <string>
 
 #include "mc/evaluator.h"
+#include "scalar_oracle.h"
 #include "soc/benchmark.h"
 #include "util/status.h"
 
@@ -206,24 +207,23 @@ TEST(Isolation, JournaledRunReportsSamplerFailureAsStatus) {
 
 TEST(Isolation, IsolatedEvaluationMatchesPlainOnHealthySamples) {
   // The isolation wrapper must be a pure pass-through for samples that
-  // evaluate cleanly: same record, bit for bit.
+  // evaluate cleanly: the oracle's record, bit for bit — and so must the
+  // campaign that isolates every lane, at every word width and thread count.
   const auto attack = test_attack();
   RandomSampler sampler(attack);
   Rng rng(29);
+  const std::vector<FaultSample> samples =
+      ctx().evaluator.draw_batch(sampler, rng, 40);
+  ScalarOracle oracle(ctx().evaluator);
   auto scratch = std::make_unique<EvalScratch>(ctx().evaluator);
-  for (int i = 0; i < 40; ++i) {
-    const FaultSample s = sampler.draw(rng);
-    const SampleRecord plain = ctx().evaluator.evaluate_sample(s);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
     const SampleRecord isolated =
-        ctx().evaluator.evaluate_sample_isolated(s, scratch);
-    EXPECT_EQ(isolated.path, plain.path);
-    EXPECT_EQ(isolated.te, plain.te);
-    EXPECT_EQ(isolated.flipped_bits, plain.flipped_bits);
-    EXPECT_EQ(isolated.success, plain.success);
-    EXPECT_EQ(isolated.contribution, plain.contribution);
+        ctx().evaluator.evaluate_sample_isolated(samples[i], scratch);
+    expect_records_equal(isolated, oracle.evaluate(samples[i]), i);
     EXPECT_EQ(isolated.fail_code, ErrorCode::kOk);
     EXPECT_FALSE(isolated.retried);
   }
+  expect_engine_matches_oracle(make_evaluator, {}, samples);
 }
 
 }  // namespace

@@ -146,7 +146,7 @@ TEST(CliOptions, ForwardedFlagsRoundTripThroughTheWorkerArgv) {
             (std::set<std::string>{
                 "--benchmark", "--technique", "--strategy", "--samples",
                 "--seed", "--t-range", "--radius", "--cycle-budget",
-                "--deadline-ms", "--threads", "--batch-lanes", "--journal",
+                "--deadline-ms", "--threads", "--journal",
                 "--exhaustive", "--space-limit", "--precharac-cache",
                 "--chaos-write-nth", "--chaos-fsync-nth",
                 "--crash-on-sample-index"}));
@@ -255,7 +255,6 @@ TEST(CliOptions, VerdictsMatchTheHandWrittenParser) {
       {"--coverage", "0.5"},
       {"--record-capacity", "9"},
       {"--threads", "2"},
-      {"--batch-lanes", "8"},
       {"--cycle-budget", "40"},
       {"--deadline-ms", "9"},
       {"--journal", "j"},
@@ -286,15 +285,15 @@ TEST(CliOptions, VerdictsMatchTheHandWrittenParser) {
       {"--chaos-fsync-nth", "2"}};
   // One letter per probe, in order: A = accepted, R = usage error.
   const std::vector<std::pair<std::string, std::string>> verdicts = {
-      {"info", "AAAAARRAAAAAAAARRRARAARRRARAAAARRRRRARRRR"},
-      {"characterize", "AAAAARRAAAAAAAARRRARAARRRARAAAARRRRRARRRR"},
-      {"evaluate", "AAAAAARAAAAAAAAARAARAAAAAARAAAARRRRRARRAA"},
-      {"harden", "AAAAARRAAAAAAAARRAARAARRRARAAAARRRRRARRRR"},
-      {"export-verilog", "AAAAARRAAAAAAAARRRARAARRRARAAAARRRRRARRRR"},
-      {"trace", "AAAAARRAAAAAAAARRRARAARRRARAAAARRRRRARRRR"},
-      {"serve", "AAAAARRAAAAAAAARRRARAARRRAAAAAAAARRRARRRR"},
-      {"submit", "AAAAAARAAAAAAAAARAARAAAAAAAAAAARRAAAARRAA"},
-      {"worker", "AAAAAARAAAAAAAAAAAARAARRRARAAAARRRRRAAAAA"},
+      {"info", "AAAAARRAAAAAAARRRARAARRRARAAAARRRRRARRRR"},
+      {"characterize", "AAAAARRAAAAAAARRRARAARRRARAAAARRRRRARRRR"},
+      {"evaluate", "AAAAAARAAAAAAAARAARAAAAAARAAAARRRRRARRAA"},
+      {"harden", "AAAAARRAAAAAAARRAARAARRRARAAAARRRRRARRRR"},
+      {"export-verilog", "AAAAARRAAAAAAARRRARAARRRARAAAARRRRRARRRR"},
+      {"trace", "AAAAARRAAAAAAARRRARAARRRARAAAARRRRRARRRR"},
+      {"serve", "AAAAARRAAAAAAARRRARAARRRAAAAAAAARRRARRRR"},
+      {"submit", "AAAAAARAAAAAAAARAARAAAAAAAAAAARRAAAARRAA"},
+      {"worker", "AAAAAARAAAAAAAAAAARAARRRARAAAARRRRRAAAAA"},
   };
   for (const auto& [command, letters] : verdicts) {
     ASSERT_EQ(letters.size(), probes.size());
@@ -331,7 +330,7 @@ TEST(CliOptions, VerdictsMatchTheHandWrittenParser) {
       {"evaluate --samples 12abc", false},
       {"evaluate --samples -5", false},
       {"evaluate --samples", false},
-      {"evaluate --batch-lanes 65", false},
+      {"evaluate --batch-lanes 1", false},  // one evaluation path: no flag
       {"evaluate --radius -1", false},
       {"evaluate --radius nan", false},
       {"evaluate --radius 1e7", false},

@@ -110,8 +110,6 @@ const std::vector<Flag>& flags() {
        0, "per-sample records kept, 0 = all (estimates are unaffected)"},
       {"--threads", Count{&Options::threads, 0, 4096}, kAll, kForwarded,
        "engine threads, 0 = all cores; results are bitwise-identical for any"},
-      {"--batch-lanes", Count{&Options::batch_lanes, 0, 64}, kAll, kForwarded,
-       "samples per word-parallel sweep, packed across injection cycles"},
       {"--cycle-budget", Count{&Options::cycle_budget, 0, kMax}, kAll, kKey,
        "per-sample RTL cycle budget, 0 = unlimited"},
       {"--deadline-ms", Count{&Options::deadline_ms, 0, kMax}, kAll, kForwarded,
@@ -214,7 +212,6 @@ core::FrameworkConfig Options::framework_config() const {
   cfg.mode = exhaustive ? "exhaustive" : "sampled";
   cfg.precharac_cache_path = precharac_cache;
   cfg.evaluator.threads = threads;
-  cfg.evaluator.batch_lanes = batch_lanes;
   cfg.evaluator.cycle_budget = cycle_budget;
   cfg.evaluator.sample_deadline_ms = deadline_ms;
   cfg.evaluator.record_capacity = record_capacity;

@@ -30,8 +30,8 @@ struct Options {
   double radius = 1.5, coverage = 0.95;
   // record_capacity is capped by default: a 1e6+-sample campaign would keep
   // every record in memory (see EvaluatorConfig::record_capacity).
-  std::uint64_t record_capacity = 200'000, threads = 1, batch_lanes = 64,
-                cycle_budget = 0, deadline_ms = 0;
+  std::uint64_t record_capacity = 200'000, threads = 1, cycle_budget = 0,
+                deadline_ms = 0;
   std::string journal, precharac_cache, metrics_out, trace_out, out;
   std::uint64_t supervise = 0, heartbeat_ms = 30'000, shard_size = 256;
   // Serving tier (`fav serve` / `fav submit`).

@@ -420,7 +420,7 @@ mc::CampaignOutcome run_evaluate_campaign(const Options& o, bool local_files,
     in.samples = c.total;
     in.seed = o.seed;
     in.threads = o.threads;
-    in.batch_lanes = o.batch_lanes;
+    in.batch_lanes = fw.evaluator().config().batch_lanes;
     in.supervise = o.supervise;
     in.supervised = o.supervise > 0;
     in.restarts = run.restarts;
