@@ -53,6 +53,11 @@ SampleRecord failed_record(const faultsim::FaultSample& sample,
   return rec;
 }
 
+/// Samples per word: EvaluatorConfig::batch_lanes clamped to [1, 64].
+std::size_t lane_cap(const EvaluatorConfig& config) {
+  return std::clamp<std::size_t>(config.batch_lanes, 1, 64);
+}
+
 }  // namespace
 
 EvalBudget::EvalBudget(std::uint64_t cycle_budget, std::uint64_t deadline_ms)
@@ -196,12 +201,11 @@ SampleRecord SsfEvaluator::evaluate_sample(const faultsim::FaultSample& sample,
   // A one-lane word: the campaign's packing verdict and word evaluation,
   // except that a failure propagates instead of being isolated.
   LanePlan plan = plan_lane(sample, scratch, sink);
-  const std::vector<faultsim::FaultSample> samples{sample};
-  std::vector<SampleRecord> records(1);
-  evaluate_word(samples, records, 0, 1, {&plan, 1}, scratch, sink,
+  SampleRecord rec;
+  evaluate_word({&sample, 1}, {&rec, 1}, 0, 1, {&plan, 1}, scratch, sink,
                 /*timing=*/sink != nullptr, [](std::size_t, std::uint64_t) {});
   if (plan.error) std::rethrow_exception(plan.error);
-  return std::move(records.front());
+  return rec;
 }
 
 SampleRecord SsfEvaluator::evaluate_sample_isolated(
@@ -326,12 +330,6 @@ SsfResult SsfEvaluator::finish_reduce(ReduceState&& state) const {
   return result;
 }
 
-SsfResult SsfEvaluator::reduce(std::vector<SampleRecord>&& records) const {
-  ReduceState state;
-  for (SampleRecord& rec : records) fold_record(state, std::move(rec));
-  return finish_reduce(std::move(state));
-}
-
 std::vector<faultsim::FaultSample> SsfEvaluator::draw_batch(
     Sampler& sampler, Rng& rng, std::size_t n) const {
   // Pre-draw the whole batch sequentially. Sampler and Rng are stateful and
@@ -418,8 +416,8 @@ SsfEvaluator::LanePlan SsfEvaluator::plan_lane(
 }
 
 void SsfEvaluator::evaluate_range(
-    const std::vector<faultsim::FaultSample>& samples,
-    std::vector<SampleRecord>& records, std::size_t lo, std::size_t hi,
+    std::span<const faultsim::FaultSample> samples,
+    std::span<SampleRecord> records, std::size_t base,
     std::vector<std::unique_ptr<EvalScratch>>& scratch,
     WorkerObservers* observers) const {
   // Evaluate each word into its samples' own slots; workers reuse per-thread
@@ -435,7 +433,8 @@ void SsfEvaluator::evaluate_range(
                : nullptr;
   };
   // Publishes a finished records[i]: its latency timer and trace event
-  // (timed from t0), progress, and the on_sample hook.
+  // (timed from t0), progress, and the on_sample hook. The trace and the
+  // hook get the campaign index base + i.
   auto publish = [&](std::size_t worker, std::size_t i, std::uint64_t t0) {
     if (timing) {
       const std::uint64_t dur = monotonic_ns() - t0;
@@ -445,7 +444,7 @@ void SsfEvaluator::evaluate_range(
       if (!observers->traces.empty()) {
         observers->traces[worker].record(
             outcome_path_name(records[i].path), "sample", t0, dur,
-            static_cast<std::uint32_t>(worker), i);
+            static_cast<std::uint32_t>(worker), base + i);
       }
     }
     if (config_.progress != nullptr) {
@@ -453,7 +452,7 @@ void SsfEvaluator::evaluate_range(
       config_.progress->record(failed ? 0.0 : records[i].contribution,
                                records[i].sample.weight, failed);
     }
-    if (config_.on_sample) config_.on_sample(records[i], i);
+    if (config_.on_sample) config_.on_sample(records[i], base + i);
   };
 
   // Packing: every sample is a lane, and words are consecutive runs of up
@@ -461,23 +460,23 @@ void SsfEvaluator::evaluate_range(
   // — its te's golden row, or the error check_sample or the row build threw
   // — is settled here, sequentially on this thread, so the words and every
   // record and counter are identical at every thread count.
-  const std::size_t lane_cap =
-      std::clamp<std::size_t>(config_.batch_lanes, 1, 64);
-  std::vector<LanePlan> plans(hi - lo);
-  for (std::size_t i = lo; i < hi; ++i) {
+  const std::size_t n = samples.size();
+  const std::size_t lanes = lane_cap(config_);
+  std::vector<LanePlan> plans(n);
+  for (std::size_t i = 0; i < n; ++i) {
     try {
-      plans[i - lo] = plan_lane(samples[i], *scratch[0], sink_for(0));
+      plans[i] = plan_lane(samples[i], *scratch[0], sink_for(0));
     } catch (const std::exception&) {
-      plans[i - lo].error = std::current_exception();
+      plans[i].error = std::current_exception();
     }
   }
 
   auto eval_word = [&](std::size_t worker, std::size_t w) {
-    const std::size_t begin = lo + w * lane_cap;
-    const std::size_t end = std::min(begin + lane_cap, hi);
+    const std::size_t begin = w * lanes;
+    const std::size_t end = std::min(begin + lanes, n);
     evaluate_word(
         samples, records, begin, end,
-        std::span<LanePlan>(plans).subspan(begin - lo, end - begin),
+        std::span<LanePlan>(plans).subspan(begin, end - begin),
         *scratch[worker], sink_for(worker), timing,
         [&](std::size_t i, std::uint64_t t0) { publish(worker, i, t0); });
     // Isolation, once the word is done with the scratch: a cycle-budget
@@ -485,7 +484,7 @@ void SsfEvaluator::evaluate_range(
     // through evaluate_sample_isolated (a one-lane re-run, then one retry on
     // fresh scratch).
     for (std::size_t i = begin; i < end; ++i) {
-      const std::exception_ptr& error = plans[i - lo].error;
+      const std::exception_ptr& error = plans[i].error;
       if (!error) continue;
       const std::uint64_t t0 = timing ? monotonic_ns() : 0;
       records[i] = describe_failure(error).first ==
@@ -496,7 +495,7 @@ void SsfEvaluator::evaluate_range(
       publish(worker, i, t0);
     }
   };
-  const std::size_t words = (hi - lo + lane_cap - 1) / lane_cap;
+  const std::size_t words = (n + lanes - 1) / lanes;
   if (scratch.size() <= 1) {
     for (std::size_t w = 0; w < words; ++w) eval_word(0, w);
     return;
@@ -508,8 +507,8 @@ void SsfEvaluator::evaluate_range(
 }
 
 void SsfEvaluator::evaluate_word(
-    const std::vector<faultsim::FaultSample>& samples,
-    std::vector<SampleRecord>& records, std::size_t begin, std::size_t end,
+    std::span<const faultsim::FaultSample> samples,
+    std::span<SampleRecord> records, std::size_t begin, std::size_t end,
     std::span<LanePlan> plans, EvalScratch& sc, MetricsSink* sink,
     bool timing,
     const std::function<void(std::size_t, std::uint64_t)>& publish) const {
@@ -692,316 +691,170 @@ void SsfEvaluator::evaluate_word(
   }
 }
 
-SsfResult SsfEvaluator::run_batch(
-    std::vector<faultsim::FaultSample> samples) const {
-  // The sample list is the whole contract: any caller that can enumerate or
-  // draw FaultSamples (MC samplers, exact enumeration drivers, replay tools)
-  // inherits the full pipeline — worker pool, isolation, observability and
-  // the deterministic sample-index-ordered reduction.
-  const std::size_t n = samples.size();
-  std::vector<SampleRecord> records(n);
+Result<SsfResult> SsfEvaluator::run_campaign(
+    std::uint64_t n, SampleSource source, const JournalOptions* journal) const {
+  ScopeTimer run_timer(config_.metrics, "run.total_ns");
+  if (journal != nullptr && journal->dir.empty()) {
+    return Status(ErrorCode::kInvalidArgument, "journal directory is empty");
+  }
+  if (journal != nullptr && journal->shard_size == 0) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "journal shard_size must be > 0");
+  }
+  std::uint64_t space = 0;
+  if (source.enumerated) {
+    space = technique_->space_size();
+    if (space == 0) {
+      return Status(ErrorCode::kInvalidArgument,
+                    std::string("technique '") + technique_->name() +
+                        "' has no bound fault space (call bind_space before "
+                        "an exhaustive run)");
+    }
+    n = n == 0 ? space : std::min(space, n);
+  }
+  if (source.sampler != nullptr) {
+    ScopeTimer timer(config_.metrics, "run.draw_batch_ns");
+    try {
+      source.batch = draw_batch(*source.sampler, *source.rng, n);
+    } catch (const StatusError& e) {
+      return e.status();
+    }
+  }
+  // Samples [lo, hi): a slice of the batch, or enumerated from the bound
+  // space into it chunk by chunk, so a sweep never materializes the space.
+  auto fill = [&](std::size_t lo, std::size_t hi) {
+    if (!source.enumerated) return std::span(source.batch).subspan(lo, hi - lo);
+    technique_->enumerate(lo, hi, source.batch);
+    return std::span(source.batch);
+  };
+
+  ReduceState state;
+  std::size_t done = 0;  // samples folded so far
+  JournalWriter writer;
+  if (journal != nullptr) {
+    JournalMeta meta;
+    meta.fingerprint = journal->fingerprint;
+    meta.total_samples = n;
+    meta.context = journal->context;
+    std::uint64_t valid_bytes = 0;
+    if (journal->resume) {
+      Result<JournalContents> loaded = read_journal(journal->dir);
+      if (!loaded.is_ok()) return loaded.status();
+      JournalContents& j = loaded.value();
+      valid_bytes = j.valid_bytes;
+      if (j.meta.fingerprint != meta.fingerprint ||
+          j.meta.total_samples != meta.total_samples) {
+        return Status(ErrorCode::kJournalCorrupt,
+                      "journal belongs to a different campaign (fingerprint "
+                      "or sample count mismatch)");
+      }
+      // Cross-check every journaled sample against the campaign's own: a
+      // mismatch means the sampler, seed, bound space or config changed
+      // under the journal.
+      const std::size_t journaled = std::min<std::size_t>(j.records.size(), n);
+      for (std::size_t lo = 0; lo < journaled; lo += journal->shard_size) {
+        const std::size_t hi = std::min(lo + journal->shard_size, journaled);
+        const auto expected = fill(lo, hi);
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (!sample_matches(j.records[i].sample, expected[i - lo])) {
+            return Status(ErrorCode::kJournalCorrupt,
+                          "journaled sample " + std::to_string(i) +
+                              " does not match the campaign's samples");
+          }
+          fold_record(state, std::move(j.records[i]));
+        }
+      }
+      done = journaled;
+    }
+    writer.set_metrics(config_.metrics);
+    const Status open = journal->resume && done > 0
+                            ? writer.open_append(journal->dir, valid_bytes)
+                            : writer.open_fresh(journal->dir, meta);
+    if (!open.is_ok()) return open;
+    if (config_.metrics != nullptr) {
+      config_.metrics->add_counter("journal.resumed_records", done);
+    }
+  }
+
   std::vector<std::unique_ptr<EvalScratch>> scratch;
   {
     ScopeTimer timer(config_.metrics, "run.scratch_setup_ns");
     scratch = make_scratch_pool(n);
   }
   WorkerObservers observers = make_observers(scratch.size());
-  // With a stop flag the batch is evaluated in chunks so a SIGINT lands
-  // within one chunk of work; without one, a single range call avoids the
-  // (small) per-chunk scheduling barrier.
-  std::size_t done = n;
-  if (config_.stop == nullptr) {
-    evaluate_range(samples, records, 0, n, scratch, &observers);
-  } else {
-    constexpr std::size_t kStopChunk = 256;
-    done = 0;
-    while (done < n && !config_.stop->load(std::memory_order_relaxed)) {
-      const std::size_t hi = std::min(done + kStopChunk, n);
-      evaluate_range(samples, records, done, hi, scratch, &observers);
-      done = hi;
+  // A journaled chunk is one shard; any other chunk is 16 words per worker.
+  // Words break at chunk boundaries, which changes no record. The stop flag
+  // is polled between chunks: a chunk is evaluated, committed and folded, or
+  // never started, so an interrupted run leaves exactly the journal a crash
+  // would and resume continues from the first missing index.
+  const std::size_t chunk = journal != nullptr
+                                ? journal->shard_size
+                                : 16 * lane_cap(config_) * scratch.size();
+  std::vector<SampleRecord> records;
+  while (done < n && (config_.stop == nullptr ||
+                      !config_.stop->load(std::memory_order_relaxed))) {
+    const std::size_t hi = std::min<std::size_t>(done + chunk, n);
+    records.assign(hi - done, SampleRecord{});
+    evaluate_range(fill(done, hi), records, done, scratch, &observers);
+    if (journal != nullptr) {
+      const Status appended =
+          writer.append_shard(done, records.data(), records.size());
+      if (!appended.is_ok()) {
+        if (appended.code() != ErrorCode::kStorageFull) return appended;
+        // The disk filled (or failed) mid-campaign. Everything journaled so
+        // far is durable, so stop gracefully with a partial, resumable
+        // result, exactly like a stop-flag interruption.
+        if (config_.metrics != nullptr) {
+          config_.metrics->add_counter("journal.storage_full_stops");
+        }
+        break;
+      }
     }
+    ScopeTimer timer(config_.metrics, "run.reduce_ns");
+    for (SampleRecord& rec : records) fold_record(state, std::move(rec));
+    done = hi;
   }
   merge_observers(std::move(observers));
-  // Reduce in sample-index order — the exact accumulation a sequential loop
-  // would perform, so the estimate is independent of the schedule.
   ScopeTimer timer(config_.metrics, "run.reduce_ns");
-  records.resize(done);
-  SsfResult result = reduce(std::move(records));
+  SsfResult result = finish_reduce(std::move(state));
+  result.fault_space_size = space;
   result.interrupted = done < n;
   return result;
 }
 
 SsfResult SsfEvaluator::run(Sampler& sampler, Rng& rng, std::size_t n) const {
-  ScopeTimer run_timer(config_.metrics, "run.total_ns");
-  std::vector<faultsim::FaultSample> samples;
-  {
-    ScopeTimer timer(config_.metrics, "run.draw_batch_ns");
-    samples = draw_batch(sampler, rng, n);
-  }
-  return run_batch(std::move(samples));
+  return run_campaign(n, {.sampler = &sampler, .rng = &rng}, nullptr)
+      .value_or_throw();
+}
+
+SsfResult SsfEvaluator::run_batch(
+    std::vector<faultsim::FaultSample> samples) const {
+  const std::size_t n = samples.size();
+  return run_campaign(n, {.batch = std::move(samples)}, nullptr)
+      .value_or_throw();
 }
 
 Result<SsfResult> SsfEvaluator::run_journaled(
     Sampler& sampler, Rng& rng, std::size_t n,
     const JournalOptions& options) const {
-  if (options.dir.empty()) {
-    return Status(ErrorCode::kInvalidArgument, "journal directory is empty");
-  }
-  if (options.shard_size == 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "journal shard_size must be > 0");
-  }
-  std::vector<faultsim::FaultSample> samples;
-  try {
-    samples = draw_batch(sampler, rng, n);
-  } catch (const StatusError& e) {
-    return e.status();
-  }
-
-  JournalMeta meta;
-  meta.fingerprint = options.fingerprint;
-  meta.total_samples = n;
-  meta.context = options.context;
-
-  std::vector<SampleRecord> records(n);
-  std::size_t done = 0;  // records [0, done) restored from the journal
-  std::uint64_t valid_bytes = 0;
-  if (options.resume) {
-    Result<JournalContents> loaded = read_journal(options.dir);
-    if (!loaded.is_ok()) return loaded.status();
-    JournalContents& j = loaded.value();
-    valid_bytes = j.valid_bytes;
-    if (j.meta.fingerprint != meta.fingerprint ||
-        j.meta.total_samples != meta.total_samples) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    "journal belongs to a different campaign (fingerprint or "
-                    "sample count mismatch)");
-    }
-    done = std::min(j.records.size(), n);
-    for (std::size_t i = 0; i < done; ++i) {
-      // Cross-check the journaled sample against the freshly re-drawn one:
-      // a mismatch means the sampler/seed/config changed under the journal.
-      if (!sample_matches(j.records[i].sample, samples[i])) {
-        return Status(ErrorCode::kJournalCorrupt,
-                      "journaled sample " + std::to_string(i) +
-                          " does not match the re-drawn sample stream");
-      }
-      records[i] = std::move(j.records[i]);
-    }
-  }
-
-  JournalWriter writer;
-  writer.set_metrics(config_.metrics);
-  const Status open = options.resume && done > 0
-                          ? writer.open_append(options.dir, valid_bytes)
-                          : writer.open_fresh(options.dir, meta);
-  if (!open.is_ok()) return open;
-  if (config_.metrics != nullptr) {
-    config_.metrics->add_counter("journal.resumed_records", done);
-  }
-
-  auto scratch = make_scratch_pool(n);
-  WorkerObservers observers = make_observers(scratch.size());
-  // The stop flag is polled at shard granularity: a shard either completes
-  // and is committed to the journal, or was never started — so an
-  // interrupted run leaves exactly the journal a crash would, and resume
-  // continues from the first missing index either way.
-  for (std::size_t lo = done; lo < n; lo += options.shard_size) {
-    if (config_.stop != nullptr &&
-        config_.stop->load(std::memory_order_relaxed)) {
-      break;
-    }
-    const std::size_t hi = std::min(lo + options.shard_size, n);
-    evaluate_range(samples, records, lo, hi, scratch, &observers);
-    const Status appended = writer.append_shard(lo, &records[lo], hi - lo);
-    if (!appended.is_ok()) {
-      if (appended.code() == ErrorCode::kStorageFull) {
-        // The disk filled (or failed) mid-campaign. Everything journaled so
-        // far is durable, so stop gracefully with a partial, resumable
-        // result instead of erroring out — exactly like a stop-flag
-        // interruption. `done` excludes the shard whose append failed.
-        if (config_.metrics != nullptr) {
-          config_.metrics->add_counter("journal.storage_full_stops");
-        }
-        break;
-      }
-      return appended;
-    }
-    done = hi;
-  }
-  merge_observers(std::move(observers));
-  records.resize(done);
-  SsfResult result = reduce(std::move(records));
-  result.interrupted = done < n;
-  return result;
+  return run_campaign(n, {.sampler = &sampler, .rng = &rng}, &options);
 }
-
-SsfResult SsfEvaluator::reduce_records(
-    std::vector<SampleRecord> records) const {
-  return reduce(std::move(records));
-}
-
-namespace {
-
-// Effective sweep length: the bound space clipped by --space-limit.
-std::size_t exhaustive_total(std::uint64_t space, std::uint64_t space_limit) {
-  const std::uint64_t n = space_limit == 0 ? space
-                                           : std::min(space, space_limit);
-  return static_cast<std::size_t>(n);
-}
-
-}  // namespace
 
 SsfResult SsfEvaluator::run_exhaustive(std::uint64_t space_limit) const {
-  ScopeTimer run_timer(config_.metrics, "run.total_ns");
-  const std::uint64_t space = technique_->space_size();
-  if (space == 0) {
-    throw StatusError(ErrorCode::kInvalidArgument,
-                      std::string("technique '") + technique_->name() +
-                          "' has no bound fault space (call bind_space "
-                          "before run_exhaustive)");
-  }
-  const std::size_t n = exhaustive_total(space, space_limit);
-  std::vector<std::unique_ptr<EvalScratch>> scratch;
-  {
-    ScopeTimer timer(config_.metrics, "run.scratch_setup_ns");
-    scratch = make_scratch_pool(n);
-  }
-  WorkerObservers observers = make_observers(scratch.size());
-  // Stream the enumeration in bounded chunks: memory stays O(kChunk) no
-  // matter how large the grid is, and the chunk-local records are folded
-  // into the running reduction in enumeration-index order — the exact
-  // accumulation one reduce() over the materialized space would perform.
-  // (Each chunk packs its own words, across injection cycles like every
-  // batch, so a chunk boundary can only end a word early. That is harmless:
-  // batching is bitwise-identical to the scalar path wherever words break.)
-  constexpr std::size_t kChunk = 256;
-  ReduceState state;
-  std::vector<faultsim::FaultSample> chunk;
-  std::vector<SampleRecord> records;
-  std::size_t done = 0;
-  while (done < n) {
-    if (config_.stop != nullptr &&
-        config_.stop->load(std::memory_order_relaxed)) {
-      break;
-    }
-    const std::size_t hi = std::min(done + kChunk, n);
-    technique_->enumerate(done, hi, chunk);
-    records.clear();
-    records.resize(hi - done);
-    evaluate_range(chunk, records, 0, hi - done, scratch, &observers);
-    for (SampleRecord& rec : records) fold_record(state, std::move(rec));
-    done = hi;
-  }
-  merge_observers(std::move(observers));
-  SsfResult result = finish_reduce(std::move(state));
-  result.fault_space_size = space;
-  result.interrupted = done < n;
-  return result;
+  return run_campaign(space_limit, {.enumerated = true}, nullptr)
+      .value_or_throw();
 }
 
 Result<SsfResult> SsfEvaluator::run_exhaustive_journaled(
     const JournalOptions& options, std::uint64_t space_limit) const {
-  if (options.dir.empty()) {
-    return Status(ErrorCode::kInvalidArgument, "journal directory is empty");
-  }
-  if (options.shard_size == 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "journal shard_size must be > 0");
-  }
-  const std::uint64_t space = technique_->space_size();
-  if (space == 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  std::string("technique '") + technique_->name() +
-                      "' has no bound fault space (call bind_space before "
-                      "run_exhaustive_journaled)");
-  }
-  const std::size_t n = exhaustive_total(space, space_limit);
+  return run_campaign(space_limit, {.enumerated = true}, &options);
+}
 
-  JournalMeta meta;
-  meta.fingerprint = options.fingerprint;
-  meta.total_samples = n;
-  meta.context = options.context;
-
+SsfResult SsfEvaluator::reduce_records(
+    std::vector<SampleRecord> records) const {
   ReduceState state;
-  std::vector<faultsim::FaultSample> chunk;
-  std::size_t done = 0;  // records [0, done) restored from the journal
-  std::uint64_t valid_bytes = 0;
-  if (options.resume) {
-    Result<JournalContents> loaded = read_journal(options.dir);
-    if (!loaded.is_ok()) return loaded.status();
-    JournalContents& j = loaded.value();
-    valid_bytes = j.valid_bytes;
-    if (j.meta.fingerprint != meta.fingerprint ||
-        j.meta.total_samples != meta.total_samples) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    "journal belongs to a different campaign (fingerprint or "
-                    "sample count mismatch)");
-    }
-    done = std::min(j.records.size(), n);
-    // Cross-check the journaled prefix against the re-enumerated stream —
-    // the enumeration-index analogue of run_journaled's re-drawn-sample
-    // check: a mismatch means the bound space (model grid, benchmark)
-    // changed under the journal.
-    for (std::size_t lo = 0; lo < done; lo += options.shard_size) {
-      const std::size_t hi = std::min(lo + options.shard_size, done);
-      technique_->enumerate(lo, hi, chunk);
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (!sample_matches(j.records[i].sample, chunk[i - lo])) {
-          return Status(ErrorCode::kJournalCorrupt,
-                        "journaled sample " + std::to_string(i) +
-                            " does not match the enumerated fault space");
-        }
-        fold_record(state, std::move(j.records[i]));
-      }
-    }
-  }
-
-  JournalWriter writer;
-  writer.set_metrics(config_.metrics);
-  const Status open = options.resume && done > 0
-                          ? writer.open_append(options.dir, valid_bytes)
-                          : writer.open_fresh(options.dir, meta);
-  if (!open.is_ok()) return open;
-  if (config_.metrics != nullptr) {
-    config_.metrics->add_counter("journal.resumed_records", done);
-  }
-
-  auto scratch = make_scratch_pool(n);
-  WorkerObservers observers = make_observers(scratch.size());
-  std::vector<SampleRecord> records;
-  // Shards are enumerated, evaluated, committed, then folded — so an
-  // interrupted sweep leaves exactly the journal a crash would, and the
-  // running reduction only ever covers committed shards.
-  for (std::size_t lo = done; lo < n; lo += options.shard_size) {
-    if (config_.stop != nullptr &&
-        config_.stop->load(std::memory_order_relaxed)) {
-      break;
-    }
-    const std::size_t hi = std::min(lo + options.shard_size, n);
-    technique_->enumerate(lo, hi, chunk);
-    records.clear();
-    records.resize(hi - lo);
-    evaluate_range(chunk, records, 0, hi - lo, scratch, &observers);
-    const Status appended = writer.append_shard(lo, records.data(), hi - lo);
-    if (!appended.is_ok()) {
-      if (appended.code() == ErrorCode::kStorageFull) {
-        // See run_journaled: durable prefix, graceful resumable stop.
-        if (config_.metrics != nullptr) {
-          config_.metrics->add_counter("journal.storage_full_stops");
-        }
-        break;
-      }
-      return appended;
-    }
-    for (SampleRecord& rec : records) fold_record(state, std::move(rec));
-    done = hi;
-  }
-  merge_observers(std::move(observers));
-  SsfResult result = finish_reduce(std::move(state));
-  result.fault_space_size = space;
-  result.interrupted = done < n;
-  return result;
+  for (SampleRecord& rec : records) fold_record(state, std::move(rec));
+  return finish_reduce(std::move(state));
 }
 
 }  // namespace fav::mc

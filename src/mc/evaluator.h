@@ -27,7 +27,7 @@
 // observability below.
 //
 // Robustness: a campaign of 1e4–1e6 samples must survive individual
-// pathological samples. Each evaluation inside run()/run_journaled() is
+// pathological samples. Each evaluation inside a campaign (every run*) is
 // isolated — it executes under a configurable RTL cycle budget and wall-clock
 // deadline, exceptions and overruns are captured, retried once on fresh
 // scratch, and otherwise recorded as OutcomePath::kFailed with the reason.
@@ -166,7 +166,8 @@ struct EvaluatorConfig {
   /// rest in the "eval.records_dropped" metric. Estimates, counters and
   /// contribution maps always cover every sample regardless of the cap.
   std::size_t record_capacity = 0;
-  /// Worker threads for run(): 1 = sequential, 0 = hardware concurrency.
+  /// Worker threads for every run*: 1 = sequential, 0 = hardware
+  /// concurrency.
   /// Results are bitwise-identical for every value — samples are pre-drawn
   /// on the calling thread and reduced in sample-index order.
   std::size_t threads = 1;
@@ -192,10 +193,12 @@ struct EvaluatorConfig {
   std::size_t batch_lanes = 64;
 
   /// --- observability (util/metrics.h; all optional, null = disabled) ----
-  /// Aggregated campaign metrics. Per-worker sinks are created inside
-  /// run()/run_journaled() and merged into *metrics in worker-index order
-  /// when the run completes; sample-derived statistics (outcome-path
-  /// counters, ESS) are recorded during the sample-index-ordered reduction.
+  /// Aggregated campaign metrics. Every run* creates per-worker sinks and
+  /// merges them into *metrics in worker-index order when the run
+  /// completes; sample-derived statistics (outcome-path counters, ESS) are
+  /// recorded during the sample-index-ordered reduction. Every run* records
+  /// the phases run.{total,scratch_setup,reduce}_ns, and the drawn ones
+  /// (run, run_journaled) run.draw_batch_ns, nested inside run.total_ns.
   /// Enabling metrics never changes SSF results — counters are
   /// schedule-independent, timers are wall-clock and only feed reports.
   /// Successive runs through the same config accumulate into the same sink.
@@ -210,16 +213,18 @@ struct EvaluatorConfig {
   ProgressMeter* progress = nullptr;
 
   /// --- cooperative control (all optional) -------------------------------
-  /// Graceful-stop flag, polled between evaluation chunks in run()/
-  /// run_batch() and between shards in run_journaled(). When it flips true
-  /// the run finishes its in-flight chunk, reduces the evaluated prefix, and
+  /// Graceful-stop flag, polled by every run* between chunks: a journal
+  /// shard, or 16 words per worker when unjournaled. When it flips true the
+  /// run finishes its in-flight chunk, reduces the evaluated prefix, and
   /// returns with SsfResult::interrupted set — already-journaled work stays
   /// valid for a later resume. Null disables polling entirely.
   const std::atomic<bool>* stop = nullptr;
-  /// Invoked once per evaluated sample, from the worker thread that finished
-  /// it, right after its record slot is written (completion order, not
-  /// sample order). Supervised workers use it for heartbeat frames. Must be
-  /// thread-safe and must not throw; null disables.
+  /// Invoked once per evaluated sample with its index in the campaign (the
+  /// batch of run_batch, the enumeration index of run_exhaustive*), from
+  /// the worker thread that finished it, right after its record slot is
+  /// written (completion order, not sample order). Supervised workers use
+  /// it for heartbeat frames. Must be thread-safe and must not throw; null
+  /// disables.
   std::function<void(const SampleRecord&, std::size_t)> on_sample;
   /// Emit the reduce-derived eval.* counters/gauges into `metrics`. A
   /// supervised worker sets this false: its shards are re-reduced by the
@@ -357,56 +362,57 @@ class SsfEvaluator {
   bool outcome_for_flips(std::uint64_t te, const std::vector<int>& flips,
                          OutcomePath* path = nullptr) const;
 
-  /// Draws `n` samples from `sampler` and accumulates the SSF estimate.
-  ///
-  /// With config.threads != 1 the samples are evaluated on a worker pool.
-  /// Determinism contract: the sample batch is pre-drawn sequentially from
-  /// `sampler` (the stateful Rng stream is untouched by the workers), each
-  /// worker evaluates into its sample's slot using per-thread scratch state,
-  /// and the result is reduced in sample-index order — so ssf(), variance,
-  /// trace, records, and the contribution maps are bitwise-identical for
-  /// every thread count, including the sequential engine.
-  ///
-  /// Per-sample failures are isolated (see evaluate_sample_isolated) and
-  /// surface as SsfResult counters, not exceptions. A sampler that throws
-  /// while drawing the batch aborts the run with StatusError(kSamplerFailed).
+  /// The five campaign drivers are thin wrappers over one loop: they differ
+  /// only in where samples come from (drawn, given or enumerated) and in
+  /// whether completed shards are journaled. Every one evaluates in chunks
+  /// (a journal shard, or 16 words per worker) on the worker pool, polls
+  /// config.stop between chunks, and folds records in sample-index order —
+  /// so ssf(), variance, trace, records and the contribution maps are
+  /// bitwise-identical at every thread count and lane width, and a chunk
+  /// boundary only ends a word early. Per-sample failures are isolated (see
+  /// evaluate_sample_isolated) and surface as SsfResult counters, not
+  /// exceptions.
+
+  /// Draws `n` samples from `sampler` and accumulates the SSF estimate. The
+  /// whole batch is drawn on the calling thread before evaluation starts
+  /// (the stateful Rng stream is untouched by the workers). A sampler that
+  /// throws aborts the run with StatusError(kSamplerFailed).
   SsfResult run(Sampler& sampler, Rng& rng, std::size_t n) const;
 
-  /// Evaluates an explicit, pre-drawn batch through the full pipeline
-  /// (worker pool, isolation, observability, sample-index-ordered
-  /// reduction). The seam run() uses after drawing its batch, and the
-  /// supervisor's workers use for their assigned shards.
+  /// Evaluates an explicit, pre-drawn batch: the seam the supervisor's
+  /// workers use for their assigned slices (sample indices, as on_sample
+  /// sees them, are then slice-relative).
   SsfResult run_batch(std::vector<faultsim::FaultSample> samples) const;
 
   /// Exhaustively sweeps the technique's bound fault space (see
   /// AttackTechnique::bind_space / enumerate): every enumeration index in
-  /// [0, min(space_size, space_limit)) is evaluated exactly once, streamed
-  /// through the batch pipeline in bounded chunks — the full space is never
-  /// materialized, so memory stays O(chunk) regardless of grid size. The
-  /// result carries fault_space_size so coverage() reports the swept
-  /// fraction, and is bitwise-identical to run_batch over the materialized
-  /// enumeration at every thread and lane count. space_limit == 0 sweeps
+  /// [0, min(space_size, space_limit)) is evaluated exactly once, enumerated
+  /// chunk by chunk — the full space is never materialized, so memory stays
+  /// O(chunk) regardless of grid size. The result carries fault_space_size
+  /// so coverage() reports the swept fraction, and is bitwise-identical to
+  /// run_batch over the materialized enumeration. space_limit == 0 sweeps
   /// everything. Throws StatusError(kInvalidArgument) when no space is
   /// bound.
   SsfResult run_exhaustive(std::uint64_t space_limit = 0) const;
 
-  /// Crash-safe variant of run_exhaustive(): completed enumeration-index
-  /// shards are appended to the journal as they finish. Resume re-enumerates
-  /// the journaled prefix from the bound space (the index -> sample mapping
-  /// is the determinism contract) and cross-checks it before continuing from
-  /// the first missing index — the final result is bitwise-identical to an
-  /// uninterrupted sweep.
+  /// Crash-safe variant of run_exhaustive(): each completed shard of
+  /// enumeration indices is appended to the journal. Resume re-enumerates
+  /// the journaled prefix (the index -> sample mapping is the determinism
+  /// contract) and cross-checks it before continuing from the first missing
+  /// index — the final result is bitwise-identical to an uninterrupted
+  /// sweep.
   Result<SsfResult> run_exhaustive_journaled(const JournalOptions& options,
                                              std::uint64_t space_limit =
                                                  0) const;
 
-  /// Crash-safe variant of run(): completed sample shards are appended to
-  /// the journal in `options.dir` as they finish. With options.resume, the
-  /// journal is replayed first and evaluation continues from the first
-  /// missing sample index — the returned SsfResult is bitwise-identical to
-  /// an uninterrupted run at every thread count (samples are re-drawn from
-  /// the same sampler/rng state and cross-checked against the journal).
-  /// Journal integrity/IO failures are reported as a non-ok Result.
+  /// Crash-safe variant of run(): each completed shard is appended to the
+  /// journal in `options.dir`. With options.resume, the journal is replayed
+  /// first and evaluation continues from the first missing sample index —
+  /// the result is bitwise-identical to an uninterrupted run (samples are
+  /// re-drawn from the same sampler/rng state and cross-checked against the
+  /// journal). A full disk (kStorageFull) stops the run gracefully with the
+  /// journaled prefix; other journal integrity/IO failures and sampler
+  /// failures are reported as a non-ok Result.
   Result<SsfResult> run_journaled(Sampler& sampler, Rng& rng, std::size_t n,
                                   const JournalOptions& options) const;
 
@@ -420,7 +426,7 @@ class SsfEvaluator {
 
   /// Folds externally-evaluated records (e.g. merged supervised-worker
   /// journal shards) through the same sample-index-ordered reduction as
-  /// run_batch, so the resulting SsfResult is bitwise-identical to the
+  /// every run*, so the resulting SsfResult is bitwise-identical to the
   /// single-process engine evaluating the same samples.
   SsfResult reduce_records(std::vector<SampleRecord> records) const;
 
@@ -443,14 +449,33 @@ class SsfEvaluator {
     std::exception_ptr error;
   };
 
-  /// Evaluates samples[lo, hi) into records[lo, hi) on the worker pool,
-  /// reusing `scratch` (one slot per worker; isolated evaluation). Golden
-  /// settled rows the range needs and the table lacks are built first, on
-  /// the calling thread, before any worker starts. `observers` may be null
-  /// (no instrumentation) or sized to the pool.
-  void evaluate_range(const std::vector<faultsim::FaultSample>& samples,
-                      std::vector<SampleRecord>& records, std::size_t lo,
-                      std::size_t hi,
+  /// Where a campaign's samples come from: drawn from `sampler` on the
+  /// calling thread before evaluation starts (run, run_journaled), a given
+  /// `batch` (run_batch), or the technique's bound space, enumerated chunk
+  /// by chunk (run_exhaustive*).
+  struct SampleSource {
+    Sampler* sampler = nullptr;
+    Rng* rng = nullptr;
+    std::vector<faultsim::FaultSample> batch = {};
+    bool enumerated = false;
+  };
+  /// The one campaign loop behind every run*: validates `journal`, replays
+  /// and cross-checks its prefix on resume, then per chunk polls
+  /// config_.stop, evaluates, journals (kStorageFull is a graceful,
+  /// resumable stop) and folds in sample-index order. A chunk is one
+  /// journal shard, or 16 words per worker when unjournaled. `n` is the
+  /// sample count; an enumerated source sweeps the first `n` indices of the
+  /// bound space (0 = all of it).
+  Result<SsfResult> run_campaign(std::uint64_t n, SampleSource source,
+                                 const JournalOptions* journal) const;
+  /// Evaluates samples[i] into records[i] on the worker pool, reusing
+  /// `scratch` (one slot per worker; isolated evaluation). Sample i is
+  /// campaign sample base + i: the index the trace and on_sample see.
+  /// Golden settled rows the range needs and the table lacks are built
+  /// first, on the calling thread, before any worker starts. `observers`
+  /// may be null (no instrumentation) or sized to the pool.
+  void evaluate_range(std::span<const faultsim::FaultSample> samples,
+                      std::span<SampleRecord> records, std::size_t base,
                       std::vector<std::unique_ptr<EvalScratch>>& scratch,
                       WorkerObservers* observers) const;
   /// Evaluates the word samples[begin, end) (plans[i - begin] = sample i's
@@ -464,8 +489,8 @@ class SsfEvaluator {
   /// plan, and it and any lane packing refused leave their records
   /// untouched.
   void evaluate_word(
-      const std::vector<faultsim::FaultSample>& samples,
-      std::vector<SampleRecord>& records, std::size_t begin, std::size_t end,
+      std::span<const faultsim::FaultSample> samples,
+      std::span<SampleRecord> records, std::size_t begin, std::size_t end,
       std::span<LanePlan> plans, EvalScratch& scratch, MetricsSink* sink,
       bool timing,
       const std::function<void(std::size_t, std::uint64_t)>& publish) const;
@@ -484,8 +509,8 @@ class SsfEvaluator {
   /// Incremental reduction state: fold_record() accumulates one record at a
   /// time in sample-index order, finish_reduce() seals the result and emits
   /// the reduce-derived metrics. Folding records chunk by chunk performs the
-  /// exact accumulation one reduce() over the concatenation would — the seam
-  /// run_exhaustive streams through without materializing every record.
+  /// exact accumulation one pass over the concatenation would, so a
+  /// campaign never holds more than a chunk of unfolded records.
   struct ReduceState {
     SsfResult result;
     std::uint64_t records_dropped = 0;
@@ -493,9 +518,6 @@ class SsfEvaluator {
   };
   void fold_record(ReduceState& state, SampleRecord&& rec) const;
   SsfResult finish_reduce(ReduceState&& state) const;
-  /// Seed-order accumulation of evaluated records into an SsfResult; the
-  /// single reduction path shared by the sequential and parallel engines.
-  SsfResult reduce(std::vector<SampleRecord>&& records) const;
   /// Shared outcome decision on a machine already positioned just past the
   /// (last) injection cycle with the errors overlaid.
   bool decide_outcome(rtl::Machine& machine, const std::vector<int>& flips,

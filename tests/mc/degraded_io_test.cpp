@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "faultsim/glitch.h"
 #include "mc/evaluator.h"
 #include "mc/journal.h"
 #include "soc/benchmark.h"
@@ -23,6 +24,7 @@ struct Context {
   soc::SocNetlist soc;
   layout::Placement placement{soc.netlist()};
   faultsim::InjectionSimulator injector{soc.netlist()};
+  faultsim::GlitchSimulator glitch{soc.netlist()};
   soc::SecurityBenchmark bench = soc::make_illegal_write_benchmark();
   rtl::GoldenRun golden{bench.program, bench.max_cycles, 32};
   rtl::Program workload = soc::make_synthetic_workload();
@@ -166,40 +168,59 @@ TEST_F(DegradedIoTest, FsyncEioIsStorageFull) {
 
 // A journaled campaign that hits ENOSPC mid-run stops gracefully: the
 // result covers the journaled prefix, is marked interrupted, and a resume
-// (with space restored) reproduces the uninterrupted run bit for bit.
+// (with space restored) reproduces the uninterrupted run bit for bit. Both
+// a sampled campaign and an exhaustive sweep.
 TEST_F(DegradedIoTest, EnospcMidCampaignStopsGracefullyAndResumes) {
   const auto attack = test_attack();
+  faultsim::GlitchTechnique glitch(ctx().glitch,
+                                   faultsim::TechniqueKind::kClockGlitch);
+  faultsim::GlitchAttackModel model(faultsim::TechniqueKind::kClockGlitch);
+  model.t_min = 1;
+  model.t_max = 20;
+  model.levels = {0.4, 0.7};
+  glitch.bind_space(model);
+  const SsfEvaluator sweeper(ctx().soc, glitch, ctx().bench, ctx().golden,
+                             &ctx().charac);
 
-  RandomSampler ref_sampler(attack);
-  Rng ref_rng(47);
-  const SsfResult reference = ctx().evaluator.run(ref_sampler, ref_rng, 96);
+  for (const bool exhaustive : {false, true}) {
+    SCOPED_TRACE(exhaustive ? "run_exhaustive_journaled" : "run_journaled");
+    auto run = [&](const JournalOptions& options) {
+      if (exhaustive) return sweeper.run_exhaustive_journaled(options);
+      RandomSampler sampler(attack);
+      Rng rng(47);
+      return ctx().evaluator.run_journaled(sampler, rng, 96, options);
+    };
+    SsfResult reference;
+    if (exhaustive) {
+      reference = sweeper.run_exhaustive();
+    } else {
+      RandomSampler ref_sampler(attack);
+      Rng ref_rng(47);
+      reference = ctx().evaluator.run(ref_sampler, ref_rng, 96);
+    }
 
-  const std::string dir = fresh_dir("enospc_resume");
-  io::ChaosFile chaos;
-  chaos.fail_write_at = 3;  // header, shard 1 land; shard 2 hits the wall
-  io::chaos_install(chaos);
-  RandomSampler sampler(attack);
-  Rng rng(47);
-  Result<SsfResult> partial =
-      ctx().evaluator.run_journaled(sampler, rng, 96, test_options(dir, false));
-  io::chaos_reset();
-  ASSERT_TRUE(partial.is_ok()) << partial.status().to_string();
-  EXPECT_TRUE(partial.value().interrupted);
-  EXPECT_EQ(partial.value().evaluated, 32u);  // exactly the journaled shard
+    const auto dir = fresh_dir(exhaustive ? "enospc_sweep" : "enospc_resume");
+    io::ChaosFile chaos;
+    chaos.fail_write_at = 3;  // header, shard 1 land; shard 2 hits the wall
+    io::chaos_install(chaos);
+    Result<SsfResult> partial = run(test_options(dir, false));
+    io::chaos_reset();
+    ASSERT_TRUE(partial.is_ok()) << partial.status().to_string();
+    EXPECT_TRUE(partial.value().interrupted);
+    EXPECT_EQ(partial.value().evaluated, 32u);  // exactly the journaled shard
 
-  RandomSampler resumed_sampler(attack);
-  Rng resumed_rng(47);
-  Result<SsfResult> resumed = ctx().evaluator.run_journaled(
-      resumed_sampler, resumed_rng, 96, test_options(dir, true));
-  ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
-  EXPECT_FALSE(resumed.value().interrupted);
-  EXPECT_EQ(resumed.value().ssf(), reference.ssf());
-  EXPECT_EQ(resumed.value().sample_variance(), reference.sample_variance());
-  EXPECT_EQ(resumed.value().successes, reference.successes);
-  EXPECT_EQ(resumed.value().masked, reference.masked);
-  EXPECT_EQ(resumed.value().analytical, reference.analytical);
-  EXPECT_EQ(resumed.value().rtl, reference.rtl);
-  EXPECT_EQ(resumed.value().bit_contribution, reference.bit_contribution);
+    Result<SsfResult> resumed = run(test_options(dir, true));
+    ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+    EXPECT_FALSE(resumed.value().interrupted);
+    EXPECT_EQ(resumed.value().evaluated, reference.evaluated);
+    EXPECT_EQ(resumed.value().ssf(), reference.ssf());
+    EXPECT_EQ(resumed.value().sample_variance(), reference.sample_variance());
+    EXPECT_EQ(resumed.value().successes, reference.successes);
+    EXPECT_EQ(resumed.value().masked, reference.masked);
+    EXPECT_EQ(resumed.value().analytical, reference.analytical);
+    EXPECT_EQ(resumed.value().rtl, reference.rtl);
+    EXPECT_EQ(resumed.value().bit_contribution, reference.bit_contribution);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
@@ -492,6 +493,65 @@ TEST(SsfEvaluator, RecordCapacityIsThreadCountIndependent) {
       reference = std::move(res);
     } else {
       expect_bitwise_equal(res, reference);
+    }
+  }
+}
+
+TEST(SsfEvaluator, StopFlagReturnsTheEvaluatedPrefix) {
+  // A stop tripped after k samples ends the run at the next chunk boundary
+  // (16 words per worker), and the result is the evaluated prefix: bit for
+  // bit the reduction of an uninterrupted run's first records.
+  faultsim::AttackModel attack;
+  attack.t_min = 0;
+  attack.t_max = 9;
+  const auto& nodes = ctx().placement.placed_nodes();
+  ASSERT_GE(nodes.size(), 40u);
+  attack.candidate_centers.assign(nodes.begin(), nodes.begin() + 40);
+  attack.strike_fracs = {0.0};
+  faultsim::RadiationTechnique technique(ctx().placement, ctx().injector);
+  technique.bind_space(attack);
+  constexpr std::size_t kSamples = 400;
+  ASSERT_EQ(technique.space_size(), kSamples);
+  constexpr std::size_t kLanes = 2;
+  for (const bool exhaustive : {false, true}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(exhaustive ? "run_exhaustive" : "run") +
+                   " threads=" + std::to_string(threads));
+      const std::size_t chunk = 16 * kLanes * threads;
+      const std::size_t k = chunk + 1;
+      EvaluatorConfig cfg;
+      cfg.threads = threads;
+      cfg.batch_lanes = kLanes;
+      auto run = [&](const SsfEvaluator& ev) {
+        if (exhaustive) return ev.run_exhaustive();
+        RandomSampler sampler(attack);
+        Rng rng(53);
+        return ev.run(sampler, rng, kSamples);
+      };
+      const SsfEvaluator plain(ctx().soc, technique, ctx().bench, ctx().golden,
+                               &ctx().charac, cfg);
+      SsfResult full = run(plain);
+      ASSERT_FALSE(full.interrupted);
+      ASSERT_EQ(full.records.size(), kSamples);
+
+      std::atomic<bool> stop{false};
+      std::atomic<std::size_t> seen{0};
+      cfg.stop = &stop;
+      cfg.on_sample = [&](const SampleRecord&, std::size_t) {
+        if (seen.fetch_add(1) + 1 >= k) stop = true;
+      };
+      const SsfEvaluator stopped(ctx().soc, technique, ctx().bench,
+                                 ctx().golden, &ctx().charac, cfg);
+      const SsfResult part = run(stopped);
+      EXPECT_TRUE(part.interrupted);
+      EXPECT_EQ(part.evaluated % chunk, 0u);
+      EXPECT_GE(part.evaluated, k);
+      ASSERT_LT(part.evaluated, kSamples);
+
+      full.records.resize(part.evaluated);
+      const SsfResult prefix = plain.reduce_records(std::move(full.records));
+      EXPECT_EQ(part.evaluated, prefix.evaluated);
+      expect_bitwise_equal(part, prefix);
     }
   }
 }

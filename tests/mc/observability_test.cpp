@@ -147,21 +147,26 @@ TEST(Observability, CountersAndGaugesMatchTheResult) {
   }
 }
 
+/// Every campaign index in [0, n) keys exactly one trace event.
+void expect_one_event_per_sample(const TraceBuffer& trace, std::size_t n) {
+  ASSERT_EQ(trace.size(), n);
+  std::set<std::uint64_t> keys;
+  for (const TraceEvent& e : trace.events()) {
+    keys.insert(e.order_key);
+    EXPECT_EQ(e.category, "sample");
+  }
+  EXPECT_EQ(keys.size(), n);  // every sample index exactly once
+  EXPECT_EQ(*keys.begin(), 0u);
+  EXPECT_EQ(*keys.rbegin(), n - 1);
+}
+
 TEST(Observability, TraceHasOneEventPerSampleInSampleOrder) {
   TraceBuffer trace;
   EvaluatorConfig cfg;
   cfg.threads = 2;  // exercise the per-worker buffers and the merge
   cfg.trace = &trace;
   const SsfResult res = run_with(cfg);
-  ASSERT_EQ(trace.size(), kSamples);
-  std::set<std::uint64_t> keys;
-  for (const TraceEvent& e : trace.events()) {
-    keys.insert(e.order_key);
-    EXPECT_EQ(e.category, "sample");
-  }
-  EXPECT_EQ(keys.size(), kSamples);  // every sample index exactly once
-  EXPECT_EQ(*keys.begin(), 0u);
-  EXPECT_EQ(*keys.rbegin(), kSamples - 1);
+  expect_one_event_per_sample(trace, kSamples);
   // Serialized form is sorted by sample index regardless of worker
   // interleaving, and the path names match the outcome split.
   std::size_t rtl_events = 0;
@@ -172,6 +177,40 @@ TEST(Observability, TraceHasOneEventPerSampleInSampleOrder) {
   std::ostringstream os;
   trace.write_json(os);
   EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
+
+  // Exhaustive sweeps key their events by enumeration index, across chunk
+  // boundaries (16 words per worker; 2-lane words make a 64-sample chunk)
+  // and across journal shards.
+  faultsim::AttackModel attack = ctx().attack();
+  attack.t_max = 9;
+  attack.candidate_centers.resize(30);
+  attack.strike_fracs = {0.0};
+  faultsim::RadiationTechnique technique(ctx().placement, ctx().injector);
+  technique.bind_space(attack);
+  const std::size_t space = technique.space_size();
+  cfg.batch_lanes = 2;
+  ASSERT_GT(space, 2 * 16 * cfg.batch_lanes * cfg.threads);
+  TraceBuffer sweep_trace;
+  cfg.trace = &sweep_trace;
+  const SsfEvaluator sweeper(ctx().soc, technique, ctx().bench, ctx().golden,
+                             &ctx().charac, cfg);
+  ASSERT_EQ(sweeper.run_exhaustive().evaluated, space);
+  expect_one_event_per_sample(sweep_trace, space);
+
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "fav_observability_sweep";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  JournalOptions jopt;
+  jopt.dir = dir.string();
+  jopt.shard_size = 32;
+  TraceBuffer journaled_trace;
+  cfg.trace = &journaled_trace;
+  const SsfEvaluator journaled(ctx().soc, technique, ctx().bench, ctx().golden,
+                               &ctx().charac, cfg);
+  Result<SsfResult> swept = journaled.run_exhaustive_journaled(jopt);
+  ASSERT_TRUE(swept.is_ok()) << swept.status().to_string();
+  expect_one_event_per_sample(journaled_trace, space);
 }
 
 TEST(Observability, BatchedTimersDoNotDoubleCount) {
@@ -256,6 +295,15 @@ TEST(Observability, JournaledRunRecordsJournalMetrics) {
   EXPECT_GT(metrics.counter("journal.bytes_written"), 0u);
   ASSERT_NE(metrics.timer("journal.fsync_ns"), nullptr);
   EXPECT_GE(metrics.timer("journal.fsync_ns")->count, 1u);
+  // The run phases every campaign records, nested without double counting.
+  for (const char* phase : {"run.total_ns", "run.draw_batch_ns",
+                            "run.scratch_setup_ns", "run.reduce_ns"}) {
+    ASSERT_NE(metrics.timer(phase), nullptr) << phase;
+  }
+  EXPECT_LE(metrics.timer("run.draw_batch_ns")->total_ns +
+                metrics.timer("run.scratch_setup_ns")->total_ns +
+                metrics.timer("run.reduce_ns")->total_ns,
+            metrics.timer("run.total_ns")->total_ns);
 }
 
 }  // namespace
