@@ -428,6 +428,26 @@ void BM_SignatureRecording(benchmark::State& state) {
 }
 BENCHMARK(BM_SignatureRecording);
 
+// The full register-characterization sweep a cold framework construction
+// runs: every flat bit injected at every stride-th cycle of the synthetic
+// workload's golden run, with the framework's default golden horizon,
+// checkpoint spacing and characterization config.
+void BM_RegisterCharacterization(benchmark::State& state) {
+  const core::FrameworkConfig defaults;
+  const rtl::Program workload = soc::make_synthetic_workload();
+  const rtl::GoldenRun golden(workload, defaults.precharac_cycles,
+                              defaults.checkpoint_interval);
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    const precharac::RegisterCharacterization charac(
+        golden, defaults.characterization);
+    steps = charac.steps();
+    benchmark::DoNotOptimize(charac.raw_bits().data());
+  }
+  state.counters["rtl_steps"] = static_cast<double>(steps);
+}
+BENCHMARK(BM_RegisterCharacterization)->Unit(benchmark::kMillisecond);
+
 // Full framework elaboration, cold vs warm, through the persistent
 // pre-characterization artifact cache (precharac/artifact.h). Arg(0) removes
 // the artifact before every construction so each iteration recomputes and

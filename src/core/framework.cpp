@@ -294,6 +294,8 @@ void FaultAttackEvaluator::compute_precharac() {
     charac_ = std::make_unique<precharac::RegisterCharacterization>(
         *synthetic_golden_, config_.characterization);
   }
+  metrics_.add_counter("precharac.characterize_restores", charac_->restores());
+  metrics_.add_counter("precharac.characterize_steps", charac_->steps());
 }
 
 void FaultAttackEvaluator::compute_potency() {

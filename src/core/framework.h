@@ -178,7 +178,9 @@ class FaultAttackEvaluator {
   /// once and the cost of a few clock reads is nil): per-phase construction
   /// timers ("precharac.golden_runs_ns", "precharac.cone_ns",
   /// "precharac.signatures_ns", "precharac.characterization_ns",
-  /// "precharac.injector_ns", "precharac.potency_ns"), potency counters,
+  /// "precharac.injector_ns", "precharac.potency_ns"), the characterization
+  /// sweep's work when it ran ("precharac.characterize_restores",
+  /// "precharac.characterize_steps"), potency counters,
   /// the sampler build time of each make_sampler_with_fallback call
   /// ("sampler.build_ns"), and sampler-fallback provenance
   /// ("sampler.downgrades", "sampler.built.<strategy>"). Merge into a

@@ -34,7 +34,7 @@ std::optional<bool> AnalyticalEvaluator::evaluate(
   // Corrupted DMA registers change which addresses the engine touches; the
   // recorded trace and attack path assume the golden ones.
   {
-    const rtl::ArchState ref =
+    const rtl::ArchState& ref =
         golden_->state_at(std::min(first_faulty_cycle, golden_->length()));
     if (faulty.dma_src != ref.dma_src || faulty.dma_dst != ref.dma_dst ||
         faulty.dma_len != ref.dma_len ||

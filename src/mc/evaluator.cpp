@@ -90,8 +90,7 @@ void EvalBudget::charge_cycles(std::uint64_t cycles) {
 EvalScratch::EvalScratch(const SsfEvaluator& evaluator)
     : machine_(evaluator.golden().program()),
       gate_(evaluator.soc(), evaluator.golden().program()),
-      words_(evaluator.soc().netlist()),
-      resume_(evaluator.golden().program()) {}
+      words_(evaluator.soc().netlist()) {}
 
 SsfEvaluator::SsfEvaluator(
     const soc::SocNetlist& soc, const faultsim::AttackTechnique& technique,
@@ -587,20 +586,24 @@ void SsfEvaluator::evaluate_word(
   // Per-lane finalization. A lane that can diverge — a flip in its first
   // cycle, or later cycles still to strike — needs the post-injection
   // machine of its te; lanes are in te order, so each distinct te costs one
-  // restore + injection-cycle step, shared by its lanes. A lane is timed
-  // from its own start, after that restore.
+  // restore + injection-cycle step, shared by its lanes: the RAM's write log
+  // starts there, and each lane resumes on the same machine after resetting
+  // its state and cycle and rolling the previous lane's RAM writes back. A
+  // lane is timed from its own start, after that restore.
   const RegisterMap& map = Machine::reg_map();
+  Machine& m = sc.machine_;
   auto overlay = [&](const std::vector<netlist::NodeId>& dffs,
                      std::set<int>& flipped) {
     for (const netlist::NodeId dff : dffs) {
       const int bit = soc_->flat_bit_for_dff(dff);
       FAV_CHECK(bit >= 0);
-      map.flip_bit(sc.resume_.mutable_state(), bit);
+      map.flip_bit(m.mutable_state(), bit);
       flipped.insert(bit);
     }
   };
   std::uint64_t restores = 0;
-  std::uint64_t restored_te = 0;  // the te sc.machine_ holds once restores > 0
+  std::uint64_t restored_te = 0;  // the te m was restored to once restores > 0
+  rtl::ArchState injected;        // m's state after restored_te's step
   std::exception_ptr restore_error;
   for (std::size_t k = 0; k < lanes; ++k) {
     const std::size_t i = sc.lane_index_[k];
@@ -614,8 +617,10 @@ void SsfEvaluator::evaluate_word(
       restore_error = nullptr;
       try {
         ScopeTimer timer(sink, "eval.restore_ns");
-        golden_->restore_into(sc.machine_, restored_te);
-        sc.machine_.step();
+        golden_->restore_into(m, restored_te);
+        m.step();
+        injected = m.state();
+        m.mutable_ram().start_log();
       } catch (const std::exception&) {
         restore_error = std::current_exception();
       }
@@ -642,24 +647,26 @@ void SsfEvaluator::evaluate_word(
       budget.charge_cycles(row.warmup);
       if (!row.halted) budget.charge_cycles(1);
       if (diverges) {
-        // Only lanes that can diverge pay for an RTL resume: copy the
-        // post-injection state of their te and overlay this lane's errors.
-        sc.resume_ = sc.machine_;
+        // Only lanes that can diverge pay for an RTL resume: return to the
+        // post-injection machine of their te and overlay this lane's errors.
+        m.set_state(injected);
+        m.set_cycle(rec.te + 1);
+        m.mutable_ram().rollback();
         std::set<int> flipped;
         overlay(sc.lane_flips_[k], flipped);
         // Multi-cycle impact: each later cycle is settled on the lane's
         // already-corrupted machine and struck as a one-lane word.
-        for (int j = 1; j < s.impact_cycles && !sc.resume_.halted(); ++j) {
+        for (int j = 1; j < s.impact_cycles && !m.halted(); ++j) {
           budget.charge_cycles(1);
           ScopeTimer timer(sink, "eval.gate_inject_ns");
           const std::uint64_t settles_before = sc.gate_.total_settles();
-          sc.gate_.load_state(sc.resume_.state());
-          sc.gate_.mutable_ram() = sc.resume_.ram();
+          sc.gate_.load_state(m.state());
+          sc.gate_.mutable_ram() = m.ram();
           sc.gate_.settle_inputs();
           sc.gate_.broadcast_settled(sc.words_);
           technique_->flip_set_batch(sc.words_, sc.technique_, {&s, 1},
                                      sc.cycle_flips_);
-          sc.resume_.step();
+          m.step();
           overlay(sc.cycle_flips_.front(), flipped);
           if (sink != nullptr) {
             sink->add_counter("gate.injection_cycles", 1);
@@ -669,7 +676,7 @@ void SsfEvaluator::evaluate_word(
         }
         rec.flipped_bits.assign(flipped.begin(), flipped.end());
         rec.success = decide_outcome(
-            sc.resume_, rec.flipped_bits,
+            m, rec.flipped_bits,
             rec.te + static_cast<std::uint64_t>(s.impact_cycles), &rec.path,
             budget, sink);
       }

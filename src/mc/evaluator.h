@@ -254,10 +254,11 @@ class SsfEvaluator;
 
 /// Reusable per-worker evaluation state, constructed once and re-loaded for
 /// every word: the 64-lane simulator the lanes' golden rows are gathered
-/// into, the RTL machine holding the post-injection state of one te, the
-/// machine a diverging lane resumes on (a copy, so the te's machine stays
-/// valid for its other lanes), the gate-level machine a multi-cycle lane
-/// settles its later cycles on, and the technique/lane buffers.
+/// into, the RTL machine that builds golden rows and holds the
+/// post-injection state of one te (each diverging lane resumes on it, then
+/// the next lane resets the state and rolls the RAM's write log back), the
+/// gate-level machine a multi-cycle lane settles its later cycles on, and
+/// the technique/lane buffers.
 /// Constructing the machines allocates the full logic-simulator state and a
 /// 64K-word RAM, so the engine keeps one scratch per worker thread. Not
 /// thread-safe: one scratch per thread.
@@ -271,7 +272,6 @@ class EvalScratch {
   soc::GateLevelMachine gate_;
   faultsim::TechniqueScratch technique_;
   netlist::WordSimulator words_;
-  rtl::Machine resume_;
   std::vector<std::size_t> lane_index_;  // sample index of each swept lane
   std::vector<const BitVector*> lane_images_;
   std::vector<faultsim::FaultSample> lane_samples_;

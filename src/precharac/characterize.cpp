@@ -1,7 +1,7 @@
 #include "precharac/characterize.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
 
 #include "util/check.h"
 
@@ -36,47 +36,64 @@ RegisterCharacterization::RegisterCharacterization(
       bits[static_cast<std::size_t>(i)] = i;
     }
   }
-
-  const std::uint64_t length = golden.length();
   for (const int flat : bits) {
     FAV_ENSURE_MSG(flat >= 0 && flat < map.total_bits(),
                   "flat bit " << flat << " out of range");
-    auto& bc = bits_[static_cast<std::size_t>(flat)];
-    const int origin_field = map.locate(flat).first;
+    char& done = done_[static_cast<std::size_t>(flat)];
+    FAV_ENSURE_MSG(done == 0, "flat bit " << flat << " listed twice");
+    done = 1;
+  }
 
-    for (std::uint64_t c = config.first_cycle; c < length;
-         c += config.stride) {
-      Machine m = golden.restore(c);
+  // Cycles outer, bits inner: each injection cycle is restored once into one
+  // machine, and every bit resumes from there after resetting the state and
+  // cycle and rolling back the RAM writes of the previous bit's run. Each
+  // bit still accumulates its cycles in ascending order.
+  const std::uint64_t length = golden.length();
+  Machine m(golden.program());
+  for (std::uint64_t c = config.first_cycle; c < length; c += config.stride) {
+    std::uint64_t warmup = 0;
+    golden.restore_into(m, c, &warmup);
+    ++restores_;
+    steps_ += warmup;
+    const rtl::ArchState restored = m.state();
+    m.mutable_ram().start_log();
+    for (const int flat : bits) {
+      m.set_state(restored);
+      m.set_cycle(c);
+      m.mutable_ram().rollback();
       map.flip_bit(m.mutable_state(), flat);
+      const std::uint64_t origin = std::uint64_t{1} << map.locate(flat).first;
 
+      // A faulty run that outlives the golden one is compared against its
+      // final state.
       double lifetime = static_cast<double>(config.horizon);
-      std::unordered_set<int> contaminated;
+      std::uint64_t contaminated = 0;  // fields other than the origin's
       for (std::uint64_t k = 0; k < config.horizon; ++k) {
-        const std::uint64_t gold_cycle = std::min(c + k, length);
-        const BitVector faulty = map.pack(m.state());
-        const BitVector diff = faulty ^ golden.state_bits_at(gold_cycle);
-        if (diff.none()) {
+        const rtl::ArchState& gold = golden.state_at(std::min(c + k, length));
+        const std::uint64_t diff = map.diff_fields(m.state(), gold);
+        if (diff == 0) {
           lifetime = static_cast<double>(k);
           break;
         }
-        for (const std::size_t dbit : diff.set_bits()) {
-          const int f = map.locate(static_cast<int>(dbit)).first;
-          if (f != origin_field) contaminated.insert(f);
-        }
+        contaminated |= diff & ~origin;
         m.step();
+        ++steps_;
       }
 
+      auto& bc = bits_[static_cast<std::size_t>(flat)];
       bc.avg_lifetime += lifetime;
       bc.max_lifetime = std::max(bc.max_lifetime, lifetime);
-      bc.avg_contamination += static_cast<double>(contaminated.size());
+      bc.avg_contamination += static_cast<double>(std::popcount(contaminated));
       ++bc.samples;
     }
+  }
 
+  for (const int flat : bits) {
+    auto& bc = bits_[static_cast<std::size_t>(flat)];
     if (bc.samples > 0) {
       bc.avg_lifetime /= bc.samples;
       bc.avg_contamination /= bc.samples;
     }
-    done_[static_cast<std::size_t>(flat)] = 1;
   }
 }
 

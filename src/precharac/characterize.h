@@ -11,6 +11,13 @@
 // Registers with long lifetime and ~zero contamination are classified as
 // memory-type (their attack outcome is evaluated analytically); the rest are
 // computation-type (sampled).
+//
+// The sweep restores each injection cycle once into one machine and resumes
+// every bit from it: the bit's run is undone by resetting the architectural
+// state and cycle and rolling back the RAM's write log (rtl::Memory), and
+// each step is compared with the golden run field by field
+// (RegisterMap::diff_fields), so no 128 KB machine is built or copied per
+// injection and no state is packed per step.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +50,8 @@ struct BitCharacterization {
 class RegisterCharacterization {
  public:
   /// Characterizes the given flat register-map bits (all bits if empty)
-  /// against `golden` (the synthetic-workload golden run).
+  /// against `golden` (the synthetic-workload golden run). Throws
+  /// CheckError on a bit out of range or listed twice.
   RegisterCharacterization(const rtl::GoldenRun& golden,
                            const CharacterizationConfig& config = {},
                            std::vector<int> bits = {});
@@ -73,10 +81,18 @@ class RegisterCharacterization {
   const std::vector<BitCharacterization>& raw_bits() const { return bits_; }
   const std::vector<char>& raw_done() const { return done_; }
 
+  /// Work of the measuring constructor (both 0 for a loaded one): checkpoint
+  /// restores, one per injection cycle, and RTL cycles simulated, warm-ups
+  /// included.
+  std::uint64_t restores() const { return restores_; }
+  std::uint64_t steps() const { return steps_; }
+
  private:
   CharacterizationConfig config_;
   std::vector<BitCharacterization> bits_;  // indexed by flat bit
   std::vector<char> done_;
+  std::uint64_t restores_ = 0;
+  std::uint64_t steps_ = 0;
 };
 
 }  // namespace fav::precharac

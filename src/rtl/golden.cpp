@@ -9,9 +9,8 @@ GoldenRun::GoldenRun(const Program& program, std::uint64_t max_cycles,
     : program_(&program) {
   FAV_ENSURE(checkpoint_interval > 0);
   Machine m(program);
-  const RegisterMap& map = Machine::reg_map();
 
-  states_.push_back(map.pack(m.state()));
+  states_.push_back(m.state());
   checkpoints_.push_back({0, m.state(), m.ram()});
 
   std::uint64_t cycle = 0;
@@ -29,7 +28,7 @@ GoldenRun::GoldenRun(const Program& program, std::uint64_t max_cycles,
       accesses_.push_back({cycle - 1, info.dma_addr_src, false, false, true});
       accesses_.push_back({cycle - 1, info.dma_addr_dst, true, false, true});
     }
-    states_.push_back(map.pack(m.state()));
+    states_.push_back(m.state());
     if (cycle % checkpoint_interval == 0 && !m.halted()) {
       checkpoints_.push_back({cycle, m.state(), m.ram()});
     }
@@ -39,24 +38,13 @@ GoldenRun::GoldenRun(const Program& program, std::uint64_t max_cycles,
   final_ram_ = m.ram();
 }
 
-const BitVector& GoldenRun::state_bits_at(std::uint64_t cycle) const {
+const ArchState& GoldenRun::state_at(std::uint64_t cycle) const {
   FAV_ENSURE_MSG(cycle <= length_, "cycle " << cycle << " beyond golden run");
   return states_[cycle];
 }
 
-ArchState GoldenRun::state_at(std::uint64_t cycle) const {
-  return Machine::reg_map().unpack(state_bits_at(cycle));
-}
-
 std::uint16_t GoldenRun::pc_at(std::uint64_t cycle) const {
-  const BitVector& bits = state_bits_at(cycle);
-  std::uint16_t pc = 0;
-  for (int b = 0; b < 16; ++b) {  // pc occupies flat bits 0..15
-    if (bits.test(static_cast<std::size_t>(b))) {
-      pc |= static_cast<std::uint16_t>(1u << b);
-    }
-  }
-  return pc;
+  return state_at(cycle).pc;
 }
 
 bool GoldenRun::viol_at(std::uint64_t cycle) const {

@@ -3,7 +3,7 @@
 // Runs the benchmark once fault-free at RTL level, dumping:
 //  * full checkpoints (architectural state + RAM) every `checkpoint_interval`
 //    cycles, so fault-attack runs can restart near the injection cycle,
-//  * the packed register state at every cycle boundary (needed for golden
+//  * the architectural state at every cycle boundary (needed for golden
 //    comparison and for error-lifetime characterization),
 //  * the responding-signal (MPU violation) trace, which locates the target
 //    cycle Tt of the benchmark's illegal access.
@@ -49,16 +49,15 @@ class GoldenRun {
   /// Number of cycles executed (including the halting cycle).
   std::uint64_t length() const { return length_; }
 
-  /// Packed architectural state at the *beginning* of cycle `cycle`
+  /// Architectural state at the *beginning* of cycle `cycle`
   /// (cycle 0 = reset state; cycle length() = final state).
-  const BitVector& state_bits_at(std::uint64_t cycle) const;
-  ArchState state_at(std::uint64_t cycle) const;
+  const ArchState& state_at(std::uint64_t cycle) const;
 
   /// Responding-signal value during cycle `cycle` (0 <= cycle < length()).
   bool viol_at(std::uint64_t cycle) const;
 
   /// PC at the beginning of `cycle` — the address fetched during that cycle
-  /// (cheap read from the packed state; used for instruction-check replay).
+  /// (used for instruction-check replay).
   std::uint16_t pc_at(std::uint64_t cycle) const;
   /// First cycle whose MPU violation wire fired, if any.
   std::optional<std::uint64_t> first_violation_cycle() const;
@@ -81,11 +80,12 @@ class GoldenRun {
 
   /// Same as restore(), but repositions an existing machine built for this
   /// golden run's program. Reusing one machine across many restores avoids a
-  /// 64K-word RAM allocation per call — the Monte Carlo engine keeps one
-  /// machine per worker and restores it for every sample; the word-parallel
-  /// batch path (DESIGN.md §6i) goes further and restores once per distinct
-  /// injection cycle among a word's lanes whose flip set is non-empty,
-  /// copying the restored machine per lane.
+  /// 64K-word RAM allocation per call. The RAM is copy-assigned from the
+  /// checkpoint, which turns its write log off and drops it. Callers that
+  /// resume many runs from one cycle restore once, start the RAM's write log,
+  /// and roll it back between runs: register characterization does this per
+  /// injection cycle, and the Monte Carlo engine (DESIGN.md §6i) per
+  /// distinct injection cycle among a word's diverging lanes.
   void restore_into(Machine& machine, std::uint64_t cycle,
                     std::uint64_t* warmup_cycles = nullptr) const;
 
@@ -98,7 +98,7 @@ class GoldenRun {
  private:
   const Program* program_;
   std::uint64_t length_ = 0;
-  std::vector<BitVector> states_;  // length()+1 entries
+  std::vector<ArchState> states_;  // length()+1 entries
   BitVector viol_trace_;           // length() entries
   std::vector<Checkpoint> checkpoints_;
   std::vector<AccessRecord> accesses_;

@@ -39,18 +39,63 @@ struct Program {
   }
 };
 
-/// 64K x 16 word-addressed RAM.
+/// 64K x 16 word-addressed RAM with an optional write log. While the log
+/// is on, every write first records the word it overwrites, so rollback()
+/// can return the RAM to the image it had when the log started without
+/// copying 128 KB: one restored machine then serves many resumptions from
+/// the same cycle (register characterization, the engine's RTL lanes).
+/// Copies and assignments take the words only and leave the log off;
+/// equality compares the words only.
 class Memory {
  public:
   Memory() : words_(1 << 16, 0) {}
+  Memory(const Memory& other) : words_(other.words_) {}
+  Memory(Memory&& other) noexcept : words_(std::move(other.words_)) {}
+  Memory& operator=(const Memory& other) {
+    words_ = other.words_;  // copy-assign reuses this RAM's buffer
+    drop_log();
+    return *this;
+  }
+  Memory& operator=(Memory&& other) noexcept {
+    words_ = std::move(other.words_);
+    drop_log();
+    return *this;
+  }
 
   std::uint16_t read(std::uint16_t addr) const { return words_[addr]; }
-  void write(std::uint16_t addr, std::uint16_t value) { words_[addr] = value; }
+  void write(std::uint16_t addr, std::uint16_t value) {
+    if (logging_) log_.emplace_back(addr, words_[addr]);
+    words_[addr] = value;
+  }
 
-  bool operator==(const Memory&) const = default;
+  /// Starts an empty write log at the current image.
+  void start_log() {
+    log_.clear();
+    logging_ = true;
+  }
+  /// Undoes every logged write, newest first, and empties the log, which
+  /// stays on: the RAM is back at the image start_log() saw.
+  void rollback() {
+    for (auto it = log_.rbegin(); it != log_.rend(); ++it) {
+      words_[it->first] = it->second;
+    }
+    log_.clear();
+  }
+  bool logging() const { return logging_; }
+  /// Writes logged since start_log() or the last rollback().
+  std::size_t logged_writes() const { return log_.size(); }
+
+  bool operator==(const Memory& other) const { return words_ == other.words_; }
 
  private:
+  void drop_log() {
+    log_.clear();
+    logging_ = false;
+  }
+
   std::vector<std::uint16_t> words_;
+  bool logging_ = false;
+  std::vector<std::pair<std::uint16_t, std::uint16_t>> log_;  // (addr, old)
 };
 
 /// Everything observable about one executed cycle; used by tests, the

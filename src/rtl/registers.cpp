@@ -28,6 +28,11 @@ RegisterMap::RegisterMap() {
   add("dma_dst", 16, false);
   add("dma_len", 16, false);
   add("dma_active", 1, false);
+  // diff_fields reports fields as bits of one 64-bit mask.
+  FAV_CHECK(fields_.size() <= 64);
+  for (const RegisterField& f : fields_) {
+    field_masks_.push_back(f.width >= 32 ? ~0u : ((1u << f.width) - 1u));
+  }
 }
 
 const RegisterMap& RegisterMap::mcu16() {
@@ -147,6 +152,37 @@ void RegisterMap::set_bit(ArchState& s, int flat_bit, bool value) const {
 
 void RegisterMap::flip_bit(ArchState& s, int flat_bit) const {
   set_bit(s, flat_bit, !get_bit(s, flat_bit));
+}
+
+std::uint64_t RegisterMap::diff_fields(const ArchState& a,
+                                       const ArchState& b) const {
+  // Reads the members directly, in the constructor's field order, rather
+  // than through get_field's per-field dispatch: the characterization sweep
+  // calls this once per simulated cycle.
+  std::uint64_t mask = 0;
+  std::size_t f = 0;
+  auto cmp = [&](std::uint32_t x, std::uint32_t y) {
+    if (((x ^ y) & field_masks_[f]) != 0) mask |= std::uint64_t{1} << f;
+    ++f;
+  };
+  cmp(a.pc, b.pc);
+  for (std::size_t r = 0; r < a.regs.size(); ++r) cmp(a.regs[r], b.regs[r]);
+  for (std::size_t k = 0; k < a.mpu.size(); ++k) {
+    cmp(a.mpu[k].base, b.mpu[k].base);
+    cmp(a.mpu[k].limit, b.mpu[k].limit);
+    cmp(a.mpu[k].perm, b.mpu[k].perm);
+  }
+  cmp(a.mpu_enable, b.mpu_enable);
+  cmp(a.instr_check, b.instr_check);
+  cmp(a.viol_sticky, b.viol_sticky);
+  cmp(a.viol_addr, b.viol_addr);
+  cmp(a.halted, b.halted);
+  cmp(a.dma_src, b.dma_src);
+  cmp(a.dma_dst, b.dma_dst);
+  cmp(a.dma_len, b.dma_len);
+  cmp(a.dma_active, b.dma_active);
+  FAV_CHECK(f == fields_.size());
+  return mask;
 }
 
 BitVector RegisterMap::pack(const ArchState& s) const {

@@ -79,6 +79,11 @@ class RegisterMap {
   void set_bit(ArchState& s, int flat_bit, bool value) const;
   void flip_bit(ArchState& s, int flat_bit) const;
 
+  /// Bit f of the result is set when field f differs between `a` and `b`
+  /// (values masked to the field's width, as pack() stores them): the
+  /// field-level view of pack(a) ^ pack(b) without building either.
+  std::uint64_t diff_fields(const ArchState& a, const ArchState& b) const;
+
   /// Packs / unpacks the whole state into the canonical BitVector layout.
   BitVector pack(const ArchState& s) const;
   ArchState unpack(const BitVector& bits) const;
@@ -88,6 +93,7 @@ class RegisterMap {
 
   std::vector<RegisterField> fields_;
   std::vector<int> bit_to_field_;  // flat bit -> field index
+  std::vector<std::uint32_t> field_masks_;  // (1 << width) - 1 per field
   int total_bits_ = 0;
 };
 

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/framework.h"
 #include "faultsim/glitch.h"
 #include "mc/evaluator.h"
 #include "scalar_oracle.h"
@@ -204,6 +205,29 @@ void expect_glitch_batches_bitwise_identically(faultsim::TechniqueKind kind) {
   const SsfResult oracle = ScalarOracle(ev).run(samples);
   ASSERT_GT(oracle.rtl + oracle.analytical, 0u);
   expect_engine_matches_oracle(make, {}, samples);
+}
+
+TEST(BatchEquivalence, LanesOfOneCycleResumeFromTheSameMachine) {
+  // A word's diverging lanes of one injection cycle resume one after another
+  // on the same machine, each after resetting its state and cycle and
+  // rolling back the RAM writes of the lane before it. Two windows of two
+  // words each of `fav evaluate --exhaustive` (framework defaults, t-range
+  // 50, radius 1.5) break without that reset: in the first, a lane's RTL
+  // resume is cut at the benchmark's cycle limit counted from a stale cycle;
+  // in the second, a lane's resume writes RAM that flips a later lane's
+  // verdict.
+  const core::FaultAttackEvaluator fw(soc::make_illegal_write_benchmark());
+  fw.bind_exhaustive_space(50, 1.5);
+  const auto make = [&](const EvaluatorConfig& cfg) {
+    return SsfEvaluator(fw.soc(), fw.technique(), fw.benchmark(), fw.golden(),
+                        &fw.characterization(), cfg);
+  };
+  for (const std::uint64_t begin : {12416u, 36672u}) {
+    SCOPED_TRACE("samples from " + std::to_string(begin));
+    std::vector<faultsim::FaultSample> samples;
+    fw.technique().enumerate(begin, begin + 128, samples);
+    expect_engine_matches_oracle(make, {}, samples);
+  }
 }
 
 TEST(BatchEquivalence, ClockGlitchTechniqueBatchesBitwiseIdentically) {

@@ -87,7 +87,7 @@ TEST(SsfEvaluator, AnalyticalAgreesWithForcedRtl) {
   SsfEvaluator rtl_only(ctx().soc, ctx().placement, ctx().injector,
                         ctx().bench, ctx().golden, &ctx().charac, cfg);
   for (const std::uint64_t te : {40ull, 60ull, 80ull, 100ull}) {
-    for (const std::vector<int> flips :
+    for (const auto& flips :
          {std::vector<int>{perm_bit(1, 1)}, std::vector<int>{perm_bit(1, 0)},
           std::vector<int>{perm_bit(0, 2)},
           std::vector<int>{perm_bit(1, 1), perm_bit(1, 2)}}) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "soc/benchmark.h"
 #include "util/check.h"
+#include "util/io.h"
 
 namespace fav::precharac {
 namespace {
@@ -86,6 +90,79 @@ TEST(RegisterCharacterization, InvalidConfigThrows) {
 TEST(RegisterCharacterization, OutOfRangeBitThrows) {
   EXPECT_THROW(RegisterCharacterization(golden(), {}, {100000}),
                fav::CheckError);
+}
+
+TEST(RegisterCharacterization, DuplicateBitThrows) {
+  // A bit listed twice would accumulate its cycles twice and divide twice.
+  const int bit = field_bit("r4", 2);
+  EXPECT_THROW(
+      RegisterCharacterization(golden(), {}, {bit, field_bit("pc"), bit}),
+      fav::CheckError);
+}
+
+// The framework's default pre-characterization: the synthetic workload's
+// 400-cycle golden run with checkpoints every 32 cycles, default config.
+const rtl::GoldenRun& framework_golden() {
+  static const rtl::GoldenRun g(workload(), 400, 32);
+  return g;
+}
+
+const RegisterCharacterization& full_sweep() {
+  static const RegisterCharacterization charac(framework_golden());
+  return charac;
+}
+
+std::uint64_t mix_double(std::uint64_t h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return io::fnv1a64(&bits, sizeof(bits), h);
+}
+
+TEST(CharacterizationPin, FullSweepDigest) {
+  // Every bit's four figures, hashed over their exact IEEE-754 patterns in
+  // flat-bit order: any change to the injection cycles, the comparison
+  // against the golden run or the accumulation order shifts the digest.
+  const RegisterCharacterization& charac = full_sweep();
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (int b = 0; b < Machine::reg_map().total_bits(); ++b) {
+    ASSERT_TRUE(charac.characterized(b)) << b;
+    const BitCharacterization& bc = charac.bit(b);
+    h = mix_double(h, bc.avg_lifetime);
+    h = mix_double(h, bc.max_lifetime);
+    h = mix_double(h, bc.avg_contamination);
+    const auto samples = static_cast<std::int32_t>(bc.samples);
+    h = io::fnv1a64(&samples, sizeof(samples), h);
+  }
+  EXPECT_EQ(h, 0xB8BC39A801A65093ull);
+}
+
+TEST(RegisterCharacterization, SubsetMatchesFullSweep) {
+  // Bits characterized alone or in a small set read exactly their entries
+  // of the full sweep: nothing leaks from one bit's injection into the
+  // next through a shared machine, its RAM or its cycle counter.
+  const RegisterCharacterization& full = full_sweep();
+  const std::vector<int> picks = {
+      field_bit("pc", 1),        field_bit("r4", 2),
+      field_bit("r0", 0),        field_bit("mpu0_perm", 1),
+      field_bit("viol_addr", 5), field_bit("dma_len", 3),
+      field_bit("halted")};
+  auto expect_matches = [&](const RegisterCharacterization& sub) {
+    for (const int b : picks) {
+      if (!sub.characterized(b)) continue;
+      const BitCharacterization& got = sub.bit(b);
+      const BitCharacterization& want = full.bit(b);
+      EXPECT_EQ(got.avg_lifetime, want.avg_lifetime) << b;
+      EXPECT_EQ(got.max_lifetime, want.max_lifetime) << b;
+      EXPECT_EQ(got.avg_contamination, want.avg_contamination) << b;
+      EXPECT_EQ(got.samples, want.samples) << b;
+    }
+  };
+  for (const int b : picks) {
+    expect_matches(RegisterCharacterization(framework_golden(), {}, {b}));
+  }
+  // All together, in reverse order, so the pc's derailed run comes last.
+  expect_matches(RegisterCharacterization(
+      framework_golden(), {}, std::vector<int>(picks.rbegin(), picks.rend())));
 }
 
 TEST(RegisterCharacterization, FullSweepClassesMatchExpectations) {

@@ -43,12 +43,12 @@ TEST(GoldenRun, StateTrajectoryMatchesStepping) {
   const Program p = loop_program();
   GoldenRun golden(p, 10000, 16);
   Machine m(p);
-  const RegisterMap& map = Machine::reg_map();
   for (std::uint64_t c = 0; c <= golden.length(); ++c) {
-    EXPECT_EQ(golden.state_bits_at(c), map.pack(m.state())) << "cycle " << c;
+    EXPECT_EQ(golden.state_at(c), m.state()) << "cycle " << c;
+    EXPECT_EQ(golden.pc_at(c), m.state().pc) << "cycle " << c;
     if (c < golden.length()) m.step();
   }
-  EXPECT_THROW(golden.state_bits_at(golden.length() + 1), CheckError);
+  EXPECT_THROW(golden.state_at(golden.length() + 1), CheckError);
 }
 
 TEST(GoldenRun, CheckpointSpacing) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "rtl/assembler.h"
+#include "rtl/golden.h"
 
 namespace fav::rtl {
 namespace {
@@ -409,6 +410,124 @@ TEST(Machine, ResetRestoresInitialRam) {
   EXPECT_EQ(m.ram().read(0x0100), 0x00AA);
   EXPECT_EQ(m.state().pc, 0);
   EXPECT_EQ(m.cycle(), 0u);
+}
+
+TEST(MemoryLog, RollbackAfterRepeatedWritesRestoresTheImage) {
+  Memory mem;
+  mem.write(0x0010, 0x1111);
+  mem.write(0x0020, 0x2222);
+  const Memory before = mem;
+  mem.start_log();
+  EXPECT_TRUE(mem.logging());
+  // The same address three times: only the oldest value may survive.
+  mem.write(0x0010, 0xAAAA);
+  mem.write(0x0010, 0xBBBB);
+  mem.write(0x0030, 0x3333);
+  mem.write(0x0010, 0xCCCC);
+  EXPECT_EQ(mem.logged_writes(), 4u);
+  mem.rollback();
+  EXPECT_EQ(mem, before);
+  EXPECT_EQ(mem.read(0x0010), 0x1111);
+  EXPECT_EQ(mem.read(0x0030), 0);
+  EXPECT_EQ(mem.logged_writes(), 0u);
+  // The log stays on: a second run rolls back to the same image.
+  EXPECT_TRUE(mem.logging());
+  mem.write(0x0020, 0xDDDD);
+  mem.rollback();
+  EXPECT_EQ(mem, before);
+  // Off (a copy), writes are not logged and rollback changes nothing.
+  Memory copy = mem;
+  copy.write(0x0020, 0xEEEE);
+  EXPECT_EQ(copy.logged_writes(), 0u);
+  copy.rollback();
+  EXPECT_EQ(copy.read(0x0020), 0xEEEE);
+}
+
+TEST(MemoryLog, CopiesCarryNoLog) {
+  Memory mem;
+  mem.start_log();
+  mem.write(0x0040, 0x4444);
+  const Memory copy(mem);
+  EXPECT_FALSE(copy.logging());
+  EXPECT_EQ(copy.logged_writes(), 0u);
+  EXPECT_EQ(copy.read(0x0040), 0x4444);
+
+  Memory assigned;
+  assigned.start_log();
+  assigned.write(0x0050, 0x5555);
+  assigned = mem;  // takes mem's words; its own log is dropped and off
+  EXPECT_FALSE(assigned.logging());
+  EXPECT_EQ(assigned.logged_writes(), 0u);
+  EXPECT_EQ(assigned.read(0x0040), 0x4444);
+  EXPECT_EQ(assigned.read(0x0050), 0);
+  assigned.rollback();
+  EXPECT_EQ(assigned.read(0x0040), 0x4444);
+
+  Memory moved(std::move(assigned));
+  EXPECT_FALSE(moved.logging());
+  // The source keeps its log.
+  EXPECT_TRUE(mem.logging());
+  EXPECT_EQ(mem.logged_writes(), 1u);
+}
+
+TEST(MemoryLog, EqualityIgnoresTheLog) {
+  Memory logged;
+  Memory plain;
+  logged.start_log();
+  logged.write(0x0060, 0x6666);
+  plain.write(0x0060, 0x6666);
+  EXPECT_EQ(logged, plain);
+  logged.rollback();
+  EXPECT_NE(logged, plain);
+  plain.write(0x0060, 0);
+  EXPECT_EQ(logged, plain);
+}
+
+TEST(MemoryLog, RolledBackMachineMatchesAFreshRestore) {
+  // A loop that stores to a moving address every iteration, so each resumed
+  // run dirties RAM the next must not see.
+  const Program p = asm_prog(R"(
+    li r1, 0x0200
+    addi r3, r0, 30
+  loop:
+    sw r3, r1, 0
+    sw r1, r1, 1
+    addi r1, r1, 1
+    addi r3, r3, -1
+    bne r3, r0, loop
+    halt
+  )");
+  const GoldenRun golden(p, 400, 16);
+  ASSERT_TRUE(golden.final_state().halted);
+  const std::uint64_t c = 37;
+  Machine reused(p);
+  golden.restore_into(reused, c);
+  const ArchState restored = reused.state();
+  reused.mutable_ram().start_log();
+  const RegisterMap& map = Machine::reg_map();
+  const int r1_bit = map.field(map.field_index("r1")).offset + 3;
+  for (const int flip : {r1_bit, -1, r1_bit + 1, -1}) {
+    reused.set_state(restored);
+    reused.set_cycle(c);
+    reused.mutable_ram().rollback();
+    Machine fresh = golden.restore(c);
+    if (flip >= 0) {
+      map.flip_bit(reused.mutable_state(), flip);
+      map.flip_bit(fresh.mutable_state(), flip);
+    }
+    for (int k = 0; k < 60; ++k) {
+      reused.step();
+      fresh.step();
+    }
+    EXPECT_GT(reused.ram().logged_writes(), 0u) << flip;
+    EXPECT_EQ(reused.state(), fresh.state()) << flip;
+    EXPECT_EQ(reused.ram(), fresh.ram()) << flip;
+    EXPECT_EQ(reused.cycle(), fresh.cycle()) << flip;
+  }
+  // A restore turns the log off.
+  golden.restore_into(reused, c);
+  EXPECT_FALSE(reused.ram().logging());
+  EXPECT_EQ(reused.ram(), golden.restore(c).ram());
 }
 
 }  // namespace

@@ -112,6 +112,40 @@ TEST(RegisterMap, PackDiffersAfterSingleFlip) {
   EXPECT_TRUE((pa ^ pb).test(100));
 }
 
+TEST(RegisterMap, DiffFieldsMatchesPackedXor) {
+  // diff_fields reads the members in its own copy of the field order; it
+  // must agree with the fields of the packed states' differing bits.
+  const RegisterMap& map = RegisterMap::mcu16();
+  fav::Rng rng(47);
+  for (int trial = 0; trial < 200; ++trial) {
+    ArchState a;
+    for (int fi = 0; fi < static_cast<int>(map.fields().size()); ++fi) {
+      map.set_field(a, fi, static_cast<std::uint32_t>(rng.next()));
+    }
+    ArchState b = a;
+    const int flips = 1 + static_cast<int>(rng.uniform_below(3));
+    for (int k = 0; k < flips; ++k) {
+      map.flip_bit(b, static_cast<int>(rng.uniform_below(
+                          static_cast<std::uint64_t>(map.total_bits()))));
+    }
+    std::uint64_t want = 0;
+    for (const std::size_t bit : (map.pack(a) ^ map.pack(b)).set_bits()) {
+      want |= std::uint64_t{1} << map.locate(static_cast<int>(bit)).first;
+    }
+    EXPECT_EQ(map.diff_fields(a, b), want) << trial;
+    EXPECT_EQ(map.diff_fields(b, a), want) << trial;
+    EXPECT_EQ(map.diff_fields(a, a), 0u);
+  }
+  // Bits above a field's width are not state: pack drops them, and so
+  // does the diff.
+  ArchState a, b;
+  b.mpu[2].perm = static_cast<std::uint8_t>(1u << kPermBits);
+  EXPECT_EQ(map.diff_fields(a, b), 0u);
+  b.mpu[2].perm |= 1u;
+  EXPECT_EQ(map.diff_fields(a, b),
+            std::uint64_t{1} << map.field_index("mpu2_perm"));
+}
+
 TEST(RegisterMap, UnpackWrongSizeThrows) {
   EXPECT_THROW(RegisterMap::mcu16().unpack(BitVector(10)), CheckError);
 }
