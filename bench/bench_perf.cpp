@@ -7,7 +7,9 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/framework.h"
 #include "soc/benchmark.h"
@@ -95,10 +97,12 @@ void BM_InjectBatch(benchmark::State& state) {
                            static_cast<double>(lanes)) *
                 fx().injector.timing().clock_period();
   }
+  const std::vector<std::span<const netlist::NodeId>> views(struck.begin(),
+                                                             struck.end());
   faultsim::BatchInjectionScratch scratch;
   std::vector<std::vector<netlist::NodeId>> flipped;
   for (auto _ : state) {
-    fx().injector.inject_batch(words, struck, strike, scratch, flipped);
+    fx().injector.inject_batch(words, views, strike, scratch, flipped);
     benchmark::DoNotOptimize(flipped);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -125,10 +129,12 @@ void BM_InjectBatchClustered(benchmark::State& state) {
   for (std::size_t l = 0; l < lanes; ++l) {
     struck[l] = fx().placement.nodes_within(centers[2000 + l], 1.5);
   }
+  const std::vector<std::span<const netlist::NodeId>> views(struck.begin(),
+                                                             struck.end());
   faultsim::BatchInjectionScratch scratch;
   std::vector<std::vector<netlist::NodeId>> flipped;
   for (auto _ : state) {
-    fx().injector.inject_batch(words, struck, strike, scratch, flipped);
+    fx().injector.inject_batch(words, views, strike, scratch, flipped);
     benchmark::DoNotOptimize(flipped);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -18,7 +18,7 @@ void InjectionScratch::prepare(std::size_t node_count) {
   pulses_.resize(node_count);
 }
 
-void BatchInjectionScratch::prepare(std::size_t positions) {
+void BatchInjectionScratch::prepare(std::size_t positions, int max_pulses) {
   // Reset only what the previous sweep visited (every seeded or emitted
   // position has its frontier bit set), then fit the new netlist.
   for (std::size_t w = 0; w < frontier_.size(); ++w) {
@@ -31,7 +31,8 @@ void BatchInjectionScratch::prepare(std::size_t positions) {
   slots_.resize(positions + 1);  // the last slot is the sources' empty list
   pulses_.clear();
   seeds_.clear();
-  for (auto& list : stage_) list.clear();  // non-empty only after a throw
+  stage_.resize(64 * static_cast<std::size_t>(max_pulses));
+  stage_count_.fill(0);  // non-zero only after a throw
   visited_ = 0;
 }
 
@@ -61,6 +62,7 @@ InjectionSimulator::InjectionSimulator(const Netlist& nl,
     SweepGate& g = gates_[pos];
     g.type = n.type;
     g.delay = timing_.model().delay(n.type);
+    g.arrival = timing_.arrival(topo[pos]);
     g.fanin_begin = static_cast<std::uint32_t>(fanins_.size());
     for (NodeId f : n.fanins) {
       const std::uint32_t from = std::min(position_[f], gate_count);
@@ -182,6 +184,41 @@ void InjectionSimulator::add_pulse(std::vector<Pulse>& list, Pulse p) const {
   if (narrowest->width < p.width) *narrowest = p;
 }
 
+void InjectionSimulator::add_pulse(Pulse* slot, std::uint32_t& count,
+                                   Pulse p) const {
+  if (count == 0) {
+    slot[0] = p;
+    count = 1;
+    return;
+  }
+  // The vector form's merge: after absorbing an entry, close the gap in
+  // order and rescan from the top.
+  for (std::uint32_t i = 0; i < count;) {
+    const double q_end = slot[i].start + slot[i].width;
+    const double p_end = p.start + p.width;
+    if (p.start <= q_end && slot[i].start <= p_end) {
+      const double lo = std::min(slot[i].start, p.start);
+      const double hi = std::max(q_end, p_end);
+      p.start = lo;
+      p.width = hi - lo;
+      std::copy(slot + i + 1, slot + count, slot + i);
+      --count;
+      i = 0;
+    } else {
+      ++i;
+    }
+  }
+  if (static_cast<int>(count) < params_.max_pulses_per_node) {
+    slot[count++] = p;
+    return;
+  }
+  std::uint32_t narrowest = 0;  // the first of equally narrow entries
+  for (std::uint32_t i = 1; i < count; ++i) {
+    if (slot[i].width < slot[narrowest].width) narrowest = i;
+  }
+  if (slot[narrowest].width < p.width) slot[narrowest] = p;
+}
+
 InjectionResult InjectionSimulator::inject(const netlist::LogicSimulator& sim,
                                            std::span<const NodeId> struck,
                                            double strike_time) const {
@@ -259,7 +296,7 @@ InjectionResult InjectionSimulator::inject(const netlist::LogicSimulator& sim,
 
 void InjectionSimulator::inject_batch(
     const netlist::WordSimulator& sim,
-    std::span<const std::vector<NodeId>> struck,
+    std::span<const std::span<const NodeId>> struck,
     std::span<const double> strike_times, BatchInjectionScratch& scratch,
     std::vector<std::vector<NodeId>>& flipped) const {
   const int lanes = static_cast<int>(struck.size());
@@ -270,12 +307,14 @@ void InjectionSimulator::inject_batch(
     FAV_ENSURE_MSG(t >= 0.0, "strike time must be non-negative");
   }
 
-  scratch.prepare(gates_.size() - 1);
+  const int cap = params_.max_pulses_per_node;
+  scratch.prepare(gates_.size() - 1, cap);
   auto& frontier = scratch.frontier_;
   auto& slots = scratch.slots_;
   auto& pulses = scratch.pulses_;
   auto& seeds = scratch.seeds_;
-  auto& stage = scratch.stage_;
+  Pulse* const stage = scratch.stage_.data();
+  auto& stage_count = scratch.stage_count_;
   const auto mark = [&](std::uint32_t pos) {
     frontier[pos / 64] |= std::uint64_t{1} << (pos % 64);
   };
@@ -296,7 +335,7 @@ void InjectionSimulator::inject_batch(
       }
       if (pos == kSourcePosition) continue;
       const auto s = static_cast<std::uint32_t>(seeds.size());
-      seeds.push_back({{std::max(strike_times[lane], timing_.arrival(g)),
+      seeds.push_back({{std::max(strike_times[lane], gates_[pos].arrival),
                         params_.initial_width},
                        lane});
       BatchInjectionScratch::Slot& slot = slots[pos];
@@ -313,9 +352,10 @@ void InjectionSimulator::inject_batch(
   // Forward scan of the frontier: a gate is visited only if it was struck or
   // one of its fanins carries a pulse, and consumers always sit at later
   // positions, so visits follow the topological order and every fanin list
-  // is final when read. Each lane's list is built in its own stage with the
-  // scalar add_pulse — seeds first, then pins in pin order, exactly as the
-  // scalar sweep adds them — and then emitted grouped by lane.
+  // is final when read. Each lane's list is built in its own stage slot with
+  // the fixed-slot add_pulse — seeds first, then pins in pin order, exactly
+  // as the scalar sweep adds them — and then emitted grouped by lane. A pin
+  // whose pulsing lanes are all logically masked is skipped whole.
   const TimingModel& tm = timing_.model();
   const double window_lo = timing_.clock_period() - tm.setup_time;
   const double window_hi = timing_.clock_period() + tm.hold_time;
@@ -323,35 +363,49 @@ void InjectionSimulator::inject_batch(
     const SweepGate& gate = gates_[pos];
     const SweepGate& next = gates_[pos + 1];
     std::uint64_t staged = 0;
+    const auto stage_pulse = [&](int lane, Pulse p) {
+      Pulse* slot = stage + static_cast<std::ptrdiff_t>(lane) * cap;
+      if (stage_count[lane] == 0) {  // the common case, kept inline here
+        slot[0] = p;
+        stage_count[lane] = 1;
+      } else {
+        add_pulse(slot, stage_count[lane], p);
+      }
+      staged |= std::uint64_t{1} << lane;
+    };
     for (std::uint32_t s = slots[pos].seed_head;
          s != BatchInjectionScratch::kNoSeed; s = seeds[s].next) {
-      add_pulse(stage[seeds[s].lane], seeds[s].pulse);
-      staged |= std::uint64_t{1} << seeds[s].lane;
+      stage_pulse(seeds[s].lane, seeds[s].pulse);
     }
     const int arity = netlist::cell_arity(gate.type);
     for (int pin = 0; pin < arity; ++pin) {
       const BatchInjectionScratch::Slot& in =
           slots[fanins_[gate.fanin_begin + pin].pos];
-      if (in.begin == in.end) continue;
-      const std::uint64_t sens = sensitized_mask(sim, gate, pin);
-      if (sens == 0) continue;
+      if (in.lanes == 0) continue;
+      const std::uint64_t live = in.lanes & sensitized_mask(sim, gate, pin);
+      if (live == 0) continue;  // logically masked in every pulsing lane
       for (std::uint32_t k = in.begin; k < in.end; ++k) {
         const BatchInjectionScratch::LanePulse& e = pulses[k];
-        if (((sens >> e.lane) & 1u) == 0) continue;  // logically masked
+        if (((live >> e.lane) & 1u) == 0) continue;  // logically masked
         const double width = e.pulse.width - tm.attenuation;
         if (width < tm.min_pulse_width) continue;  // electrically masked
-        add_pulse(stage[e.lane], {e.pulse.start + gate.delay, width});
-        staged |= std::uint64_t{1} << e.lane;
+        stage_pulse(e.lane, {e.pulse.start + gate.delay, width});
       }
     }
     if (staged == 0) return;
 
+    // Every staged lane holds at least one pulse: an insert never empties
+    // a slot.
     BatchInjectionScratch::Slot& out = slots[pos];
+    out.lanes = staged;
     out.begin = static_cast<std::uint32_t>(pulses.size());
     for (std::uint64_t bits = staged; bits != 0; bits &= bits - 1) {
       const int lane = std::countr_zero(bits);
-      for (const Pulse& p : stage[lane]) pulses.push_back({p, lane});
-      stage[lane].clear();
+      const Pulse* list = stage + static_cast<std::ptrdiff_t>(lane) * cap;
+      for (std::uint32_t k = 0; k < stage_count[lane]; ++k) {
+        pulses.push_back({list[k], lane});
+      }
+      stage_count[lane] = 0;
     }
     out.end = static_cast<std::uint32_t>(pulses.size());
     for (std::uint32_t c = gate.out_begin; c < next.out_begin; ++c) {

@@ -60,8 +60,11 @@ class InjectionScratch {
 
 /// Reusable per-thread buffers for inject_batch(). Everything is indexed by
 /// topological position and keeps its capacity across calls; only the
-/// positions the previous sweep visited are reset. Not thread-safe: one
-/// scratch per worker.
+/// positions the previous sweep visited are reset. A visited gate builds
+/// each lane's pulse list in that lane's fixed stage slot (room for
+/// max_pulses_per_node pulses, no heap) and then emits the lists into one
+/// arena, grouped by lane, with a mask of the lanes that carry a pulse.
+/// Not thread-safe: one scratch per worker.
 class BatchInjectionScratch {
  public:
   BatchInjectionScratch() = default;
@@ -82,21 +85,24 @@ class BatchInjectionScratch {
     std::uint32_t next = kNoSeed;
   };
   /// Per-position state: the position's emitted pulse list is
-  /// pulses_[begin, end), grouped by lane, and its seeds are a linked list
-  /// in seeding order.
+  /// pulses_[begin, end), grouped by lane, `lanes` has bit l set iff lane l
+  /// has an entry there, and its seeds are a linked list in seeding order.
   struct Slot {
+    std::uint64_t lanes = 0;
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
     std::uint32_t seed_head = kNoSeed;
     std::uint32_t seed_tail = kNoSeed;
   };
-  void prepare(std::size_t positions);
+  void prepare(std::size_t positions, int max_pulses);
 
   std::vector<std::uint64_t> frontier_;  // bit per position to visit
   std::vector<Slot> slots_;              // one per position + empty sentinel
   std::vector<LanePulse> pulses_;
   std::vector<Seed> seeds_;
-  std::array<std::vector<Pulse>, 64> stage_;  // one lane's list being built
+  /// Lane l's list being built: stage_[l * max_pulses, + stage_count_[l]).
+  std::vector<Pulse> stage_;
+  std::array<std::uint32_t, 64> stage_count_{};
   std::size_t visited_ = 0;
 };
 
@@ -143,7 +149,7 @@ class InjectionSimulator {
   /// l's flipped DFFs (sorted, unique) — bitwise identical to what the
   /// scalar inject() produces for that lane's inputs.
   void inject_batch(const netlist::WordSimulator& sim,
-                    std::span<const std::vector<netlist::NodeId>> struck,
+                    std::span<const std::span<const netlist::NodeId>> struck,
                     std::span<const double> strike_times,
                     BatchInjectionScratch& scratch,
                     std::vector<std::vector<netlist::NodeId>>& flipped) const;
@@ -151,12 +157,19 @@ class InjectionSimulator {
   const TimingAnalysis& timing() const { return timing_; }
   const TransientParams& params() const { return params_; }
 
-  /// Canonical pulse-list insertion shared by the scalar and batch paths:
+  /// Canonical pulse-list insertion of the scalar inject() path:
   /// transitively merges `p` with every overlapping entry (a union can grow
-  /// into a neighbour, so merging rescans until stable), then appends the
-  /// result, evicting the narrowest entry when the list is at
-  /// max_pulses_per_node and the new pulse is wider. Exposed for tests.
+  /// into a neighbour, so merging rescans until stable, and each merged
+  /// entry is erased in place), then appends the result, or when the list
+  /// is at max_pulses_per_node replaces the first narrowest entry if the
+  /// new pulse is wider. Exposed for tests.
   void add_pulse(std::vector<Pulse>& list, Pulse p) const;
+
+  /// The fixed-slot form inject_batch() stages with: `slot[0, count)` is
+  /// the list and `slot` has room for max_pulses_per_node entries. Leaves
+  /// exactly the entries, in the same order, that add_pulse() leaves in a
+  /// vector holding the same list. Exposed for tests.
+  void add_pulse(Pulse* slot, std::uint32_t& count, Pulse p) const;
 
  private:
   /// True if a wrong value on `pin` of `node` reaches the output, given the
@@ -169,6 +182,7 @@ class InjectionSimulator {
   /// Each range ends where the next position's begins.
   struct SweepGate {
     double delay = 0;
+    double arrival = 0;  // a struck gate's transient starts no earlier
     netlist::CellType type = netlist::CellType::kBuf;
     std::uint32_t fanin_begin = 0;  // into fanins_, cell_arity(type) long
     std::uint32_t out_begin = 0;    // into consumers_

@@ -1,6 +1,30 @@
 #include "faultsim/technique.h"
 
+#include <bit>
+#include <type_traits>
+
 namespace fav::faultsim {
+
+std::span<const netlist::NodeId> SpotTable::struck(
+    const layout::Placement& placement, netlist::NodeId center, double radius) {
+  if (placement_ != &placement) {
+    by_center_.clear();
+    placement_ = &placement;
+  }
+  const auto radius_bits = std::bit_cast<std::uint64_t>(radius);
+  if (center < by_center_.size()) {
+    for (const Spot& spot : by_center_[center]) {
+      if (spot.radius_bits == radius_bits) return spot.nodes;
+    }
+  }
+  // A miss: nodes_within rejects a bad query before the table grows. Moving
+  // a Spot must not copy its list, or growth would break earlier views.
+  static_assert(std::is_nothrow_move_constructible_v<Spot>);
+  Spot spot{radius_bits, placement.nodes_within(center, radius)};
+  if (center >= by_center_.size()) by_center_.resize(center + 1);
+  ++computed_;
+  return by_center_[center].emplace_back(std::move(spot)).nodes;
+}
 
 void AttackTechnique::check_common(const FaultSample& sample) const {
   FAV_ENSURE_MSG(sample.technique == kind(),
@@ -53,18 +77,16 @@ void RadiationTechnique::flip_set_batch(
     std::span<const FaultSample> samples,
     std::vector<std::vector<netlist::NodeId>>& flipped) const {
   const std::size_t lanes = samples.size();
-  if (scratch.struck_lanes.size() < lanes) scratch.struck_lanes.resize(lanes);
+  scratch.struck_lanes.resize(lanes);
   scratch.strike_times.resize(lanes);
   const double period = injector_->timing().clock_period();
   for (std::size_t l = 0; l < lanes; ++l) {
-    placement_->nodes_within(samples[l].center, samples[l].radius,
-                             scratch.struck_lanes[l]);
+    scratch.struck_lanes[l] = scratch.spots.struck(
+        *placement_, samples[l].center, samples[l].radius);
     scratch.strike_times[l] = samples[l].strike_frac * period;
   }
-  injector_->inject_batch(
-      sim, std::span<const std::vector<netlist::NodeId>>(
-               scratch.struck_lanes.data(), lanes),
-      scratch.strike_times, scratch.batch, flipped);
+  injector_->inject_batch(sim, scratch.struck_lanes, scratch.strike_times,
+                          scratch.batch, flipped);
 }
 
 void RadiationTechnique::bind_space(const AttackModel& model) {

@@ -21,6 +21,7 @@
 // register-map bit) stays in the Monte Carlo layer.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,15 +33,43 @@
 
 namespace fav::faultsim {
 
+/// Per-worker memo of radiated spots: the struck list of each distinct
+/// (center, exact radius bit pattern) a worker has queried, exactly as
+/// Placement::nodes_within returns it. A campaign revisits each spot once
+/// per injection cycle, so each is computed once per worker. The table is
+/// tied to one placement: a query against another one clears it first.
+class SpotTable {
+ public:
+  /// The spot's struck cells, computed on its first query. The view stays
+  /// valid until the table is cleared (moving a list keeps its storage).
+  std::span<const netlist::NodeId> struck(const layout::Placement& placement,
+                                          netlist::NodeId center,
+                                          double radius);
+
+  /// Spot lists computed rather than reused, over the table's life.
+  std::uint64_t computed() const { return computed_; }
+
+ private:
+  struct Spot {
+    std::uint64_t radius_bits = 0;
+    std::vector<netlist::NodeId> nodes;
+  };
+  const layout::Placement* placement_ = nullptr;
+  std::vector<std::vector<Spot>> by_center_;  // indexed by center node id
+  std::uint64_t computed_ = 0;
+};
+
 /// Reusable per-thread buffers for flip-set computation (spatial query
 /// results and the like). Not thread-safe: one scratch per worker thread.
 struct TechniqueScratch {
   std::vector<netlist::NodeId> struck;
   /// Pulse-list reuse for the scalar inject() path.
   InjectionScratch injection;
-  /// Buffers for the bit-parallel flip_set_batch() path.
+  /// Buffers for the bit-parallel flip_set_batch() path: each lane's struck
+  /// list is a view into `spots`.
   BatchInjectionScratch batch;
-  std::vector<std::vector<netlist::NodeId>> struck_lanes;
+  SpotTable spots;
+  std::vector<std::span<const netlist::NodeId>> struck_lanes;
   std::vector<double> strike_times;
 };
 

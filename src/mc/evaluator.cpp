@@ -556,10 +556,16 @@ void SsfEvaluator::evaluate_word(
     const std::uint64_t t0 = timing ? monotonic_ns() : 0;
     try {
       ScopeTimer timer(sink, "eval.gate_inject_ns");
-      {
+      // Consecutive words of one te (an exhaustive sweep's ~105 per te)
+      // take the same rows, so words_ already holds their gather.
+      if (sc.lane_images_ != sc.gathered_) {
         ScopeTimer gather(sink, "eval.batch.gather_ns");
+        sc.gathered_.clear();  // stays empty if the load throws
         sc.words_.load_lanes(sc.lane_images_);
+        sc.gathered_ = sc.lane_images_;
+        if (sink != nullptr) sink->add_counter("eval.batch.gathers", 1);
       }
+      const std::uint64_t spots_before = sc.technique_.spots.computed();
       {
         ScopeTimer sweep(sink, "eval.batch.sweep_ns");
         technique_->flip_set_batch(sc.words_, sc.technique_,
@@ -568,6 +574,10 @@ void SsfEvaluator::evaluate_word(
       const std::size_t visited = sc.technique_.batch.visited();
       if (sink != nullptr && visited > 0) {
         sink->add_counter("faultsim.sweep_nodes", visited);
+      }
+      const std::uint64_t spots = sc.technique_.spots.computed() - spots_before;
+      if (sink != nullptr && spots > 0) {
+        sink->add_counter("faultsim.spot_queries", spots);
       }
     } catch (const std::exception&) {
       // Deterministic: isolation reproduces the failure lane by lane.
@@ -664,6 +674,7 @@ void SsfEvaluator::evaluate_word(
           sc.gate_.mutable_ram() = m.ram();
           sc.gate_.settle_inputs();
           sc.gate_.broadcast_settled(sc.words_);
+          sc.gathered_.clear();
           technique_->flip_set_batch(sc.words_, sc.technique_, {&s, 1},
                                      sc.cycle_flips_);
           m.step();
@@ -736,6 +747,14 @@ Result<SsfResult> SsfEvaluator::run_campaign(
   };
 
   ReduceState state;
+  if (config_.keep_records) {
+    // Sized once: growing by doubling would move every kept record.
+    std::uint64_t kept = n;
+    if (config_.record_capacity != 0) {
+      kept = std::min<std::uint64_t>(kept, config_.record_capacity);
+    }
+    state.result.records.reserve(kept);
+  }
   std::size_t done = 0;  // samples folded so far
   JournalWriter writer;
   if (journal != nullptr) {

@@ -254,7 +254,8 @@ class SsfEvaluator;
 
 /// Reusable per-worker evaluation state, constructed once and re-loaded for
 /// every word: the 64-lane simulator the lanes' golden rows are gathered
-/// into, the RTL machine that builds golden rows and holds the
+/// into (a word whose lanes take the same rows as the last gather reuses
+/// it), the RTL machine that builds golden rows and holds the
 /// post-injection state of one te (each diverging lane resumes on it, then
 /// the next lane resets the state and rolls the RAM's write log back), the
 /// gate-level machine a multi-cycle lane settles its later cycles on, and
@@ -274,6 +275,10 @@ class EvalScratch {
   netlist::WordSimulator words_;
   std::vector<std::size_t> lane_index_;  // sample index of each swept lane
   std::vector<const BitVector*> lane_images_;
+  /// The golden rows words_ holds, lane by lane, when it holds exactly the
+  /// gather of those rows; empty otherwise. Whatever else writes words_
+  /// must clear it.
+  std::vector<const BitVector*> gathered_;
   std::vector<faultsim::FaultSample> lane_samples_;
   std::vector<std::vector<netlist::NodeId>> lane_flips_;
   std::vector<std::vector<netlist::NodeId>> cycle_flips_;

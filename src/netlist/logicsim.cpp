@@ -105,11 +105,6 @@ WordSimulator::WordSimulator(const Netlist& nl)
   nl.topo_order();  // force cycle check up-front
 }
 
-std::uint64_t WordSimulator::word(NodeId id) const {
-  FAV_ENSURE(id < values_.size());
-  return values_[id];
-}
-
 bool WordSimulator::value(NodeId id, int lane) const {
   FAV_ENSURE(id < values_.size());
   FAV_ENSURE(lane >= 0 && lane < 64);

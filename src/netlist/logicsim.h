@@ -65,8 +65,12 @@ class WordSimulator {
 
   const Netlist& netlist() const { return *nl_; }
 
-  /// Whole-word access: bit l of the word is lane l's value.
-  std::uint64_t word(NodeId id) const;
+  /// Whole-word access: bit l of the word is lane l's value. Inline: the
+  /// injection sweep reads a word per side input.
+  std::uint64_t word(NodeId id) const {
+    FAV_ENSURE(id < values_.size());
+    return values_[id];
+  }
   /// Single-lane read (lane in [0, 64)).
   bool value(NodeId id, int lane) const;
 

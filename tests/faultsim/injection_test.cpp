@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +36,12 @@ struct Chain {
     nl.connect_dff(r, cur);
   }
 };
+
+// inject_batch reads each lane's struck list through a view.
+std::vector<std::span<const NodeId>> views(
+    const std::vector<std::vector<NodeId>>& lists) {
+  return {lists.begin(), lists.end()};
+}
 
 LogicSimulator settled(const Netlist& nl) {
   LogicSimulator sim(nl);
@@ -282,6 +290,72 @@ TEST(InjectionSimulator, AddPulseKeepsListDisjointAndCapped) {
   }
 }
 
+// inject_batch stages each lane's list in a fixed slot of
+// max_pulses_per_node entries. Random pulse sequences fed to the slot insert
+// and to the vector add_pulse must leave the same entries, in the same
+// order, after every insert, at every cap. Starts on a half-unit grid and
+// widths from a short menu make touching pulses, exact width ties and full
+// lists common; an occasional wide pulse bridges several entries at once.
+TEST(InjectionSimulator, FixedSlotStagingMatchesAddPulse) {
+  Chain c(3);
+  std::mt19937 gen(2503);
+  static constexpr double kWidths[] = {0.25, 0.5, 0.75, 1.0};
+  int transitive_merges = 0;
+  int evictions = 0;
+  int tied_evictions = 0;
+  for (int cap = 1; cap <= 6; ++cap) {
+    TransientParams tp;
+    tp.max_pulses_per_node = cap;
+    InjectionSimulator inj(c.nl, {}, tp);
+    for (int seq = 0; seq < 200; ++seq) {
+      std::vector<Pulse> list;
+      std::vector<Pulse> slot(static_cast<std::size_t>(cap));
+      std::uint32_t count = 0;
+      for (int i = 0; i < 24; ++i) {
+        SCOPED_TRACE("cap " + std::to_string(cap) + " insert " +
+                     std::to_string(i));
+        Pulse p{0.5 * static_cast<double>(gen() % 40),
+                kWidths[gen() % std::size(kWidths)]};
+        if (gen() % 8 == 0) p.width = 2.0 + static_cast<double>(gen() % 6);
+        const std::vector<Pulse> before = list;
+        inj.add_pulse(list, p);
+        inj.add_pulse(slot.data(), count, p);
+        ASSERT_EQ(count, list.size());
+        for (std::size_t k = 0; k < list.size(); ++k) {
+          ASSERT_EQ(slot[k].start, list[k].start) << "entry " << k;
+          ASSERT_EQ(slot[k].width, list[k].width) << "entry " << k;
+        }
+        // Two or more entries absorbed: the list shrank.
+        if (list.size() < before.size()) ++transitive_merges;
+        const auto overlaps = [&](const Pulse& q) {
+          return p.start <= q.start + q.width && q.start <= p.start + p.width;
+        };
+        if (static_cast<int>(before.size()) < cap ||
+            std::any_of(before.begin(), before.end(), overlaps)) {
+          continue;
+        }
+        // A full list and no merge: the pulse evicts the first narrowest
+        // entry if it is wider.
+        const auto narrowest = std::min_element(
+            before.begin(), before.end(),
+            [](const Pulse& a, const Pulse& b) { return a.width < b.width; });
+        if (narrowest->width < p.width) {
+          ++evictions;
+          const auto ties =
+              std::count_if(before.begin(), before.end(), [&](const Pulse& q) {
+                return q.width == narrowest->width;
+              });
+          if (ties > 1) ++tied_evictions;
+        }
+      }
+    }
+  }
+  // The sequences must reach every branch of the policy.
+  EXPECT_GT(transitive_merges, 0);
+  EXPECT_GT(evictions, 0);
+  EXPECT_GT(tied_evictions, 0);
+}
+
 // Random mixed-gate netlist: 3 inputs, 3 DFFs, `n_gates` gates whose fanins
 // are drawn from everything built before them. With `observe_all`, one more
 // DFF latches every gate's net, so a flip set shows every net's pulses at
@@ -331,7 +405,7 @@ struct RandomNetlist {
 TEST(InjectionSimulator, InjectBatchMatchesScalarLaneByLane) {
   std::mt19937 gen(1234);
   BatchInjectionScratch scratch;
-  for (const int cap : {1, 2, 4}) {
+  for (const int cap : {1, 2, 4, 6}) {
     for (const double width : {3.0, 8.0}) {
       TransientParams tp;
       tp.max_pulses_per_node = cap;
@@ -381,7 +455,7 @@ TEST(InjectionSimulator, InjectBatchMatchesScalarLaneByLane) {
         words.evaluate_comb();
 
         std::vector<std::vector<NodeId>> flipped;
-        inj.inject_batch(words, struck, strike, scratch, flipped);
+        inj.inject_batch(words, views(struck), strike, scratch, flipped);
         ASSERT_EQ(flipped.size(), static_cast<std::size_t>(lanes));
         for (int l = 0; l < lanes; ++l) {
           const auto ref = inj.inject(scalar[l], struck[l], strike[l]);
@@ -418,7 +492,7 @@ TEST(InjectionSimulator, InjectBatchVisitsOnlyTheStruckCone) {
   std::vector<std::vector<NodeId>> flipped;
   const auto sweep = [&](const std::vector<std::vector<NodeId>>& struck) {
     const std::vector<double> strike(struck.size(), 0.0);
-    inj.inject_batch(words, struck, strike, scratch, flipped);
+    inj.inject_batch(words, views(struck), strike, scratch, flipped);
     for (std::size_t l = 0; l < struck.size(); ++l) {
       EXPECT_EQ(flipped[l], inj.inject(sim, struck[l], 0.0).flipped_dffs);
     }
@@ -472,7 +546,7 @@ TEST(InjectionSimulator, InjectBatchKeepsEachLanesPulseOrder) {
   const std::vector<double> strike(lanes.size(), 0.0);
   BatchInjectionScratch scratch;
   std::vector<std::vector<NodeId>> flipped;
-  inj.inject_batch(words, lanes, strike, scratch, flipped);
+  inj.inject_batch(words, views(lanes), strike, scratch, flipped);
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     EXPECT_EQ(flipped[l], inj.inject(sim, lanes[l], 0.0).flipped_dffs)
         << "lane " << l;
@@ -488,11 +562,13 @@ TEST(InjectionSimulator, InjectBatchRejectsBadLaneCounts) {
   std::vector<std::vector<NodeId>> flipped;
   const std::vector<std::vector<NodeId>> none;
   const std::vector<double> no_times;
-  EXPECT_THROW(inj.inject_batch(words, none, no_times, scratch, flipped),
-               fav::CheckError);
+  EXPECT_THROW(
+      inj.inject_batch(words, views(none), no_times, scratch, flipped),
+      fav::CheckError);
   const std::vector<std::vector<NodeId>> one(1);
-  EXPECT_THROW(inj.inject_batch(words, one, no_times, scratch, flipped),
-               fav::CheckError);  // strike_times size mismatch
+  EXPECT_THROW(
+      inj.inject_batch(words, views(one), no_times, scratch, flipped),
+      fav::CheckError);  // strike_times size mismatch
 }
 
 TEST(InjectionSimulator, BadParamsThrow) {

@@ -230,6 +230,44 @@ TEST(BatchEquivalence, LanesOfOneCycleResumeFromTheSameMachine) {
   }
 }
 
+TEST(BatchEquivalence, ExhaustiveWordsWithMultiCycleImpactMatchScalarOracle) {
+  // An exhaustive sweep is t-major, so consecutive words take the same
+  // golden rows and a word may reuse the word simulator's last gather. A
+  // lane with impact_cycles = 2 overwrites that simulator with its own
+  // corrupted second cycle, so the next word must gather again. Strikes late
+  // in the cycle latch transients, so the flip sets depend on the gathered
+  // values: a sweep over a stale simulator changes records in this window.
+  faultsim::AttackModel attack = test_attack();
+  attack.t_max = 1;
+  attack.strike_fracs = {0.9};
+  attack.impact_cycles = 2;
+  faultsim::RadiationTechnique technique(ctx().placement, ctx().injector);
+  technique.bind_space(attack);
+  std::vector<faultsim::FaultSample> samples;
+  technique.enumerate(1280, 1536, samples);  // 4 words of 64 at t = 0
+  const auto make = [&](const EvaluatorConfig& cfg) {
+    return SsfEvaluator(ctx().soc, technique, ctx().bench, ctx().golden,
+                        &ctx().charac, cfg);
+  };
+  const SsfResult oracle = ScalarOracle(make({})).run(samples);
+  ASSERT_GT(oracle.rtl + oracle.analytical, 0u);
+  expect_engine_matches_oracle(make, {}, samples);
+
+  // Every word's multi-cycle lanes invalidate the gather; the single-cycle
+  // words of one te gather once.
+  for (const int impact : {2, 1}) {
+    SCOPED_TRACE("impact_cycles=" + std::to_string(impact));
+    std::vector<faultsim::FaultSample> word_samples = samples;
+    for (faultsim::FaultSample& s : word_samples) s.impact_cycles = impact;
+    MetricsSink sink;
+    EvaluatorConfig cfg;
+    cfg.metrics = &sink;
+    make(cfg).run_batch(word_samples);
+    EXPECT_EQ(sink.counter("eval.batch_groups"), 4u);
+    EXPECT_EQ(sink.counter("eval.batch.gathers"), impact == 2 ? 4u : 1u);
+  }
+}
+
 TEST(BatchEquivalence, ClockGlitchTechniqueBatchesBitwiseIdentically) {
   expect_glitch_batches_bitwise_identically(
       faultsim::TechniqueKind::kClockGlitch);

@@ -246,7 +246,10 @@ TEST(Observability, BatchedTimersDoNotDoubleCount) {
   ASSERT_NE(gather, nullptr);
   ASSERT_NE(sweep, nullptr);
   ASSERT_NE(inject, nullptr);
-  EXPECT_EQ(gather->count, word->count);
+  // A word gathers unless its lanes take the rows the last gather loaded.
+  EXPECT_EQ(gather->count, metrics.counter("eval.batch.gathers"));
+  EXPECT_GE(gather->count, 1u);
+  EXPECT_LE(gather->count, word->count);
   EXPECT_EQ(sweep->count, word->count);
   EXPECT_LE(gather->total_ns + sweep->total_ns, inject->total_ns);
   // The sweep visits some gates, and never the whole netlist per word.
