@@ -530,88 +530,6 @@ precharac::SamplingParams FaultAttackEvaluator::sampling_params_for(
   return params;
 }
 
-AdaptiveRunResult FaultAttackEvaluator::run_adaptive(
-    const AttackModel& attack, mc::Sampler& pilot_sampler, Rng& rng,
-    std::size_t pilot_n, std::size_t refine_n,
-    const mc::AdaptiveConfig& adaptive) const {
-  FAV_ENSURE_MSG(config_.evaluator.keep_records,
-                "adaptive refit needs pilot records (keep_records)");
-  FAV_ENSURE_MSG(technique_->kind() == faultsim::TechniqueKind::kRadiation,
-                 "run_adaptive samples the radiation parameter space; use "
-                 "run_adaptive_glitch for the glitch techniques");
-  AdaptiveRunResult out;
-  mc::Sampler* pilot = &pilot_sampler;
-  std::unique_ptr<mc::Sampler> fallback_pilot;
-  try {
-    out.pilot = evaluator_->run(*pilot, rng, pilot_n);
-  } catch (const std::exception& e) {
-    // Pilot stage failed (a sampler that throws while drawing): degrade to
-    // the cone → random chain instead of aborting the whole campaign.
-    SamplerSelection sel = make_sampler_with_fallback(attack, "cone");
-    out.downgrade_reason = "pilot sampler '" + pilot_sampler.name() +
-                           "' failed (" + e.what() + "); downgraded to '" +
-                           sel.actual + "'";
-    metrics_.add_counter("adaptive.pilot_downgrades");
-    log_event("run_adaptive: " + out.downgrade_reason);
-    fallback_pilot = std::move(sel.sampler);
-    pilot = fallback_pilot.get();
-    out.pilot = evaluator_->run(*pilot, rng, pilot_n);
-  }
-  if (out.pilot.successes == 0) {
-    // Nothing to adapt to; spend the refinement budget on the pilot sampler.
-    out.refined = evaluator_->run(*pilot, rng, refine_n);
-    return out;
-  }
-  try {
-    mc::AdaptiveImportanceSampler refit(attack, out.pilot, adaptive);
-    out.refined = evaluator_->run(refit, rng, refine_n);
-    out.adapted = true;
-  } catch (const std::exception& e) {
-    // Refit construction failed: spend the refinement budget on the pilot
-    // sampler (the rng stream is untouched by the failed construction, so
-    // this fallback is deterministic).
-    out.downgrade_reason = std::string("adaptive refit failed (") + e.what() +
-                           "); refined stage uses the pilot sampler";
-    metrics_.add_counter("adaptive.refit_downgrades");
-    log_event("run_adaptive: " + out.downgrade_reason);
-    out.refined = evaluator_->run(*pilot, rng, refine_n);
-  }
-  return out;
-}
-
-AdaptiveRunResult FaultAttackEvaluator::run_adaptive_glitch(
-    const faultsim::GlitchAttackModel& model, Rng& rng,
-    std::size_t pilot_n, std::size_t refine_n,
-    const mc::AdaptiveConfig& adaptive) const {
-  FAV_ENSURE_MSG(config_.evaluator.keep_records,
-                "adaptive refit needs pilot records (keep_records)");
-  FAV_ENSURE_MSG(technique_->kind() == model.kind,
-                 "run_adaptive_glitch requires technique \""
-                     << faultsim::technique_kind_name(model.kind) << "\"");
-  AdaptiveRunResult out;
-  mc::GlitchSampler pilot(model, target_cycle());
-  out.pilot = evaluator_->run(pilot, rng, pilot_n);
-  if (out.pilot.successes == 0) {
-    // Nothing to adapt to; spend the refinement budget on the uniform model.
-    out.refined = evaluator_->run(pilot, rng, refine_n);
-    return out;
-  }
-  try {
-    mc::AdaptiveGlitchSampler refit(model, target_cycle(), out.pilot,
-                                    adaptive);
-    out.refined = evaluator_->run(refit, rng, refine_n);
-    out.adapted = true;
-  } catch (const std::exception& e) {
-    out.downgrade_reason = std::string("adaptive glitch refit failed (") +
-                           e.what() +
-                           "); refined stage uses the uniform sampler";
-    metrics_.add_counter("adaptive.refit_downgrades");
-    log_event("run_adaptive_glitch: " + out.downgrade_reason);
-    out.refined = evaluator_->run(pilot, rng, refine_n);
-  }
-  return out;
-}
-
 SamplerSelection FaultAttackEvaluator::make_sampler_with_fallback(
     const faultsim::GlitchAttackModel& model,
     const std::string& strategy) const {

@@ -25,7 +25,6 @@
 #include "faultsim/injection.h"
 #include "faultsim/technique.h"
 #include "layout/placement.h"
-#include "mc/adaptive.h"
 #include "mc/evaluator.h"
 #include "mc/samplers.h"
 #include "netlist/cones.h"
@@ -78,7 +77,7 @@ struct FrameworkConfig {
   /// Evaluation-engine knobs; `evaluator.threads` selects the worker count
   /// for every run issued through this framework (0 = all hardware threads).
   mc::EvaluatorConfig evaluator;
-  /// Sink for robustness diagnostics (sampler downgrades, pilot fallbacks).
+  /// Sink for robustness diagnostics (sampler downgrades, cache fallbacks).
   /// Null routes messages to stderr.
   std::function<void(const std::string&)> log;
 
@@ -124,19 +123,6 @@ struct PrecharacCacheReport {
   std::string detail;
   /// True when this process elaborated and wrote the artifact.
   bool stored = false;
-};
-
-/// Outcome of the two-stage adaptive estimation (see run_adaptive).
-struct AdaptiveRunResult {
-  mc::SsfResult pilot;
-  mc::SsfResult refined;
-  /// False when the pilot found no successes and the refit stage fell back
-  /// to the pilot sampler (there was nothing to adapt to), or when the refit
-  /// construction failed and was downgraded (see downgrade_reason).
-  bool adapted = false;
-  /// Non-empty when a stage degraded instead of throwing: why the refit (or
-  /// the pilot sampler) was replaced with a simpler fallback.
-  std::string downgrade_reason;
 };
 
 /// A sampler plus the provenance of any graceful degradation that happened
@@ -185,8 +171,8 @@ class FaultAttackEvaluator {
   /// ("sampler.build_ns"), and sampler-fallback provenance
   /// ("sampler.downgrades", "sampler.built.<strategy>"). Merge into a
   /// campaign sink for run reports. Counters mutate under
-  /// make_sampler_with_fallback / run_adaptive; access is not synchronized
-  /// — same single-caller contract as those methods.
+  /// make_sampler_with_fallback; access is not synchronized — same
+  /// single-caller contract as that method.
   const MetricsSink& metrics() const { return metrics_; }
 
   /// How the pre-characterization cache resolved (outcome "off" when
@@ -261,34 +247,6 @@ class FaultAttackEvaluator {
   /// per-spot direct-hit boosts (see framework.cpp).
   precharac::SamplingParams sampling_params_for(
       const faultsim::AttackModel& attack) const;
-
-  /// --- adaptive two-stage estimation --------------------------------------
-  /// Runs `pilot_n` samples of `pilot_sampler`, refits an
-  /// AdaptiveImportanceSampler to the pilot's success mass, and runs the
-  /// remaining `refine_n` samples with it (falling back to the pilot sampler
-  /// when the pilot finds no successes). Both stages execute on the shared
-  /// evaluator, so `config().evaluator.threads` parallelizes the whole loop;
-  /// pilot records are required (keep_records must stay enabled).
-  ///
-  /// Degrades gracefully instead of throwing: if the pilot stage fails
-  /// (e.g. the pilot sampler throws while drawing), it is re-run on the cone
-  /// → random fallback chain; if the refit construction fails, the
-  /// refinement budget is spent on the pilot sampler. Every downgrade is
-  /// logged and surfaced in AdaptiveRunResult::downgrade_reason.
-  AdaptiveRunResult run_adaptive(const faultsim::AttackModel& attack,
-                                 mc::Sampler& pilot_sampler, Rng& rng,
-                                 std::size_t pilot_n, std::size_t refine_n,
-                                 const mc::AdaptiveConfig& adaptive = {}) const;
-
-  /// Two-stage adaptive estimation for a glitch technique: a uniform pilot
-  /// over `model`, then an AdaptiveGlitchSampler refit to the pilot's
-  /// success mass. Degrades like run_adaptive (no successes or a failed
-  /// refit spend the refinement budget on the uniform sampler). Requires
-  /// the configured technique to be model.kind.
-  AdaptiveRunResult run_adaptive_glitch(
-      const faultsim::GlitchAttackModel& model, Rng& rng,
-      std::size_t pilot_n, std::size_t refine_n,
-      const mc::AdaptiveConfig& adaptive = {}) const;
 
  private:
   /// Routes a robustness diagnostic to config().log (stderr when unset).

@@ -79,12 +79,6 @@ struct GlitchAttackModel {
   /// to glitch. The engine would record such samples as masked with te = 0,
   /// quietly diluting the estimate; samplers reject the model up front.
   void check_valid(std::uint64_t target_cycle) const;
-
-  /// Joint pmf of (t, level) under the uniform holistic model.
-  double f_pmf() const {
-    return 1.0 / (static_cast<double>(t_count()) *
-                  static_cast<double>(levels.size()));
-  }
 };
 
 /// The glitch instance p = [level] of AttackTechnique, for either kind. No

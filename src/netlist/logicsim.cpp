@@ -111,17 +111,6 @@ bool WordSimulator::value(NodeId id, int lane) const {
   return (values_[id] >> lane) & 1u;
 }
 
-void WordSimulator::set_register_word(NodeId dff, std::uint64_t word) {
-  FAV_ENSURE_MSG(nl_->is_dff(dff), "node is not a DFF");
-  values_[dff] = word;
-}
-
-void WordSimulator::set_input_word(NodeId input, std::uint64_t word) {
-  FAV_ENSURE_MSG(nl_->node(input).type == CellType::kInput,
-                "node is not a primary input");
-  values_[input] = word;
-}
-
 void WordSimulator::set_register_lane(NodeId dff, int lane, bool value) {
   FAV_ENSURE_MSG(nl_->is_dff(dff), "node is not a DFF");
   FAV_ENSURE(lane >= 0 && lane < 64);

@@ -74,8 +74,6 @@ class WordSimulator {
   /// Single-lane read (lane in [0, 64)).
   bool value(NodeId id, int lane) const;
 
-  void set_register_word(NodeId dff, std::uint64_t word);
-  void set_input_word(NodeId input, std::uint64_t word);
   void set_register_lane(NodeId dff, int lane, bool value);
   void set_input_lane(NodeId input, int lane, bool value);
 

@@ -47,7 +47,6 @@ void GateLevelMachine::broadcast_settled(netlist::WordSimulator& words) const {
 }
 
 rtl::StepInfo GateLevelMachine::step() {
-  ++total_steps_;
   settle_inputs();
   const SocPorts& p = soc_->ports();
 

@@ -28,12 +28,11 @@ class GateLevelMachine {
   bool halted() const;
   std::uint64_t cycle() const { return cycle_; }
 
-  /// Lifetime totals, never reset — observability counters for the Monte
+  /// Lifetime total, never reset — observability counter for the Monte
   /// Carlo engine's gate-sim cost metrics. A settle is two combinational
   /// evaluation passes over the whole netlist; step() performs one settle
   /// plus the clock edge.
   std::uint64_t total_settles() const { return total_settles_; }
-  std::uint64_t total_steps() const { return total_steps_; }
 
   /// Architectural state extracted from / loaded into the netlist DFFs.
   rtl::ArchState extract_state() const;
@@ -43,7 +42,6 @@ class GateLevelMachine {
   rtl::Memory& mutable_ram() { return ram_; }
 
   const netlist::LogicSimulator& sim() const { return sim_; }
-  netlist::LogicSimulator& mutable_sim() { return sim_; }
   const SocNetlist& soc() const { return *soc_; }
 
   /// Drives instr/mem_rdata inputs for the current cycle and settles the
@@ -67,7 +65,6 @@ class GateLevelMachine {
   rtl::Memory ram_;
   std::uint64_t cycle_ = 0;
   std::uint64_t total_settles_ = 0;
-  std::uint64_t total_steps_ = 0;
 };
 
 }  // namespace fav::soc

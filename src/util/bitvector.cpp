@@ -61,10 +61,6 @@ void BitVector::resize(std::size_t size) {
 
 void BitVector::reserve(std::size_t size) { words_.reserve(word_count(size)); }
 
-void BitVector::clear_all() {
-  for (auto& w : words_) w = 0;
-}
-
 std::size_t BitVector::count() const {
   std::size_t n = 0;
   for (auto w : words_) n += static_cast<std::size_t>(std::popcount(w));

@@ -37,8 +37,6 @@ class BitVector {
   /// push_back loop of known length (e.g. one signature bit per simulated
   /// cycle) performs no intermediate word reallocations.
   void reserve(std::size_t size);
-  /// Sets all bits to zero without changing the size.
-  void clear_all();
 
   /// Number of set bits (the `|·|` / hamming-weight operator of the paper).
   std::size_t count() const;

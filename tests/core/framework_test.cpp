@@ -110,38 +110,6 @@ TEST(Framework, ImportanceVarianceBeatsRandom) {
   EXPECT_GT(ri.successes, rr.successes);
 }
 
-TEST(Framework, RunAdaptiveRefinesFromPilot) {
-  const auto attack = fw().subblock_attack_model(1.5, 50);
-  Rng rng(21);
-  auto pilot = fw().make_importance_sampler(attack);
-  const auto out = fw().run_adaptive(attack, *pilot, rng, 600, 400);
-  EXPECT_EQ(out.pilot.stats.count(), 600u);
-  EXPECT_EQ(out.refined.stats.count(), 400u);
-  // The importance pilot finds successes on this benchmark, so the refit
-  // stage must actually adapt and keep finding them.
-  EXPECT_TRUE(out.adapted);
-  EXPECT_GT(out.pilot.successes, 0u);
-  EXPECT_GT(out.refined.successes, 0u);
-  EXPECT_GT(out.refined.ssf(), 0.0);
-}
-
-TEST(Framework, RunAdaptiveFallsBackWithoutPilotSuccesses) {
-  // A hopeless pilot (zero-radius strikes on one far-away cell at the maximum
-  // timing distance) finds nothing; the refit stage must fall back to the
-  // pilot sampler instead of fitting a model to an empty success set.
-  auto attack = fw().subblock_attack_model(1.5, 50);
-  attack.candidate_centers = {fw().placement().placed_nodes().back()};
-  attack.radii = {0.0};
-  attack.t_min = attack.t_max = 49;
-  Rng rng(3);
-  auto pilot = fw().make_random_sampler(attack);
-  const auto out = fw().run_adaptive(attack, *pilot, rng, 40, 30);
-  if (out.pilot.successes == 0) {
-    EXPECT_FALSE(out.adapted);
-    EXPECT_EQ(out.refined.stats.count(), 30u);
-  }
-}
-
 TEST(Framework, ThreadsKnobPreservesFrameworkResults) {
   // End-to-end determinism through the facade: a framework configured with
   // a worker pool must reproduce the shared sequential framework bit for bit.
@@ -267,22 +235,6 @@ TEST(FrameworkFallback, UnknownStrategyStillThrows) {
                fav::CheckError);
 }
 
-TEST(FrameworkFallback, AdaptiveRefitFailureDegradesToPilotSampler) {
-  // An invalid adaptive config makes the refit construction throw after a
-  // healthy pilot; run_adaptive must spend the refinement budget on the
-  // pilot sampler and surface the downgrade instead of aborting.
-  const auto attack = fw().subblock_attack_model(1.5, 50);
-  Rng rng(21);
-  auto pilot = fw().make_importance_sampler(attack);
-  mc::AdaptiveConfig bad;
-  bad.smoothing = -1.0;  // rejected by AdaptiveImportanceSampler
-  const auto out = fw().run_adaptive(attack, *pilot, rng, 400, 300, bad);
-  EXPECT_EQ(out.pilot.stats.count(), 400u);
-  EXPECT_EQ(out.refined.stats.count(), 300u);
-  EXPECT_FALSE(out.adapted);
-  EXPECT_NE(out.downgrade_reason.find("refit failed"), std::string::npos);
-}
-
 // One shared glitch-configured framework (construction is expensive).
 FaultAttackEvaluator& glitch_fw() {
   static FaultAttackEvaluator instance(soc::make_illegal_write_benchmark(),
@@ -355,23 +307,9 @@ TEST(FrameworkTechnique, GlitchFallbackDowngradesSpatialStrategies) {
   EXPECT_EQ(res.stats.count(), 100u);
 }
 
-TEST(FrameworkTechnique, RunAdaptiveGlitchRunsOrDegradesGracefully) {
-  const auto model = glitch_fw().glitch_attack_model(50);
-  Rng rng(21);
-  const auto out = glitch_fw().run_adaptive_glitch(model, rng, 200, 150);
-  EXPECT_EQ(out.pilot.stats.count(), 200u);
-  EXPECT_EQ(out.refined.stats.count(), 150u);
-  // Glitch successes are rare on this benchmark; either the refit adapted to
-  // real pilot successes or it fell back to the uniform sampler — both must
-  // produce a full, well-defined refinement stage.
-  if (out.pilot.successes == 0) {
-    EXPECT_FALSE(out.adapted);
-  }
-}
-
 TEST(FrameworkTechnique, VoltageGlitchSharesTheGlitchFacade) {
-  // One simulator, model builder, sampler factory and adaptive entry serve
-  // both glitch kinds; the configured technique picks the droop grid.
+  // One simulator, model builder and sampler factory serve both glitch
+  // kinds; the configured technique picks the droop grid.
   EXPECT_EQ(voltage_fw().technique().kind(),
             faultsim::TechniqueKind::kVoltageGlitch);
   EXPECT_GT(voltage_fw().glitch_simulator().timing().clock_period(), 0.0);
@@ -382,17 +320,6 @@ TEST(FrameworkTechnique, VoltageGlitchSharesTheGlitchFacade) {
       voltage_fw().make_sampler_with_fallback(model, "cone");
   EXPECT_EQ(sel.actual, "voltage-uniform");
   EXPECT_TRUE(sel.downgraded());
-  Rng rng(21);
-  const auto out = voltage_fw().run_adaptive_glitch(model, rng, 200, 150);
-  EXPECT_EQ(out.pilot.stats.count(), 200u);
-  EXPECT_EQ(out.refined.stats.count(), 150u);
-  if (out.pilot.successes == 0) {
-    EXPECT_FALSE(out.adapted);
-  }
-  // A clock-glitch model is not this framework's technique.
-  EXPECT_THROW(voltage_fw().run_adaptive_glitch(
-                   glitch_fw().glitch_attack_model(50), rng, 10, 10),
-               fav::CheckError);
 }
 
 /// 64-bit FNV-1a over each record's (t, depth, flipped_bits, path).
@@ -454,18 +381,6 @@ TEST(FrameworkTechnique, DefaultGlitchSweepFlipSetsArePinned) {
       EXPECT_EQ(flip_set_digest(result), c.digest);
     }
   }
-}
-
-TEST(FrameworkTechnique, AdaptiveEntryPointsAreTechniqueChecked) {
-  // Radiation-style adaptive estimation on a glitch framework (and vice
-  // versa) is a caller bug, not a degradable condition.
-  const auto model = glitch_fw().glitch_attack_model(50);
-  Rng rng(1);
-  EXPECT_THROW(fw().run_adaptive_glitch(model, rng, 10, 10), fav::CheckError);
-  const auto attack = fw().subblock_attack_model(1.5, 50);
-  auto pilot = fw().make_random_sampler(attack);
-  EXPECT_THROW(glitch_fw().run_adaptive(attack, *pilot, rng, 10, 10),
-               fav::CheckError);
 }
 
 // --- persistent pre-characterization cache (precharac/artifact.h) ---------

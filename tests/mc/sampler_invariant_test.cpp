@@ -4,8 +4,8 @@
 //
 //   E_g[ w · 1{(t, c)} ] = f(t, c)
 //
-// over the sampler's support. This is checked empirically for all four
-// strategies (random, cone, importance, adaptive) on a small attack space
+// over the sampler's support. This is checked empirically for all three
+// strategies (random, cone, importance) on a small attack space
 // where per-cell frequencies are measurable. A sampler that can emit a
 // zero-probability outcome (the old lower_bound inversion bug in
 // DiscreteDistribution) dies on the weight computation or grossly violates
@@ -16,7 +16,6 @@
 #include <map>
 #include <utility>
 
-#include "mc/adaptive.h"
 #include "mc/samplers.h"
 #include "soc/benchmark.h"
 
@@ -117,26 +116,6 @@ TEST(SamplerInvariant, ImportanceSampler) {
                                  ctx().signatures, ctx().charac, ctx().attack);
   ImportanceSampler s(model);
   expect_weight_invariant(s, ctx().attack, 103);
-}
-
-TEST(SamplerInvariant, AdaptiveImportanceSampler) {
-  // The refit must preserve the identity for ANY pilot, however skewed —
-  // that is the whole point of exact likelihood-ratio weights. Fabricate a
-  // pilot whose successes pile onto two cells and verify the invariant still
-  // holds over the full support.
-  SsfResult pilot;
-  for (int i = 0; i < 8; ++i) {
-    SampleRecord rec;
-    rec.sample.t = (i % 2 == 0) ? 1 : 2;
-    rec.sample.center = ctx().attack.candidate_centers[i % 2 == 0 ? 0 : 3];
-    rec.sample.weight = 1.0;
-    rec.success = true;
-    rec.contribution = 1.0;
-    pilot.records.push_back(rec);
-    ++pilot.successes;
-  }
-  AdaptiveImportanceSampler s(ctx().attack, pilot);
-  expect_weight_invariant(s, ctx().attack, 104);
 }
 
 }  // namespace

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "netlist/dot.h"
 #include "netlist/logicsim.h"
 #include "util/check.h"
 
@@ -108,18 +105,6 @@ TEST(Unroller, FrameOutOfRangeThrows) {
 TEST(Unroller, ZeroFramesThrows) {
   Counter c;
   EXPECT_THROW(Unroller(c.nl, 0), fav::CheckError);
-}
-
-TEST(WriteDot, ProducesParsableSkeleton) {
-  Counter c;
-  c.nl.set_output("b0", c.b0);
-  std::ostringstream os;
-  write_dot(c.nl, os, "counter");
-  const std::string dot = os.str();
-  EXPECT_NE(dot.find("digraph counter"), std::string::npos);
-  EXPECT_NE(dot.find("DFF"), std::string::npos);
-  EXPECT_NE(dot.find("->"), std::string::npos);
-  EXPECT_NE(dot.find("out_b0"), std::string::npos);
 }
 
 }  // namespace

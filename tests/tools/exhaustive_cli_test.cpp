@@ -5,6 +5,7 @@
 //     in-process engine and --supervise 2 worker fleets (journal records and
 //     reported estimate alike),
 //   * coverage == 1.0 is reported on stdout and in the run report,
+//   * stdout prints no `std error` line (an enumeration has none),
 //   * --space-limit caps the sweep and is usage-checked,
 //   * the voltage-glitch technique runs end to end through the unified
 //     pipeline (workers included),
@@ -102,6 +103,8 @@ TEST(ExhaustiveCli, SupervisedSweepIsBitwiseIdenticalToInProcess) {
       base_stdout.find("fault space: size 48, evaluated 48, coverage 1.0"),
       std::string::npos)
       << base_stdout;
+  // An enumeration has no sampling error; the report keeps its field.
+  EXPECT_EQ(base_stdout.find("std error"), std::string::npos) << base_stdout;
   ASSERT_EQ(run_cli(std::string(kExhaustiveFlags) + " --journal " + sup +
                     " --supervise 2 --metrics-out " + sup + "/report.json"),
             0);

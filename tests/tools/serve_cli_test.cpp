@@ -203,6 +203,8 @@ TEST(ServeCli, ServedCampaignMatchesLocalBitwise) {
   // The stdout blocks differ only in the paths the client chose.
   EXPECT_EQ(read_file(local + "/out.txt"),
             replace_all(read_file(served + "/out.txt"), served, local));
+  EXPECT_NE(read_file(local + "/out.txt").find("std error  : "),
+            std::string::npos);
   expect_reports_equivalent(local + "/report.json", served + "/report.json");
   expect_bitwise_equal_journals(local, "campaign.fj", served, "campaign.fj");
   const Subprocess::ExitStatus st = daemon.stop();

@@ -390,7 +390,10 @@ mc::CampaignOutcome run_evaluate_campaign(const Options& o, bool local_files,
              cache.path.c_str(), cache.stored ? ", stored" : "");
   }
   append_f(block, "SSF        : %.6f\n", res.ssf());
-  append_f(block, "std error  : %.6f\n", res.stats.standard_error());
+  // An enumeration has no sampling error to print.
+  if (res.fault_space_size == 0) {
+    append_f(block, "std error  : %.6f\n", res.stats.standard_error());
+  }
   append_f(block, "variance   : %.3e\n", res.sample_variance());
   append_f(block, "ESS        : %.1f of %zu\n", res.effective_sample_size(),
            c.total);
