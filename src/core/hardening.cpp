@@ -90,6 +90,11 @@ HardeningReport evaluate_hardening(const mc::SsfEvaluator& evaluator,
   const double survive_p = 1.0 / options.resilience_factor;
   RunningStats stats;
   for (const mc::SampleRecord& rec : result.records) {
+    FAV_ENSURE_MSG(rec.sample.impact_cycles <= 1,
+                   "hardening re-decides a sample with one flip-set overlay, "
+                   "not the "
+                       << rec.sample.impact_cycles
+                       << " per-cycle strikes the engine evaluated");
     std::vector<int> kept;
     kept.reserve(rec.flipped_bits.size());
     bool changed = false;

@@ -66,10 +66,11 @@ double attribution_coverage(const mc::SsfResult& result,
                             const std::vector<int>& fields);
 
 /// Re-evaluates `result`'s samples with the given cells hardened and
-/// computes the area overhead against the evaluated netlist.
-/// Note: the re-evaluation overlays the (filtered) flip set at the first
-/// injection cycle; for multi-cycle-impact samples this is a single-overlay
-/// approximation of the original per-cycle corruption.
+/// computes the area overhead against the evaluated netlist. A changed
+/// sample is re-decided by overlaying its filtered flip set once, after its
+/// injection cycle (SsfEvaluator::outcome_for_flips), which is the engine's
+/// fault model only for single-cycle samples: a record with
+/// impact_cycles > 1 is rejected (EnsureError).
 HardeningReport evaluate_hardening(const mc::SsfEvaluator& evaluator,
                                    const soc::SocNetlist& soc,
                                    const mc::SsfResult& result,

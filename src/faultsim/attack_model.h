@@ -107,13 +107,6 @@ struct AttackModel {
     return strike_fracs[rng.uniform_below(strike_fracs.size())];
   }
 
-  /// Joint pmf of (t, center, radius) under the uniform holistic model.
-  double f_pmf() const {
-    return 1.0 / (static_cast<double>(t_count()) *
-                  static_cast<double>(candidate_centers.size()) *
-                  static_cast<double>(radii.size()));
-  }
-
   /// Draws from f_{T,P} (this *is* the random-sampling baseline).
   FaultSample sample(Rng& rng) const {
     check_valid();

@@ -221,7 +221,6 @@ SampleRecord SsfEvaluator::evaluate_sample_isolated(
   // on a *fresh* scratch in case the failed attempt left the machines in an
   // inconsistent state.
   const bool retry =
-      config_.retry_failed &&
       describe_failure(error).first != ErrorCode::kCycleBudgetExceeded;
   if (retry) {
     {
@@ -755,52 +754,41 @@ Result<SsfResult> SsfEvaluator::run_campaign(
     }
     state.result.records.reserve(kept);
   }
-  std::size_t done = 0;  // samples folded so far
   JournalWriter writer;
+  // The journaled samples a resume folds instead of evaluating; empty
+  // otherwise, so a fresh or unjournaled run never allocates the merge.
+  MergedJournal merged;
   if (journal != nullptr) {
-    JournalMeta meta;
-    meta.fingerprint = journal->fingerprint;
-    meta.total_samples = n;
-    meta.context = journal->context;
-    std::uint64_t valid_bytes = 0;
+    const JournalMeta meta{journal->fingerprint, n, journal->context};
+    Status open;
     if (journal->resume) {
-      Result<JournalContents> loaded = read_journal(journal->dir);
-      if (!loaded.is_ok()) return loaded.status();
-      JournalContents& j = loaded.value();
-      valid_bytes = j.valid_bytes;
-      if (j.meta.fingerprint != meta.fingerprint ||
-          j.meta.total_samples != meta.total_samples) {
-        return Status(ErrorCode::kJournalCorrupt,
-                      "journal belongs to a different campaign (fingerprint "
-                      "or sample count mismatch)");
-      }
-      // Cross-check every journaled sample against the campaign's own: a
-      // mismatch means the sampler, seed, bound space or config changed
-      // under the journal.
-      const std::size_t journaled = std::min<std::size_t>(j.records.size(), n);
-      for (std::size_t lo = 0; lo < journaled; lo += journal->shard_size) {
-        const std::size_t hi = std::min(lo + journal->shard_size, journaled);
-        const auto expected = fill(lo, hi);
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (!sample_matches(j.records[i].sample, expected[i - lo])) {
-            return Status(ErrorCode::kJournalCorrupt,
-                          "journaled sample " + std::to_string(i) +
-                              " does not match the campaign's samples");
-          }
-          fold_record(state, std::move(j.records[i]));
-        }
-      }
-      done = journaled;
+      Result<MergedJournal> read = JournalReader::merge_partial(journal->dir);
+      if (!read.is_ok()) return read.status();
+      merged = std::move(read).value();
+      open = merged.check_campaign(meta.fingerprint, n);
+    } else {
+      open = clear_journal(journal->dir);
     }
+    // This process appends to campaign.fj: continued after its valid prefix
+    // when the journal has one, else created.
+    const auto own = merged.valid_bytes.find("campaign.fj");
     writer.set_metrics(config_.metrics);
-    const Status open = journal->resume && done > 0
-                            ? writer.open_append(journal->dir, valid_bytes)
-                            : writer.open_fresh(journal->dir, meta);
+    if (open.is_ok()) {
+      open = own != merged.valid_bytes.end()
+                 ? writer.open_append(journal->dir, own->second)
+                 : writer.open_fresh(journal->dir, meta);
+    }
     if (!open.is_ok()) return open;
     if (config_.metrics != nullptr) {
-      config_.metrics->add_counter("journal.resumed_records", done);
+      config_.metrics->add_counter(
+          "journal.resumed_records",
+          static_cast<std::uint64_t>(std::count(merged.present.begin(),
+                                                merged.present.end(), 1)));
     }
   }
+  auto journaled = [&](std::size_t i) {
+    return !merged.present.empty() && merged.present[i] != 0;
+  };
 
   std::vector<std::unique_ptr<EvalScratch>> scratch;
   {
@@ -809,32 +797,57 @@ Result<SsfResult> SsfEvaluator::run_campaign(
   }
   WorkerObservers observers = make_observers(scratch.size());
   // A journaled chunk is one shard; any other chunk is 16 words per worker.
-  // Words break at chunk boundaries, which changes no record. The stop flag
-  // is polled between chunks: a chunk is evaluated, committed and folded, or
-  // never started, so an interrupted run leaves exactly the journal a crash
-  // would and resume continues from the first missing index.
+  // Words break at chunk and run boundaries, which changes no record. The
+  // stop flag is polled between chunks: a chunk is evaluated, committed and
+  // folded, or never started, so an interrupted run leaves exactly the
+  // journal a crash would.
   const std::size_t chunk = journal != nullptr
                                 ? journal->shard_size
                                 : 16 * lane_cap(config_) * scratch.size();
+  std::size_t done = 0;  // samples folded so far
   std::vector<SampleRecord> records;
+  Status appended;
   while (done < n && (config_.stop == nullptr ||
                       !config_.stop->load(std::memory_order_relaxed))) {
     const std::size_t hi = std::min<std::size_t>(done + chunk, n);
+    const auto samples = fill(done, hi);
     records.assign(hi - done, SampleRecord{});
-    evaluate_range(fill(done, hi), records, done, scratch, &observers);
-    if (journal != nullptr) {
-      const Status appended =
-          writer.append_shard(done, records.data(), records.size());
-      if (!appended.is_ok()) {
-        if (appended.code() != ErrorCode::kStorageFull) return appended;
-        // The disk filled (or failed) mid-campaign. Everything journaled so
-        // far is durable, so stop gracefully with a partial, resumable
-        // result, exactly like a stop-flag interruption.
-        if (config_.metrics != nullptr) {
-          config_.metrics->add_counter("journal.storage_full_stops");
+    // Journaled samples are cross-checked against the campaign's own (a
+    // mismatch means the sampler, seed, bound space or config changed under
+    // the journal) and taken as they are; each maximal run of missing ones
+    // is evaluated and appended as one shard. Without a merge the chunk is
+    // one run.
+    for (std::size_t i = done; i < hi && appended.is_ok();) {
+      if (journaled(i)) {
+        if (!sample_matches(merged.records[i].sample, samples[i - done])) {
+          return Status(ErrorCode::kJournalCorrupt,
+                        "journaled sample " + std::to_string(i) +
+                            " does not match the campaign's samples");
         }
-        break;
+        records[i - done] = std::move(merged.records[i]);
+        ++i;
+        continue;
       }
+      std::size_t j = i + 1;
+      while (j < hi && !journaled(j)) ++j;
+      const std::span<SampleRecord> out =
+          std::span(records).subspan(i - done, j - i);
+      evaluate_range(samples.subspan(i - done, j - i), out, i, scratch,
+                     &observers);
+      if (journal != nullptr) {
+        appended = writer.append_shard(i, out.data(), out.size());
+      }
+      i = j;
+    }
+    if (!appended.is_ok()) {
+      if (appended.code() != ErrorCode::kStorageFull) return appended;
+      // The disk filled (or failed) mid-campaign. Everything journaled so
+      // far is durable, so stop gracefully with a partial, resumable
+      // result, exactly like a stop-flag interruption.
+      if (config_.metrics != nullptr) {
+        config_.metrics->add_counter("journal.storage_full_stops");
+      }
+      break;
     }
     ScopeTimer timer(config_.metrics, "run.reduce_ns");
     for (SampleRecord& rec : records) fold_record(state, std::move(rec));

@@ -180,9 +180,6 @@ struct EvaluatorConfig {
   /// bitwise-determinism contract for hang protection — prefer cycle_budget
   /// when journaled resume must be bit-exact.
   std::uint64_t sample_deadline_ms = 0;
-  /// Retry a failed evaluation once on fresh scratch before recording
-  /// kFailed (cycle-budget overruns are deterministic and never retried).
-  bool retry_failed = true;
   /// Word width: samples are packed, in sample order and whatever their
   /// injection cycle te, up to `batch_lanes` at a time into one
   /// bit-parallel sweep (lane = sample = one bit of a 64-bit word); each
@@ -286,12 +283,13 @@ class EvalScratch {
 
 /// Options for crash-safe journaled campaigns (see mc/journal.h for the
 /// on-disk format). The journal directory accumulates completed sample-index
-/// shards with checksums; a resumed run replays them and continues from the
-/// first missing index, bitwise-identical to an uninterrupted run.
+/// shards with checksums; a resumed run folds them and evaluates only the
+/// missing indices, bitwise-identical to an uninterrupted run.
 struct JournalOptions {
   std::string dir;
-  /// Replay an existing journal and continue; false starts a fresh journal
-  /// (overwriting any previous one in `dir`).
+  /// Fold every shard file in `dir` (written in-process or by supervised
+  /// workers) and evaluate the rest; an empty journal starts fresh. False
+  /// starts a fresh journal (removing every shard file in `dir`).
   bool resume = false;
   /// Samples per journal shard: the flush/commit granularity. A crash loses
   /// at most one shard of work.
@@ -402,20 +400,19 @@ class SsfEvaluator {
 
   /// Crash-safe variant of run_exhaustive(): each completed shard of
   /// enumeration indices is appended to the journal. Resume re-enumerates
-  /// the journaled prefix (the index -> sample mapping is the determinism
-  /// contract) and cross-checks it before continuing from the first missing
-  /// index — the final result is bitwise-identical to an uninterrupted
+  /// the space (the index -> sample mapping is the determinism contract),
+  /// cross-checks every journaled sample and evaluates only the missing
+  /// indices — the final result is bitwise-identical to an uninterrupted
   /// sweep.
   Result<SsfResult> run_exhaustive_journaled(const JournalOptions& options,
                                              std::uint64_t space_limit =
                                                  0) const;
 
   /// Crash-safe variant of run(): each completed shard is appended to the
-  /// journal in `options.dir`. With options.resume, the journal is replayed
-  /// first and evaluation continues from the first missing sample index —
-  /// the result is bitwise-identical to an uninterrupted run (samples are
-  /// re-drawn from the same sampler/rng state and cross-checked against the
-  /// journal). A full disk (kStorageFull) stops the run gracefully with the
+  /// journal in `options.dir`. With options.resume, the journaled samples
+  /// are folded and only the missing indices are evaluated — the result is
+  /// bitwise-identical to an uninterrupted run (samples are re-drawn from
+  /// the same sampler/rng state and cross-checked against the journal). A full disk (kStorageFull) stops the run gracefully with the
   /// journaled prefix; other journal integrity/IO failures and sampler
   /// failures are reported as a non-ok Result.
   Result<SsfResult> run_journaled(Sampler& sampler, Rng& rng, std::size_t n,
@@ -464,10 +461,11 @@ class SsfEvaluator {
     std::vector<faultsim::FaultSample> batch = {};
     bool enumerated = false;
   };
-  /// The one campaign loop behind every run*: validates `journal`, replays
-  /// and cross-checks its prefix on resume, then per chunk polls
-  /// config_.stop, evaluates, journals (kStorageFull is a graceful,
-  /// resumable stop) and folds in sample-index order. A chunk is one
+  /// The one campaign loop behind every run*: validates `journal` and, on
+  /// resume, merges its shard files; then per chunk polls config_.stop,
+  /// takes the journaled samples (cross-checked), evaluates and journals
+  /// each missing run (kStorageFull is a graceful, resumable stop) and folds
+  /// in sample-index order. A chunk is one
   /// journal shard, or 16 words per worker when unjournaled. `n` is the
   /// sample count; an enumerated source sweeps the first `n` indices of the
   /// bound space (0 = all of it).

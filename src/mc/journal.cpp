@@ -71,93 +71,26 @@ std::string journal_path(const std::string& dir, const std::string& file) {
   return (std::filesystem::path(dir) / file).string();
 }
 
-/// Core reader shared by read_journal and JournalReader::read_shards: the
-/// meta record, then shard records. The record log drops a torn tail and
-/// reports mid-file damage; shards may start at any index but must not
-/// overlap, and adjacent shards coalesce into one span.
-Result<JournalShards> read_shards_impl(const std::string& path) {
-  JournalShards shards;
-  bool have_meta = false;
-  Status bad_record;
-  const Result<io::LogScan> scan = io::RecordLog::scan(
-      path, kFileMagic, [&](std::string_view payload) {
-        if (!have_meta) {
-          have_meta = parse_meta(payload, &shards.meta);
-          if (!have_meta) {
-            bad_record = Status(ErrorCode::kJournalCorrupt,
-                                "journal meta corrupt in " + path);
-          }
-          return have_meta;
-        }
-        // Frames need not be in index order: a supervised worker journals
-        // shards in *assignment* order, and a shard rescued from a crashed
-        // peer lands after higher-indexed shards in the survivor's file.
-        // Spans are sorted and overlap-checked after the scan.
-        if (!parse_shard(payload, &shards.spans)) {
-          bad_record = Status(ErrorCode::kJournalCorrupt,
-                              "journal frame payload corrupt in " + path);
-          return false;
-        }
-        return true;
-      });
-  if (!scan.is_ok()) {
-    if (scan.status().code() == ErrorCode::kJournalCorrupt) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    "journal header corrupt in " + path);
+/// Names of the shard files (`*.fj`) in `dir`, sorted: directory iteration
+/// order is unspecified and the merge must not depend on it. A missing
+/// directory holds none.
+Result<std::vector<std::string>> shard_files(const std::string& dir) {
+  std::vector<std::string> names;
+  std::error_code ec;
+  std::filesystem::directory_iterator it(dir, ec);
+  for (const std::filesystem::directory_iterator end; !ec && it != end;
+       it.increment(ec)) {
+    if (it->path().extension() == ".fj") {
+      names.push_back(it->path().filename().string());
     }
+  }
+  if (ec && ec != std::errc::no_such_file_or_directory) {
     return Status(ErrorCode::kJournalIoError,
-                  "cannot open journal " + path + " for reading");
+                  "cannot list journal directory " + dir + ": " +
+                      ec.message());
   }
-  if (!bad_record.is_ok()) return bad_record;
-  if (scan.value().damaged) {
-    return Status(ErrorCode::kJournalCorrupt,
-                  "journal damaged mid-file in " + path +
-                      " (bad frame followed by more data)");
-  }
-  if (!have_meta) {
-    return Status(ErrorCode::kJournalCorrupt,
-                  "journal header corrupt in " + path);
-  }
-  shards.valid_bytes = scan.value().valid_bytes;
-  // Restore the JournalShards contract (strictly increasing, non-overlapping,
-  // coalesced spans) independently of the on-disk frame order.
-  std::sort(shards.spans.begin(), shards.spans.end(),
-            [](const JournalSpan& a, const JournalSpan& b) {
-              return a.first_index < b.first_index;
-            });
-  std::vector<JournalSpan> coalesced;
-  for (JournalSpan& span : shards.spans) {
-    const std::uint64_t back_end =
-        coalesced.empty() ? 0 : coalesced.back().end_index();
-    if (!coalesced.empty() && span.first_index < back_end) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    "journal shards overlap in " + path +
-                        " (both cover sample " +
-                        std::to_string(span.first_index) + ")");
-    }
-    if (!coalesced.empty() && span.first_index == back_end) {
-      std::vector<SampleRecord>& dst = coalesced.back().records;
-      dst.insert(dst.end(), std::make_move_iterator(span.records.begin()),
-                 std::make_move_iterator(span.records.end()));
-    } else {
-      coalesced.push_back(std::move(span));
-    }
-  }
-  shards.spans = std::move(coalesced);
-  return shards;
-}
-
-/// Single-`*` glob match (e.g. "worker-*.fj"): literal prefix + literal
-/// suffix, anything (including nothing) in between. No `*` means an exact
-/// match.
-bool glob_matches(const std::string& pattern, const std::string& name) {
-  const std::size_t star = pattern.find('*');
-  if (star == std::string::npos) return pattern == name;
-  const std::string prefix = pattern.substr(0, star);
-  const std::string suffix = pattern.substr(star + 1);
-  return name.size() >= prefix.size() + suffix.size() &&
-         name.compare(0, prefix.size(), prefix) == 0 &&
-         name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0;
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 }  // namespace
@@ -238,69 +171,87 @@ bool sample_matches(const faultsim::FaultSample& a,
          a.weight == b.weight;
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>>
-MergedJournal::missing_ranges() const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-  std::size_t i = 0;
-  while (i < present.size()) {
-    if (present[i] != 0) {
-      ++i;
-      continue;
-    }
-    const std::size_t first = i;
-    while (i < present.size() && present[i] == 0) ++i;
-    ranges.emplace_back(first, i);
-  }
-  return ranges;
-}
-
-Result<JournalContents> read_journal(const std::string& dir) {
-  const std::string path = journal_path(dir, "campaign.fj");
-  Result<JournalShards> shards = read_shards_impl(path);
-  if (!shards.is_ok()) return shards.status();
-  JournalShards& s = shards.value();
-  // The single-process journal must be a contiguous prefix of the campaign;
-  // a gap or a nonzero start means the file was not written by this engine.
-  if (!s.spans.empty() &&
-      (s.spans.size() != 1 || s.spans.front().first_index != 0)) {
-    return Status(ErrorCode::kJournalCorrupt,
-                  "journal frames out of order in " + path);
-  }
-  JournalContents contents;
-  contents.meta = std::move(s.meta);
-  contents.valid_bytes = s.valid_bytes;
-  if (!s.spans.empty()) contents.records = std::move(s.spans.front().records);
-  return contents;
-}
-
 Result<JournalShards> JournalReader::read_shards(const std::string& dir,
                                                  const std::string& file) {
-  return read_shards_impl(journal_path(dir, file));
+  // The meta record, then shard records. The record log drops a torn tail
+  // and reports mid-file damage; shards may start at any index but must not
+  // overlap, and adjacent shards coalesce into one span.
+  const std::string path = journal_path(dir, file);
+  JournalShards shards;
+  bool have_meta = false;
+  Status bad_record;
+  const Result<io::LogScan> scan = io::RecordLog::scan(
+      path, kFileMagic, [&](std::string_view payload) {
+        if (!have_meta) {
+          have_meta = parse_meta(payload, &shards.meta);
+          if (!have_meta) {
+            bad_record = Status(ErrorCode::kJournalCorrupt,
+                                "journal meta corrupt in " + path);
+          }
+          return have_meta;
+        }
+        // Frames need not be in index order: a supervised worker journals
+        // shards in *assignment* order, and a shard rescued from a crashed
+        // peer lands after higher-indexed shards in the survivor's file.
+        // Spans are sorted and overlap-checked after the scan.
+        if (!parse_shard(payload, &shards.spans)) {
+          bad_record = Status(ErrorCode::kJournalCorrupt,
+                              "journal frame payload corrupt in " + path);
+          return false;
+        }
+        return true;
+      });
+  if (!scan.is_ok()) {
+    if (scan.status().code() == ErrorCode::kJournalCorrupt) {
+      return Status(ErrorCode::kJournalCorrupt,
+                    "journal header corrupt in " + path);
+    }
+    return Status(ErrorCode::kJournalIoError,
+                  "cannot open journal " + path + " for reading");
+  }
+  if (!bad_record.is_ok()) return bad_record;
+  if (scan.value().damaged) {
+    return Status(ErrorCode::kJournalCorrupt,
+                  "journal damaged mid-file in " + path +
+                      " (bad frame followed by more data)");
+  }
+  if (!have_meta) {
+    return Status(ErrorCode::kJournalCorrupt,
+                  "journal header corrupt in " + path);
+  }
+  shards.valid_bytes = scan.value().valid_bytes;
+  // Restore the JournalShards contract (strictly increasing, non-overlapping,
+  // coalesced spans) independently of the on-disk frame order.
+  std::sort(shards.spans.begin(), shards.spans.end(),
+            [](const JournalSpan& a, const JournalSpan& b) {
+              return a.first_index < b.first_index;
+            });
+  std::vector<JournalSpan> coalesced;
+  for (JournalSpan& span : shards.spans) {
+    const std::uint64_t back_end =
+        coalesced.empty() ? 0 : coalesced.back().end_index();
+    if (!coalesced.empty() && span.first_index < back_end) {
+      return Status(ErrorCode::kJournalCorrupt,
+                    "journal shards overlap in " + path +
+                        " (both cover sample " +
+                        std::to_string(span.first_index) + ")");
+    }
+    if (!coalesced.empty() && span.first_index == back_end) {
+      std::vector<SampleRecord>& dst = coalesced.back().records;
+      dst.insert(dst.end(), std::make_move_iterator(span.records.begin()),
+                 std::make_move_iterator(span.records.end()));
+    } else {
+      coalesced.push_back(std::move(span));
+    }
+  }
+  shards.spans = std::move(coalesced);
+  return shards;
 }
 
-Result<MergedJournal> JournalReader::merge_partial(const std::string& dir,
-                                                   const std::string& pattern) {
-  std::vector<std::string> names;
-  {
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir, ec);
-    if (ec) {
-      return Status(ErrorCode::kJournalIoError,
-                    "cannot list journal directory " + dir + ": " +
-                        ec.message());
-    }
-    for (const auto& entry : it) {
-      const std::string name = entry.path().filename().string();
-      if (glob_matches(pattern, name)) names.push_back(name);
-    }
-  }
-  if (names.empty()) {
-    return Status(ErrorCode::kJournalIoError,
-                  "no journal shards matching " + pattern + " in " + dir);
-  }
-  // Deterministic merge order (directory iteration order is not specified).
-  std::sort(names.begin(), names.end());
-
+Result<MergedJournal> JournalReader::merge_partial(const std::string& dir) {
+  Result<std::vector<std::string>> listed = shard_files(dir);
+  if (!listed.is_ok()) return listed.status();
+  const std::vector<std::string>& names = listed.value();
   MergedJournal merged;
   // Tracks which file contributed each sample, for the overlap diagnostic.
   std::vector<std::uint32_t> owner;
@@ -342,33 +293,42 @@ Result<MergedJournal> JournalReader::merge_partial(const std::string& dir,
         merged.records[index] = std::move(span.records[i]);
         merged.present[index] = 1;
         owner[index] = static_cast<std::uint32_t>(fi);
-        ++merged.present_count;
       }
     }
   }
   return merged;
 }
 
-Result<JournalContents> JournalReader::merge(const std::string& dir,
-                                             const std::string& pattern) {
-  Result<MergedJournal> merged = merge_partial(dir, pattern);
-  if (!merged.is_ok()) return merged.status();
-  MergedJournal& m = merged.value();
-  if (!m.complete()) {
-    const auto ranges = m.missing_ranges();
-    std::string msg = "journal shards matching " + pattern + " in " + dir +
-                      " are incomplete: missing samples [" +
-                      std::to_string(ranges.front().first) + ", " +
-                      std::to_string(ranges.front().second) + ")";
-    if (ranges.size() > 1) {
-      msg += " and " + std::to_string(ranges.size() - 1) + " more range(s)";
-    }
-    return Status(ErrorCode::kFailedPrecondition, msg);
+Status MergedJournal::check_campaign(std::uint64_t fingerprint,
+                                     std::uint64_t total_samples) const {
+  if (valid_bytes.empty() || (meta.fingerprint == fingerprint &&
+                              meta.total_samples == total_samples)) {
+    return Status::ok();
   }
-  JournalContents contents;
-  contents.meta = std::move(m.meta);
-  contents.records = std::move(m.records);
-  return contents;
+  return Status(ErrorCode::kJournalCorrupt,
+                "journal belongs to a different campaign (fingerprint or "
+                "sample count mismatch)");
+}
+
+Status clear_journal(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    return Status(ErrorCode::kJournalIoError,
+                  "cannot create journal directory " + dir + ": " +
+                      ec.message());
+  }
+  Result<std::vector<std::string>> listed = shard_files(dir);
+  if (!listed.is_ok()) return listed.status();
+  for (const std::string& name : listed.value()) {
+    std::filesystem::remove(journal_path(dir, name), ec);
+    if (ec) {
+      return Status(ErrorCode::kJournalIoError,
+                    "cannot remove stale shard file " + name + ": " +
+                        ec.message());
+    }
+  }
+  return Status::ok();
 }
 
 Status JournalWriter::open_fresh(const std::string& dir,

@@ -1,31 +1,37 @@
 // Crash-safe append-only run journal for Monte Carlo campaigns.
 //
 // A campaign of 1e4–1e6 samples can run for hours; the journal makes a
-// SIGKILL (or power loss) cost at most one shard of work. The file
-// (`<dir>/campaign.fj`, or `worker-<k>.fj` under a supervisor) is a record
-// log (util/record_log.h: CRC32C frames, torn-tail and mid-file damage
-// rules, one write and one fsync per record); all integers little-endian:
+// SIGKILL (or power loss) cost at most one shard of work. A journal is a
+// directory: the set of its `*.fj` shard files, all carrying the same meta.
+// The in-process engine appends to `campaign.fj`, each supervised worker to
+// its own `worker-<k>.fj`. Every file is a record log (util/record_log.h:
+// CRC32C frames, torn-tail and mid-file damage rules, one write and one
+// fsync per record); all integers little-endian:
 //
 //   file:    magic "FAVJRNL3" | frame(meta) | frame(shard)*
 //   meta:    u64 fingerprint | u64 total_samples | u32 ctx_len | ctx bytes
 //   shard:   u64 first_index | u32 count | count serialized SampleRecords
 //
-// Each shard record holds one completed shard of consecutive sample indices
-// and is fsynced before the next shard starts, so the file always contains
-// a checksummed prefix of the campaign. The reader drops a torn tail (a
-// partially-written last frame is the normal crash artifact) but reports
+// Each shard record holds one completed run of consecutive sample indices
+// and is fsynced before the next shard starts. The reader drops a torn tail
+// (a partially-written last frame is the normal crash artifact) but reports
 // kJournalCorrupt for mid-file damage — a bad frame followed by further
-// data — and for a bad magic or meta record. Resume re-draws the sample
-// stream deterministically and continues from the first missing index, so a
-// killed-and-resumed run is bitwise-identical to an uninterrupted one (see
-// SsfEvaluator::run_journaled).
+// data — and for a bad magic or meta record.
+//
+// Both campaign modes share one contract. A fresh start removes every
+// `*.fj` (clear_journal) before creating its own file. A resume merges every
+// `*.fj` (JournalReader::merge_partial), checks the campaign identity,
+// cross-checks each journaled sample against the deterministically re-drawn
+// stream, evaluates only the missing indices and folds in index order — so
+// any journal resumes under any parallelism, in-process or supervised, and
+// the result is bitwise-identical to an uninterrupted run. A directory
+// without shard files is an empty journal: resuming it starts fresh.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "mc/evaluator.h"
@@ -43,17 +49,6 @@ struct JournalMeta {
   std::string context;
 };
 
-/// Everything recovered from a journal: the header meta plus the contiguous
-/// prefix of completed sample records [0, records.size()).
-struct JournalContents {
-  JournalMeta meta;
-  std::vector<SampleRecord> records;
-  /// File size of the validated prefix (header + intact frames). A torn
-  /// tail lives past this offset; pass to JournalWriter::open_append so it
-  /// is truncated away before new frames are appended after it.
-  std::uint64_t valid_bytes = 0;
-};
-
 /// One run of consecutive sample records starting at `first_index`. Worker
 /// shard files hold several spans: a worker journals every shard it is
 /// assigned, and assignments interleave across workers, so one file covers a
@@ -67,8 +62,8 @@ struct JournalSpan {
 
 /// Everything recovered from one shard file: the header meta plus its spans
 /// in strictly increasing, non-overlapping index order (adjacent frames are
-/// coalesced, so `campaign.fj` written by a single-process run reads back as
-/// one span at index 0). On-disk frame order is free — a supervised worker
+/// coalesced, so a `campaign.fj` written by one uninterrupted run reads back
+/// as one span at index 0). On-disk frame order is free — a supervised worker
 /// journals shards in *assignment* order, which drops below earlier indices
 /// when it picks up a shard rescued from a crashed peer — so the reader
 /// sorts; overlapping frames within one file are corruption.
@@ -78,21 +73,21 @@ struct JournalShards {
   std::uint64_t valid_bytes = 0;
 };
 
-/// Sparse union of several shard files (see JournalReader::merge_partial):
-/// `records[i]` is valid iff `present[i]`. Also carries what a resuming
-/// writer needs: the validated prefix size of every source file.
+/// Sparse union of a journal's shard files (see JournalReader::merge_partial):
+/// `records[i]` is valid iff `present[i]`. Both are empty when the directory
+/// holds no shard file — an empty journal, which a resume starts fresh.
 struct MergedJournal {
   JournalMeta meta;
   std::vector<SampleRecord> records;   // size == meta.total_samples
   std::vector<std::uint8_t> present;   // parallel to records
-  std::size_t present_count = 0;
-  /// Validated prefix size per shard file name (for JournalWriter::
-  /// open_append when a worker resumes its own file).
+  /// Validated prefix size per shard file name: what JournalWriter::
+  /// open_append needs to continue a file after a torn tail.
   std::map<std::string, std::uint64_t> valid_bytes;
 
-  bool complete() const { return present_count == records.size(); }
-  /// Maximal runs [first, last) of missing sample indices, in order.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> missing_ranges() const;
+  /// kJournalCorrupt unless the journal is empty or belongs to the campaign
+  /// with this fingerprint and sample count.
+  Status check_campaign(std::uint64_t fingerprint,
+                        std::uint64_t total_samples) const;
 };
 
 /// Serialization used by the journal's shard records (exposed for tests).
@@ -108,45 +103,33 @@ bool deserialize_record(std::string_view data, std::size_t* offset,
 bool sample_matches(const faultsim::FaultSample& a,
                     const faultsim::FaultSample& b);
 
-/// Reads and verifies `<dir>/campaign.fj`. Torn tails are tolerated (the
-/// partial frame is dropped); header corruption, mid-file damage, and
-/// out-of-order frames yield kJournalCorrupt; a missing/unreadable file
-/// yields kJournalIoError.
-Result<JournalContents> read_journal(const std::string& dir);
+/// Starts a fresh journal in `dir`: creates the directory if needed and
+/// removes every `*.fj` in it, so a later resume cannot merge a stale shard
+/// file of an earlier run in either mode.
+Status clear_journal(const std::string& dir);
 
-/// Multi-file journal access for supervised campaigns, where every worker
-/// process appends the shards it completes to its own `worker-<k>.fj` and
-/// the supervisor stitches the campaign back together.
+/// Journal directory access: one shard file, or the merge of all of them.
 class JournalReader {
  public:
   /// Reads and verifies one shard file. Frames may start at any sample index
-  /// but must be strictly increasing and non-overlapping within the file;
-  /// torn tails are tolerated exactly like read_journal.
+  /// but must not overlap within the file. Torn tails are tolerated;
+  /// header corruption and mid-file damage yield kJournalCorrupt, a missing
+  /// or unreadable file kJournalIoError.
   static Result<JournalShards> read_shards(const std::string& dir,
                                            const std::string& file);
 
-  /// Merges every file in `dir` whose name matches `pattern` (a single-`*`
-  /// glob, e.g. "worker-*.fj"). Validates that all files carry the same
+  /// Merges every `*.fj` in `dir`. Validates that all files carry the same
   /// fingerprint and total-sample count, that every span lies inside the
   /// campaign, and that no two spans overlap; gaps are allowed — this is the
-  /// resume path, which continues from whatever survived. Matching zero
-  /// files yields an empty merge only when a meta cannot be established —
-  /// kJournalIoError, since there is nothing to resume from.
-  static Result<MergedJournal> merge_partial(const std::string& dir,
-                                             const std::string& pattern);
-
-  /// Strict merge for completed campaigns: additionally requires full
-  /// coverage of [0, total_samples). A gap fails with kFailedPrecondition
-  /// naming the exact missing index range, e.g. "missing samples
-  /// [512, 768)".
-  static Result<JournalContents> merge(const std::string& dir,
-                                       const std::string& pattern);
+  /// resume path, which continues from whatever survived. A directory that
+  /// holds no shard file, or does not exist, yields an empty merge.
+  static Result<MergedJournal> merge_partial(const std::string& dir);
 };
 
-/// Appends completed shards to `<dir>/campaign.fj`. Every append is fsynced
-/// before returning, so a completed shard survives SIGKILL; creating or
-/// truncating the file also fsyncs the parent directory, which holds the
-/// name->inode link.
+/// Appends completed shards to one shard file (`<dir>/campaign.fj` by
+/// default). Every append is fsynced before returning, so a completed shard
+/// survives SIGKILL; creating or truncating the file also fsyncs the parent
+/// directory, which holds the name->inode link.
 class JournalWriter {
  public:
   /// Optional observability (see util/metrics.h): fsync latencies
@@ -159,17 +142,18 @@ class JournalWriter {
     log_.set_metrics(sink);
   }
 
-  /// Starts a new journal (truncating any existing one) and commits the
-  /// header. Creates `dir` if needed. `file` selects the file name inside
-  /// `dir`; the default is the single-process campaign journal, supervised
-  /// workers pass their own "worker-<k>.fj".
+  /// Starts a new shard file (truncating any existing one) and commits the
+  /// header. Creates `dir` if needed; other shard files are left alone
+  /// (clear_journal removes them). `file` selects the file name inside
+  /// `dir`; the default is the in-process engine's, supervised workers pass
+  /// their own "worker-<k>.fj".
   Status open_fresh(const std::string& dir, const JournalMeta& meta,
                     const std::string& file = "campaign.fj");
-  /// Opens an existing journal for appending (after read_journal /
-  /// JournalReader validated it). The file is first truncated to
-  /// `valid_bytes` — the validated-prefix size — so a torn tail left by a
-  /// crash is cut off instead of ending up buried between frames (which the
-  /// next read would rightly flag as mid-file corruption).
+  /// Opens an existing shard file for appending (after JournalReader
+  /// validated it). The file is first truncated to `valid_bytes` — the
+  /// validated-prefix size — so a torn tail left by a crash is cut off
+  /// instead of ending up buried between frames (which the next read would
+  /// rightly flag as mid-file corruption).
   Status open_append(const std::string& dir, std::uint64_t valid_bytes,
                      const std::string& file = "campaign.fj");
 

@@ -326,31 +326,6 @@ std::string encode_ledger_payload(CampaignState state, std::uint64_t id) {
   return out;
 }
 
-/// Appends `--resume` to a recovered argv when its journal directory already
-/// holds shard files; a campaign that died before its first shard restarts
-/// fresh (resume of an empty journal would be refused).
-bool maybe_append_resume(std::vector<std::string>* args) {
-  std::string journal_dir;
-  bool has_resume = false;
-  for (std::size_t i = 0; i < args->size(); ++i) {
-    if ((*args)[i] == "--journal" && i + 1 < args->size()) {
-      journal_dir = (*args)[i + 1];
-    }
-    if ((*args)[i] == "--resume") has_resume = true;
-  }
-  if (journal_dir.empty() || has_resume) return false;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(journal_dir, ec);
-  const std::filesystem::directory_iterator end;
-  for (; !ec && it != end; it.increment(ec)) {
-    if (it->path().extension() == ".fj") {
-      args->push_back("--resume");
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 // --- codec ----------------------------------------------------------------
@@ -1009,13 +984,10 @@ void CampaignServer::run_recovered(CampaignLedger::Entry entry) {
     return ledger.running(entry.id);
   });
   monitor.set_running();
-  std::vector<std::string> args = entry.args;
-  const bool resumed = maybe_append_resume(&args);
-  log_line("campaign " + std::to_string(entry.id) + ": recovering" +
-           (resumed ? " (resuming journal)" : " (restarting fresh)"));
+  log_line("campaign " + std::to_string(entry.id) + ": recovering");
   const CampaignRunner& runner =
       config_.recovery_runner ? config_.recovery_runner : runner_;
-  CampaignOutcome outcome = runner(args, ProgressFn{}, cancel);
+  CampaignOutcome outcome = runner(entry.args, ProgressFn{}, cancel);
   release_slot();
   monitor.stop();
   const CancelCause cause = monitor.cause();

@@ -27,10 +27,10 @@
 //   * Crash recovery: when configured with a ledger path, the daemon records
 //     each campaign's argv and lifecycle (accepted / running / finished) in
 //     a ledger kept as a record log (util/record_log.h, the journal's
-//     framing). On restart it replays the ledger and
-//     re-runs every campaign that never reached `finished`, resuming from
-//     the journal when one exists — the serving-tier analogue of the
-//     supervisor's worker watchdog.
+//     framing). On restart it replays the ledger and hands every campaign
+//     that never reached `finished` to the recovery runner with its argv
+//     unchanged; the runner resumes its journal (an empty one starts fresh)
+//     — the serving-tier analogue of the supervisor's worker watchdog.
 //   * Shutdown: the stop flag stops the accept loop; in-flight campaigns
 //     see the flag through their monitors and wind down gracefully
 //     (journaled prefix + interrupted report), then serve() joins every
@@ -227,9 +227,11 @@ struct ServeConfig {
   const std::atomic<bool>* stop = nullptr;
   /// Diagnostics sink; null routes to stderr.
   std::function<void(const std::string&)> log;
-  /// Runner for ledger-recovered campaigns; defaults to the ctor runner.
-  /// The CLI supplies one that also writes the originally requested local
-  /// artifacts (--metrics-out), since the original client is gone.
+  /// Runner for ledger-recovered campaigns, given the ledger's argv as
+  /// accepted; defaults to the ctor runner. The CLI supplies one that
+  /// resumes the campaign's journal and also writes the originally
+  /// requested local artifacts (--metrics-out), since the original client
+  /// is gone.
   CampaignRunner recovery_runner;
 };
 

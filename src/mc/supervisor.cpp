@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 
 #include "mc/journal.h"
 #include "util/io.h"
@@ -715,17 +714,6 @@ CampaignSupervisor::CampaignSupervisor(const SsfEvaluator& evaluator,
                                        SupervisorConfig config)
     : evaluator_(&evaluator), config_(std::move(config)) {}
 
-Result<SupervisedResult> CampaignSupervisor::run(Sampler& sampler, Rng& rng,
-                                                 std::size_t n) const {
-  std::vector<faultsim::FaultSample> samples;
-  try {
-    samples = evaluator_->draw_batch(sampler, rng, n);
-  } catch (const StatusError& e) {
-    return e.status();
-  }
-  return run_batch(std::move(samples));
-}
-
 Result<SupervisedResult> CampaignSupervisor::run_batch(
     std::vector<faultsim::FaultSample> samples) const {
   const std::size_t n = samples.size();
@@ -748,52 +736,23 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
   // A worker dying mid-write must never SIGPIPE the supervisor.
   ::signal(SIGPIPE, SIG_IGN);
 
-  std::error_code ec;
-  std::filesystem::create_directories(config_.dir, ec);
-  if (ec) {
-    return Status(ErrorCode::kJournalIoError,
-                  "cannot create journal directory " + config_.dir + ": " +
-                      ec.message());
-  }
-
+  // The journal directory is one journal in either mode: a resume merges
+  // every shard file (in-process campaign.fj included) and assigns only the
+  // missing ranges; a fresh start removes them all first, since workers
+  // append to any file that carries the campaign fingerprint.
   SupervisedResult sup;
   std::vector<std::uint8_t> present(n, 0);
-  if (!config_.resume) {
-    // A fresh campaign must not inherit stale shard files: workers append to
-    // any file that carries the campaign fingerprint, which would duplicate
-    // spans the moment the same campaign is re-run from scratch.
-    std::filesystem::directory_iterator it(config_.dir, ec);
-    if (!ec) {
-      for (const auto& entry : it) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("worker-", 0) == 0 &&
-            name.size() > 10 &&
-            name.compare(name.size() - 3, 3, ".fj") == 0) {
-          std::filesystem::remove(entry.path(), ec);
-          if (ec) {
-            return Status(ErrorCode::kJournalIoError,
-                          "cannot remove stale shard file " + name + ": " +
-                              ec.message());
-          }
-        }
-      }
+  if (config_.resume) {
+    Result<MergedJournal> merged = JournalReader::merge_partial(config_.dir);
+    if (!merged.is_ok()) return merged.status();
+    const Status same = merged.value().check_campaign(config_.fingerprint, n);
+    if (!same.is_ok()) return same;
+    if (!merged.value().present.empty()) {
+      present = std::move(merged.value().present);
     }
   } else {
-    Result<MergedJournal> merged = JournalReader::merge_partial(
-        config_.dir, worker_journal_pattern());
-    if (merged.is_ok()) {
-      if (merged.value().meta.fingerprint != config_.fingerprint ||
-          merged.value().meta.total_samples != n) {
-        return Status(ErrorCode::kJournalCorrupt,
-                      "journal belongs to a different campaign (fingerprint "
-                      "or sample count mismatch)");
-      }
-      present = std::move(merged.value().present);
-    } else if (merged.status().code() != ErrorCode::kJournalIoError) {
-      return merged.status();
-    }
-    // kJournalIoError = no shard files yet: resuming a campaign that never
-    // started is just a fresh start.
+    const Status cleared = clear_journal(config_.dir);
+    if (!cleared.is_ok()) return cleared;
   }
 
   // Work list: the missing index ranges, chopped to shard_size. No alignment
@@ -825,27 +784,16 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
     }
   }
 
-  // Assemble the campaign from disk — the journals are the single source of
-  // truth for everything the workers evaluated.
-  std::vector<SampleRecord> records(n);
-  std::vector<std::uint8_t> have(n, 0);
-  if (n > 0) {
-    Result<MergedJournal> merged = JournalReader::merge_partial(
-        config_.dir, worker_journal_pattern());
-    if (merged.is_ok()) {
-      if (merged.value().meta.fingerprint != config_.fingerprint ||
-          merged.value().meta.total_samples != n) {
-        return Status(ErrorCode::kJournalCorrupt,
-                      "journal belongs to a different campaign (fingerprint "
-                      "or sample count mismatch)");
-      }
-      records = std::move(merged.value().records);
-      have = std::move(merged.value().present);
-    } else if (!shards.empty() ||
-               merged.status().code() != ErrorCode::kJournalIoError) {
-      return merged.status();
-    }
-  }
+  // Assemble the campaign from disk — the journal is the single source of
+  // truth for everything evaluated, by the workers or an earlier run.
+  Result<MergedJournal> merged = JournalReader::merge_partial(config_.dir);
+  if (!merged.is_ok()) return merged.status();
+  const Status same = merged.value().check_campaign(config_.fingerprint, n);
+  if (!same.is_ok()) return same;
+  std::vector<SampleRecord> records = std::move(merged.value().records);
+  std::vector<std::uint8_t> have = std::move(merged.value().present);
+  records.resize(n);
+  have.resize(n, 0);
 
   // Quarantined shards become kWorkerCrashed records synthesized from the
   // supervisor's own sample batch: the estimate stays well-defined over

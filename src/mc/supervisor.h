@@ -22,11 +22,12 @@
 // OutcomePath::kFailed with ErrorCode::kWorkerCrashed instead of being
 // retried forever.
 //
-// The final result is assembled by merging the worker journals in
-// sample-index order and folding them through the engine's own reduction,
-// so a supervised campaign is bitwise-identical to the single-process
-// engine at every worker count — including after worker crashes, and after
-// the supervisor itself is SIGKILLed and resumed.
+// The final result is assembled by merging the journal directory's shard
+// files (see mc/journal.h) in sample-index order and folding them through
+// the engine's own reduction, so a supervised campaign is bitwise-identical
+// to the single-process engine at every worker count — including after
+// worker crashes, after the supervisor itself is SIGKILLed and resumed, and
+// when either mode resumes the other's journal.
 #pragma once
 
 #include <atomic>
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "mc/evaluator.h"
-#include "mc/samplers.h"
 #include "util/metrics.h"
 #include "util/status.h"
 
@@ -80,8 +80,6 @@ bool decode_message(std::string_view payload, WireMessage* out);
 
 /// Journal shard file owned by worker `worker_id`: "worker-<k>.fj".
 std::string worker_journal_file(std::size_t worker_id);
-/// The merge pattern covering every worker's file.
-inline const char* worker_journal_pattern() { return "worker-*.fj"; }
 
 /// --- supervisor ----------------------------------------------------------
 
@@ -121,8 +119,9 @@ struct SupervisorConfig {
   /// rescheduled shard twice and quarantine it.
   std::vector<std::string> first_spawn_args;
 
-  /// Journal directory (required). resume=false clears stale worker shard
-  /// files; resume=true harvests them and only assigns the missing ranges.
+  /// Journal directory (required). resume=false removes every shard file in
+  /// it; resume=true merges them all (an in-process campaign.fj included)
+  /// and only assigns the missing ranges.
   std::string dir;
   bool resume = false;
   std::uint64_t fingerprint = 0;
@@ -173,18 +172,13 @@ class CampaignSupervisor {
  public:
   CampaignSupervisor(const SsfEvaluator& evaluator, SupervisorConfig config);
 
-  /// Draws the n-sample batch (advancing `rng` exactly like the
-  /// single-process engine), runs the supervised campaign, and reduces the
-  /// merged worker journals. Fails (non-ok Result) on configuration errors,
-  /// unrecoverable worker-fleet failure, or journal corruption.
-  Result<SupervisedResult> run(Sampler& sampler, Rng& rng,
-                               std::size_t n) const;
-
-  /// Runs the supervised campaign over an explicit, pre-materialized batch.
-  /// This is the exhaustive-sweep seam: the CLI enumerates the technique's
-  /// bound fault space into the batch, and each worker re-derives the
-  /// identical enumeration from the forwarded --exhaustive flags, so shards
-  /// over enumeration-index ranges merge exactly like sampled shards.
+  /// Runs the supervised campaign over the full, pre-materialized batch
+  /// and reduces the merged journal. The CLI draws the batch (or enumerates
+  /// the technique's bound fault space into it), and each worker re-derives
+  /// the identical batch from the forwarded flags, so shards over sample or
+  /// enumeration-index ranges merge alike. Fails (non-ok Result) on
+  /// configuration errors, unrecoverable worker-fleet failure, or journal
+  /// corruption.
   Result<SupervisedResult> run_batch(
       std::vector<faultsim::FaultSample> samples) const;
 

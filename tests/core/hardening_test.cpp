@@ -120,6 +120,18 @@ TEST(Hardening, RequiresRecords) {
                fav::CheckError);
 }
 
+TEST(Hardening, RejectsMultiCycleRecords) {
+  // A changed record is re-decided by one flip-set overlay; a record that
+  // struck two cycles would be re-decided under a different fault model.
+  mc::SsfResult multi;
+  multi.records.resize(1);
+  multi.records[0].sample.impact_cycles = 2;
+  Rng rng(11);
+  EXPECT_THROW(evaluate_hardening(fw().evaluator(), fw().soc(), multi, {}, {},
+                                  rng),
+               fav::CheckError);
+}
+
 TEST(Hardening, BitAttributionSumsMatchFieldAttribution) {
   double bit_total = 0, field_total = 0;
   for (const auto& [b, c] : baseline().bit_contribution) bit_total += c;

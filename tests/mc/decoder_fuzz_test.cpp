@@ -225,10 +225,6 @@ TEST_F(DecoderFuzz, JournalReader) {
     // record under a valid checksum (the meta and shard decoders).
     write_file(file, it % 2 == 0 ? mutate(valid, rng)
                                  : mutate_payload(valid, 8, rng));
-    const Result<mc::JournalContents> read = mc::read_journal(dir);
-    if (!read.is_ok()) {
-      EXPECT_EQ(read.status().code(), ErrorCode::kJournalCorrupt) << it;
-    }
     const Result<mc::JournalShards> shards =
         mc::JournalReader::read_shards(dir, "campaign.fj");
     if (!shards.is_ok()) {

@@ -125,9 +125,10 @@ TEST_F(DegradedIoTest, FrameWriteEnospcIsStorageFullAndKeepsPrefix) {
   EXPECT_EQ(failed.code(), ErrorCode::kStorageFull);
   // The journaled prefix must still read back cleanly (a torn tail is
   // tolerated; the committed frame is intact).
-  Result<JournalContents> read = read_journal(dir);
+  Result<JournalShards> read = JournalReader::read_shards(dir, "campaign.fj");
   ASSERT_TRUE(read.is_ok()) << read.status().to_string();
-  EXPECT_EQ(read.value().records.size(), 4u);
+  ASSERT_EQ(read.value().spans.size(), 1u);
+  EXPECT_EQ(read.value().spans[0].records.size(), 4u);
 }
 
 TEST_F(DegradedIoTest, TransientWriteErrorIsAbsorbedByRetry) {
@@ -146,9 +147,10 @@ TEST_F(DegradedIoTest, TransientWriteErrorIsAbsorbedByRetry) {
   ASSERT_TRUE(w.open_fresh(dir, meta).is_ok());
   ASSERT_TRUE(w.append_shard(0, recs.data(), 4).is_ok());
   io::chaos_reset();
-  Result<JournalContents> read = read_journal(dir);
+  Result<JournalShards> read = JournalReader::read_shards(dir, "campaign.fj");
   ASSERT_TRUE(read.is_ok()) << read.status().to_string();
-  EXPECT_EQ(read.value().records.size(), 4u);
+  ASSERT_EQ(read.value().spans.size(), 1u);
+  EXPECT_EQ(read.value().spans[0].records.size(), 4u);
 }
 
 TEST_F(DegradedIoTest, FsyncEioIsStorageFull) {

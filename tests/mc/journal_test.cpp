@@ -1,14 +1,19 @@
 // Crash-safety tests for the campaign journal: round-trip serialization,
-// kill-and-resume bitwise identity, torn-tail tolerance and corruption
-// detection (see mc/journal.h for the on-disk format).
+// kill-and-resume bitwise identity, resume of a sparse or empty journal,
+// torn-tail tolerance and corruption detection (see mc/journal.h for the
+// on-disk format).
 #include "mc/journal.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mc/evaluator.h"
@@ -64,6 +69,11 @@ std::string fresh_dir(const std::string& name) {
 
 fs::path journal_file(const std::string& dir) {
   return fs::path(dir) / "campaign.fj";
+}
+
+/// Reads back the in-process engine's shard file.
+Result<JournalShards> read_campaign(const std::string& dir) {
+  return JournalReader::read_shards(dir, "campaign.fj");
 }
 
 SampleRecord make_record(int i) {
@@ -157,14 +167,16 @@ TEST(JournalWriter, WriteReadRoundTrip) {
     ASSERT_TRUE(w.append_shard(0, recs.data(), 4).is_ok());
     ASSERT_TRUE(w.append_shard(4, recs.data() + 4, 3).is_ok());
   }
-  Result<JournalContents> read = read_journal(dir);
+  Result<JournalShards> read = read_campaign(dir);
   ASSERT_TRUE(read.is_ok()) << read.status().to_string();
-  const JournalContents& j = read.value();
+  const JournalShards& j = read.value();
   EXPECT_EQ(j.meta.fingerprint, meta.fingerprint);
   EXPECT_EQ(j.meta.total_samples, meta.total_samples);
   EXPECT_EQ(j.meta.context, meta.context);
-  ASSERT_EQ(j.records.size(), 7u);
-  for (int i = 0; i < 7; ++i) expect_record_eq(j.records[i], recs[i]);
+  ASSERT_EQ(j.spans.size(), 1u);  // adjacent shards coalesce
+  EXPECT_EQ(j.spans[0].first_index, 0u);
+  ASSERT_EQ(j.spans[0].records.size(), 7u);
+  for (int i = 0; i < 7; ++i) expect_record_eq(j.spans[0].records[i], recs[i]);
 }
 
 TEST(JournalWriter, AppendAfterReopen) {
@@ -180,16 +192,18 @@ TEST(JournalWriter, AppendAfterReopen) {
     ASSERT_TRUE(w.append_shard(0, recs.data(), 2).is_ok());
   }
   {
-    Result<JournalContents> sofar = read_journal(dir);
+    Result<JournalShards> sofar = read_campaign(dir);
     ASSERT_TRUE(sofar.is_ok());
     JournalWriter w;
     ASSERT_TRUE(w.open_append(dir, sofar.value().valid_bytes).is_ok());
     ASSERT_TRUE(w.append_shard(2, recs.data() + 2, 2).is_ok());
   }
-  Result<JournalContents> read = read_journal(dir);
+  Result<JournalShards> read = read_campaign(dir);
   ASSERT_TRUE(read.is_ok()) << read.status().to_string();
-  ASSERT_EQ(read.value().records.size(), 4u);
-  for (int i = 0; i < 4; ++i) expect_record_eq(read.value().records[i], recs[i]);
+  ASSERT_EQ(read.value().spans.size(), 1u);
+  const std::vector<SampleRecord>& back = read.value().spans[0].records;
+  ASSERT_EQ(back.size(), 4u);
+  for (int i = 0; i < 4; ++i) expect_record_eq(back[i], recs[i]);
 }
 
 TEST(JournalWriter, DirectoryIsFsyncedOnCreateAndTruncate) {
@@ -215,7 +229,7 @@ TEST(JournalWriter, DirectoryIsFsyncedOnCreateAndTruncate) {
     ASSERT_TRUE(w.append_shard(0, recs.data(), 2).is_ok());
   }
   {
-    Result<JournalContents> sofar = read_journal(dir);
+    Result<JournalShards> sofar = read_campaign(dir);
     ASSERT_TRUE(sofar.is_ok());
     MetricsSink m;
     JournalWriter w;
@@ -228,14 +242,15 @@ TEST(JournalWriter, DirectoryIsFsyncedOnCreateAndTruncate) {
     EXPECT_GE(m.counter("journal.commits"), 1u);
     EXPECT_GT(m.counter("journal.bytes_written"), 0u);
   }
-  Result<JournalContents> read = read_journal(dir);
+  Result<JournalShards> read = read_campaign(dir);
   ASSERT_TRUE(read.is_ok()) << read.status().to_string();
-  ASSERT_EQ(read.value().records.size(), 4u);
+  ASSERT_EQ(read.value().spans.size(), 1u);
+  ASSERT_EQ(read.value().spans[0].records.size(), 4u);
 }
 
 TEST(JournalReader, MissingFileIsIoError) {
   const std::string dir = fresh_dir("missing");
-  const Result<JournalContents> read = read_journal(dir);
+  const Result<JournalShards> read = read_campaign(dir);
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.status().code(), ErrorCode::kJournalIoError);
 }
@@ -259,10 +274,12 @@ TEST(JournalReader, TornTailIsDroppedNotFatal) {
   const fs::path file = journal_file(dir);
   const auto size = fs::file_size(file);
   fs::resize_file(file, size - 11);
-  const Result<JournalContents> read = read_journal(dir);
+  const Result<JournalShards> read = read_campaign(dir);
   ASSERT_TRUE(read.is_ok()) << read.status().to_string();
-  ASSERT_EQ(read.value().records.size(), 3u);  // only the intact first shard
-  for (int i = 0; i < 3; ++i) expect_record_eq(read.value().records[i], recs[i]);
+  ASSERT_EQ(read.value().spans.size(), 1u);
+  const std::vector<SampleRecord>& back = read.value().spans[0].records;
+  ASSERT_EQ(back.size(), 3u);  // only the intact first shard
+  for (int i = 0; i < 3; ++i) expect_record_eq(back[i], recs[i]);
 }
 
 TEST(JournalReader, MidFileCorruptionIsDetected) {
@@ -294,7 +311,7 @@ TEST(JournalReader, MidFileCorruptionIsDetected) {
   f.seekp(target);
   f.write(&byte, 1);
   f.close();
-  const Result<JournalContents> read = read_journal(dir);
+  const Result<JournalShards> read = read_campaign(dir);
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.status().code(), ErrorCode::kJournalCorrupt);
 }
@@ -314,7 +331,7 @@ TEST(JournalReader, CorruptHeaderIsDetected) {
   const char x = 'X';
   f.write(&x, 1);
   f.close();
-  const Result<JournalContents> read = read_journal(dir);
+  const Result<JournalShards> read = read_campaign(dir);
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.status().code(), ErrorCode::kJournalCorrupt);
 }
@@ -333,7 +350,7 @@ TEST(JournalReader, PreviousFormatIsRejectedAsCorrupt) {
     std::ofstream f(journal_file(dir), std::ios::binary);
     f.write(v2.data(), static_cast<std::streamsize>(v2.size()));
   }
-  const Result<JournalContents> read = read_journal(dir);
+  const Result<JournalShards> read = read_campaign(dir);
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.status().code(), ErrorCode::kJournalCorrupt);
 }
@@ -434,6 +451,95 @@ TEST(JournaledRun, KillAndResumeIsBitwiseIdenticalAtEveryThreadCount) {
     ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
     expect_bitwise_equal(replayed.value(), reference);
   }
+}
+
+TEST(JournaledRun, ResumeEvaluatesExactlyTheGapsOfASparseJournal) {
+  // Two shard files with spans [0,64) and [128,192), as supervised workers
+  // leave them: an in-process resume folds both, evaluates only [64,128)
+  // and [192,256), appends those to campaign.fj, and equals the plain run.
+  const std::string dir = fresh_dir("sparse");
+  const auto attack = test_attack();
+  constexpr std::size_t kTotal = 256;
+  RandomSampler ref_sampler(attack);
+  Rng ref_rng(47);
+  const SsfResult plain = ctx().evaluator.run(ref_sampler, ref_rng, kTotal);
+  ASSERT_EQ(plain.records.size(), kTotal);
+  const JournalOptions options = test_options(dir, true);
+  const JournalMeta meta{options.fingerprint, kTotal, options.context};
+  for (const auto& [file, first] :
+       {std::pair<const char*, std::size_t>{"worker-0.fj", 0},
+        std::pair<const char*, std::size_t>{"worker-1.fj", 128}}) {
+    JournalWriter w;
+    ASSERT_TRUE(w.open_fresh(dir, meta, file).is_ok());
+    ASSERT_TRUE(w.append_shard(first, plain.records.data() + first, 64).is_ok());
+  }
+
+  std::mutex mu;
+  std::set<std::size_t> evaluated;
+  MetricsSink metrics;
+  EvaluatorConfig cfg;
+  cfg.threads = 2;
+  cfg.metrics = &metrics;
+  cfg.on_sample = [&](const SampleRecord&, std::size_t index) {
+    std::lock_guard<std::mutex> lock(mu);
+    evaluated.insert(index);
+  };
+  SsfEvaluator ev(ctx().soc, ctx().placement, ctx().injector, ctx().bench,
+                  ctx().golden, &ctx().charac, cfg);
+  RandomSampler sampler(attack);
+  Rng rng(47);
+  Result<SsfResult> resumed = ev.run_journaled(sampler, rng, kTotal, options);
+  ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+  expect_bitwise_equal(resumed.value(), plain);
+  std::set<std::size_t> gaps;
+  for (std::size_t i = 64; i < 128; ++i) gaps.insert(i);
+  for (std::size_t i = 192; i < kTotal; ++i) gaps.insert(i);
+  EXPECT_EQ(evaluated, gaps);
+  EXPECT_EQ(metrics.counter("journal.resumed_records"), 128u);
+
+  // The gaps went to campaign.fj; the three files now cover the campaign.
+  Result<JournalShards> own = read_campaign(dir);
+  ASSERT_TRUE(own.is_ok()) << own.status().to_string();
+  ASSERT_EQ(own.value().spans.size(), 2u);
+  EXPECT_EQ(own.value().spans[0].first_index, 64u);
+  EXPECT_EQ(own.value().spans[1].first_index, 192u);
+  Result<MergedJournal> merged = JournalReader::merge_partial(dir);
+  ASSERT_TRUE(merged.is_ok()) << merged.status().to_string();
+  EXPECT_EQ(std::count(merged.value().present.begin(),
+                       merged.value().present.end(), 1),
+            static_cast<std::ptrdiff_t>(kTotal));
+}
+
+TEST(JournaledRun, ResumeOfAnEmptyJournalStartsFresh) {
+  const std::string dir = fresh_dir("empty_resume");
+  const auto attack = test_attack();
+  RandomSampler s1(attack), s2(attack);
+  Rng r1(53), r2(53);
+  const SsfResult plain = ctx().evaluator.run(s1, r1, 64);
+  Result<SsfResult> resumed =
+      ctx().evaluator.run_journaled(s2, r2, 64, test_options(dir, true));
+  ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+  expect_bitwise_equal(resumed.value(), plain);
+  EXPECT_TRUE(fs::exists(journal_file(dir)));
+}
+
+TEST(JournaledRun, FreshStartRemovesEveryShardFile) {
+  // A stale worker file left next to a fresh in-process journal would be
+  // merged by the next resume.
+  const std::string dir = fresh_dir("fresh_clears");
+  {
+    JournalWriter w;
+    ASSERT_TRUE(w.open_fresh(dir, {0xFEEDFACE, 64, "stale"}, "worker-3.fj")
+                    .is_ok());
+  }
+  const auto attack = test_attack();
+  RandomSampler sampler(attack);
+  Rng rng(59);
+  Result<SsfResult> fresh =
+      ctx().evaluator.run_journaled(sampler, rng, 64, test_options(dir, false));
+  ASSERT_TRUE(fresh.is_ok()) << fresh.status().to_string();
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "worker-3.fj"));
+  EXPECT_TRUE(fs::exists(journal_file(dir)));
 }
 
 TEST(JournaledRun, FingerprintMismatchIsRejected) {

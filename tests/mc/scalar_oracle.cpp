@@ -100,8 +100,7 @@ SampleRecord ScalarOracle::evaluate_isolated(
     return evaluate(sample);
   } catch (const std::exception& e) {
     const SampleRecord first = fail(e, false);
-    if (!engine_->config().retry_failed ||
-        first.fail_code == ErrorCode::kCycleBudgetExceeded) {
+    if (first.fail_code == ErrorCode::kCycleBudgetExceeded) {
       return first;
     }
   }

@@ -1,6 +1,7 @@
 // Unit tests for the supervisor building blocks that need no worker
-// processes: the wire codec, the multi-shard journal merge (gap/overlap/
-// fingerprint validation), and the sample cross-check predicate. The
+// processes: the wire codec, the journal directory merge (gap/overlap/
+// fingerprint validation, in-process and worker files alike), and the
+// sample cross-check predicate. The
 // end-to-end supervised campaigns (real fork/exec workers, chaos kills,
 // quarantine) live in tests/tools/supervise_cli_test.cpp.
 #include "mc/supervisor.h"
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -157,11 +159,11 @@ TEST(JournalMerge, MergesInterleavedWorkerShards) {
   // across files, contiguous overall.
   write_shard_file(dir, 0, meta, {{0, 4}, {8, 12}});
   write_shard_file(dir, 1, meta, {{4, 8}});
-  Result<JournalContents> merged =
-      JournalReader::merge(dir, worker_journal_pattern());
+  Result<MergedJournal> merged = JournalReader::merge_partial(dir);
   ASSERT_TRUE(merged.is_ok()) << merged.status().to_string();
   EXPECT_EQ(merged.value().meta.fingerprint, meta.fingerprint);
   ASSERT_EQ(merged.value().records.size(), 12u);
+  EXPECT_EQ(merged.value().present, std::vector<std::uint8_t>(12, 1));
   for (std::size_t i = 0; i < 12; ++i) {
     EXPECT_EQ(merged.value().records[i].sample.t,
               make_record(static_cast<int>(i)).sample.t)
@@ -169,33 +171,16 @@ TEST(JournalMerge, MergesInterleavedWorkerShards) {
   }
 }
 
-TEST(JournalMerge, ReportsExactMissingRange) {
-  const std::string dir = fresh_dir("gap");
-  const JournalMeta meta = test_meta(16);
-  write_shard_file(dir, 0, meta, {{0, 4}});
-  write_shard_file(dir, 1, meta, {{9, 16}});
-  Result<JournalContents> merged =
-      JournalReader::merge(dir, worker_journal_pattern());
-  ASSERT_FALSE(merged.is_ok());
-  EXPECT_EQ(merged.status().code(), ErrorCode::kFailedPrecondition);
-  // The error names the exact missing index range.
-  EXPECT_NE(merged.status().to_string().find("[4, 9)"), std::string::npos)
-      << merged.status().to_string();
-}
-
 TEST(JournalMerge, MergePartialExposesPresenceAndGaps) {
   const std::string dir = fresh_dir("partial");
   const JournalMeta meta = test_meta(10);
   write_shard_file(dir, 0, meta, {{0, 2}, {6, 8}});
-  Result<MergedJournal> merged =
-      JournalReader::merge_partial(dir, worker_journal_pattern());
+  Result<MergedJournal> merged = JournalReader::merge_partial(dir);
   ASSERT_TRUE(merged.is_ok()) << merged.status().to_string();
-  EXPECT_FALSE(merged.value().complete());
-  EXPECT_EQ(merged.value().present_count, 4u);
-  const auto gaps = merged.value().missing_ranges();
-  ASSERT_EQ(gaps.size(), 2u);
-  EXPECT_EQ(gaps[0], (std::pair<std::uint64_t, std::uint64_t>{2, 6}));
-  EXPECT_EQ(gaps[1], (std::pair<std::uint64_t, std::uint64_t>{8, 10}));
+  EXPECT_EQ(merged.value().present,
+            (std::vector<std::uint8_t>{1, 1, 0, 0, 0, 0, 1, 1, 0, 0}));
+  EXPECT_EQ(merged.value().records[7].sample.t, make_record(7).sample.t);
+  EXPECT_EQ(merged.value().valid_bytes.count(worker_journal_file(0)), 1u);
 }
 
 TEST(JournalMerge, AcceptsOutOfOrderFramesWithinOneFile) {
@@ -238,8 +223,7 @@ TEST(JournalMerge, RejectsOverlappingShards) {
   const JournalMeta meta = test_meta(8);
   write_shard_file(dir, 0, meta, {{0, 5}});
   write_shard_file(dir, 1, meta, {{4, 8}});
-  Result<MergedJournal> merged =
-      JournalReader::merge_partial(dir, worker_journal_pattern());
+  Result<MergedJournal> merged = JournalReader::merge_partial(dir);
   ASSERT_FALSE(merged.is_ok());
   EXPECT_EQ(merged.status().code(), ErrorCode::kJournalCorrupt);
   EXPECT_NE(merged.status().to_string().find("both cover sample"),
@@ -253,18 +237,62 @@ TEST(JournalMerge, RejectsForeignCampaignShard) {
   JournalMeta other = test_meta(8);
   other.fingerprint ^= 1;
   write_shard_file(dir, 1, other, {{4, 8}});
-  Result<MergedJournal> merged =
-      JournalReader::merge_partial(dir, worker_journal_pattern());
+  Result<MergedJournal> merged = JournalReader::merge_partial(dir);
   ASSERT_FALSE(merged.is_ok());
   EXPECT_EQ(merged.status().code(), ErrorCode::kJournalCorrupt);
 }
 
-TEST(JournalMerge, NoMatchingShardsIsIoError) {
+TEST(JournalMerge, NoShardFilesIsAnEmptyJournal) {
+  // A directory without shard files, or none at all, is an empty journal: a
+  // resume of it starts fresh. Files of other extensions are not shards.
   const std::string dir = fresh_dir("empty");
-  Result<MergedJournal> merged =
-      JournalReader::merge_partial(dir, worker_journal_pattern());
-  ASSERT_FALSE(merged.is_ok());
-  EXPECT_EQ(merged.status().code(), ErrorCode::kJournalIoError);
+  { std::ofstream(fs::path(dir) / "report.json") << "{}"; }
+  for (const std::string& d : {dir, dir + "/absent"}) {
+    Result<MergedJournal> merged = JournalReader::merge_partial(d);
+    ASSERT_TRUE(merged.is_ok()) << merged.status().to_string();
+    EXPECT_TRUE(merged.value().present.empty());
+    EXPECT_TRUE(merged.value().valid_bytes.empty());
+    EXPECT_TRUE(merged.value().check_campaign(1, 2).is_ok());
+  }
+}
+
+TEST(JournalMerge, MergesTheInProcessFileWithWorkerFiles) {
+  // One journal in both modes: campaign.fj and worker-<k>.fj merge alike,
+  // and the merge checks the campaign identity.
+  const std::string dir = fresh_dir("mixed");
+  const JournalMeta meta = test_meta(8);
+  write_shard_file(dir, 1, meta, {{4, 8}});
+  {
+    JournalWriter writer;
+    ASSERT_TRUE(writer.open_fresh(dir, meta).is_ok());
+    const std::vector<SampleRecord> recs = {make_record(0), make_record(1),
+                                            make_record(2), make_record(3)};
+    ASSERT_TRUE(writer.append_shard(0, recs.data(), recs.size()).is_ok());
+  }
+  Result<MergedJournal> merged = JournalReader::merge_partial(dir);
+  ASSERT_TRUE(merged.is_ok()) << merged.status().to_string();
+  EXPECT_EQ(merged.value().present, std::vector<std::uint8_t>(8, 1));
+  EXPECT_EQ(merged.value().records[2].sample.t, make_record(2).sample.t);
+  EXPECT_EQ(merged.value().valid_bytes.size(), 2u);
+  EXPECT_TRUE(merged.value().check_campaign(meta.fingerprint, 8).is_ok());
+  EXPECT_EQ(merged.value().check_campaign(meta.fingerprint, 9).code(),
+            ErrorCode::kJournalCorrupt);
+  EXPECT_EQ(merged.value().check_campaign(meta.fingerprint ^ 1, 8).code(),
+            ErrorCode::kJournalCorrupt);
+}
+
+TEST(JournalMerge, ClearJournalRemovesEveryShardFileOnly) {
+  const std::string dir = fresh_dir("clear");
+  write_shard_file(dir, 0, test_meta(4), {{0, 2}});
+  { std::ofstream(fs::path(dir) / "campaign.fj") << "x"; }
+  { std::ofstream(fs::path(dir) / "report.json") << "{}"; }
+  ASSERT_TRUE(clear_journal(dir).is_ok());
+  EXPECT_FALSE(fs::exists(fs::path(dir) / worker_journal_file(0)));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "campaign.fj"));
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "report.json"));
+  // A missing directory is created.
+  ASSERT_TRUE(clear_journal(dir + "/new").is_ok());
+  EXPECT_TRUE(fs::is_directory(dir + "/new"));
 }
 
 TEST(JournalMerge, SpanPastTotalSamplesIsCorrupt) {
@@ -272,8 +300,7 @@ TEST(JournalMerge, SpanPastTotalSamplesIsCorrupt) {
   write_shard_file(dir, 0, test_meta(4), {{0, 4}});
   // Rewrite with a span that runs past total_samples.
   write_shard_file(dir, 1, test_meta(4), {{2, 6}});
-  Result<MergedJournal> merged =
-      JournalReader::merge_partial(dir, worker_journal_pattern());
+  Result<MergedJournal> merged = JournalReader::merge_partial(dir);
   ASSERT_FALSE(merged.is_ok());
   EXPECT_EQ(merged.status().code(), ErrorCode::kJournalCorrupt);
 }

@@ -259,7 +259,6 @@ TEST(AttackModel, RandomSamplingIsUniform) {
   a.t_max = 4;
   a.candidate_centers = {10, 20, 30};
   a.radii = {1.0, 2.0};
-  EXPECT_DOUBLE_EQ(a.f_pmf(), 1.0 / (5 * 3 * 2));
   Rng rng(8);
   std::map<int, int> t_counts;
   for (int i = 0; i < 5000; ++i) {

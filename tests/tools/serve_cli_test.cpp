@@ -83,15 +83,16 @@ void expect_reports_equivalent(const std::string& file_a,
 }
 
 void expect_bitwise_equal_journals(const std::string& dir_a,
-                                   const std::string& pattern_a,
-                                   const std::string& dir_b,
-                                   const std::string& pattern_b) {
-  Result<JournalContents> a = JournalReader::merge(dir_a, pattern_a);
-  Result<JournalContents> b = JournalReader::merge(dir_b, pattern_b);
+                                   const std::string& dir_b) {
+  Result<MergedJournal> a = JournalReader::merge_partial(dir_a);
+  Result<MergedJournal> b = JournalReader::merge_partial(dir_b);
   ASSERT_TRUE(a.is_ok()) << a.status().to_string();
   ASSERT_TRUE(b.is_ok()) << b.status().to_string();
+  ASSERT_FALSE(a.value().records.empty()) << dir_a << " holds no journal";
   ASSERT_EQ(a.value().records.size(), b.value().records.size());
   for (std::size_t i = 0; i < a.value().records.size(); ++i) {
+    ASSERT_TRUE(a.value().present[i] && b.value().present[i])
+        << "record " << i << " missing";
     std::string image_a, image_b;
     serialize_record(a.value().records[i], image_a);
     serialize_record(b.value().records[i], image_b);
@@ -206,7 +207,7 @@ TEST(ServeCli, ServedCampaignMatchesLocalBitwise) {
   EXPECT_NE(read_file(local + "/out.txt").find("std error  : "),
             std::string::npos);
   expect_reports_equivalent(local + "/report.json", served + "/report.json");
-  expect_bitwise_equal_journals(local, "campaign.fj", served, "campaign.fj");
+  expect_bitwise_equal_journals(local, served);
   const Subprocess::ExitStatus st = daemon.stop();
   EXPECT_FALSE(st.signaled);
   EXPECT_EQ(st.exit_code, 0);
@@ -239,8 +240,7 @@ TEST(ServeCli, SupervisedAndWarmCacheIdentity) {
   EXPECT_EQ(read_file(local + "/out.txt"),
             replace_all(read_file(served + "/out.txt"), served, local));
   expect_reports_equivalent(local + "/report.json", served + "/report.json");
-  expect_bitwise_equal_journals(local, worker_journal_pattern(), served,
-                                worker_journal_pattern());
+  expect_bitwise_equal_journals(local, served);
 }
 
 TEST(ServeCli, ConcurrentCampaignsStayIsolated) {
@@ -282,8 +282,8 @@ TEST(ServeCli, ConcurrentCampaignsStayIsolated) {
   EXPECT_EQ(rc_b, 0);
   expect_reports_equivalent(base_a + "/report.json", a + "/report.json");
   expect_reports_equivalent(base_b + "/report.json", b + "/report.json");
-  expect_bitwise_equal_journals(base_a, "campaign.fj", a, "campaign.fj");
-  expect_bitwise_equal_journals(base_b, "campaign.fj", b, "campaign.fj");
+  expect_bitwise_equal_journals(base_a, a);
+  expect_bitwise_equal_journals(base_b, b);
 }
 
 TEST(ServeCli, UnservableRequestsAreRefusedPerCampaign) {
@@ -449,7 +449,7 @@ TEST(ServeCli, DaemonCrashRecoveryBitwiseIdentity) {
     proc_a.wait();
   }
   expect_reports_equivalent(base + "/report.json", served + "/report.json");
-  expect_bitwise_equal_journals(base, "campaign.fj", served, "campaign.fj");
+  expect_bitwise_equal_journals(base, served);
   const Subprocess::ExitStatus st = daemon->stop();
   EXPECT_FALSE(st.signaled);
   EXPECT_EQ(st.exit_code, 0);
@@ -507,7 +507,7 @@ TEST(ServeCli, ClientDisconnectFreesSlotAndLeavesResumableJournal) {
                       base + "/out.txt"),
               0);
     expect_reports_equivalent(base + "/report.json", dir + "/report.json");
-    expect_bitwise_equal_journals(base, "campaign.fj", dir, "campaign.fj");
+    expect_bitwise_equal_journals(base, dir);
   }
 }
 

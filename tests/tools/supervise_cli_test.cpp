@@ -8,7 +8,10 @@
 //     instead of wedging the campaign,
 //   * the supervisor itself SIGKILLed mid-run is resumable with --resume,
 //   * SIGINT flushes a partial interrupted run report (exit code 3) that
-//     --resume completes to the undisturbed result.
+//     --resume completes to the undisturbed result,
+//   * one journal for both modes: an in-process --resume completes a
+//     supervised journal and a supervised --resume an in-process one, and an
+//     empty journal resumes as a fresh start.
 //
 // These tests spawn several framework elaborations each (~seconds); they are
 // deliberately few and each asserts a full scenario.
@@ -17,6 +20,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -40,11 +44,21 @@ std::string fresh_dir(const std::string& name) {
   return dir.string();
 }
 
-/// Runs the CLI synchronously via the shell; returns the process exit code.
-int run_cli(const std::string& args) {
-  const std::string cmd =
-      std::string(FAV_CLI_PATH) + " " + args + " > /dev/null 2>&1";
+/// Runs the CLI synchronously via the shell; returns the process exit code
+/// and, when `stdout_text` is given, what it printed.
+int run_cli(const std::string& args, std::string* stdout_text = nullptr) {
+  // Per process: ctest runs the tests of this file concurrently.
+  const fs::path out = fs::path(::testing::TempDir()) /
+                       ("fav_cli_stdout_" + std::to_string(::getpid()));
+  const std::string cmd = std::string(FAV_CLI_PATH) + " " + args + " > " +
+                          out.string() + " 2> /dev/null";
   const int rc = std::system(cmd.c_str());
+  if (stdout_text != nullptr) {
+    std::ifstream in(out);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    *stdout_text = ss.str();
+  }
   if (rc == -1 || !WIFEXITED(rc)) return -1;
   return WEXITSTATUS(rc);
 }
@@ -76,15 +90,16 @@ std::string json_field(const std::string& file, const std::string& key) {
 /// Bitwise comparison of two merged journals through the serialized record
 /// image — any drift in any field of any record fails.
 void expect_bitwise_equal_journals(const std::string& dir_a,
-                                   const std::string& pattern_a,
-                                   const std::string& dir_b,
-                                   const std::string& pattern_b) {
-  Result<JournalContents> a = JournalReader::merge(dir_a, pattern_a);
-  Result<JournalContents> b = JournalReader::merge(dir_b, pattern_b);
+                                   const std::string& dir_b) {
+  Result<MergedJournal> a = JournalReader::merge_partial(dir_a);
+  Result<MergedJournal> b = JournalReader::merge_partial(dir_b);
   ASSERT_TRUE(a.is_ok()) << a.status().to_string();
   ASSERT_TRUE(b.is_ok()) << b.status().to_string();
+  ASSERT_FALSE(a.value().records.empty()) << dir_a << " holds no journal";
   ASSERT_EQ(a.value().records.size(), b.value().records.size());
   for (std::size_t i = 0; i < a.value().records.size(); ++i) {
+    ASSERT_TRUE(a.value().present[i] && b.value().present[i])
+        << "record " << i << " missing";
     std::string image_a, image_b;
     serialize_record(a.value().records[i], image_a);
     serialize_record(b.value().records[i], image_b);
@@ -136,10 +151,8 @@ TEST(SuperviseCli, BitwiseIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(json_field(sup4 + "/report.json", "ssf"), ssf);
   EXPECT_EQ(json_field(sup4 + "/report.json", "std_error"),
             json_field(base + "/report.json", "std_error"));
-  expect_bitwise_equal_journals(base, "campaign.fj", sup1,
-                                worker_journal_pattern());
-  expect_bitwise_equal_journals(base, "campaign.fj", sup4,
-                                worker_journal_pattern());
+  expect_bitwise_equal_journals(base, sup1);
+  expect_bitwise_equal_journals(base, sup4);
 }
 
 TEST(SuperviseCli, WorkerCrashMidCampaignChangesNothing) {
@@ -163,8 +176,7 @@ TEST(SuperviseCli, WorkerCrashMidCampaignChangesNothing) {
   EXPECT_EQ(json_field(chaos + "/report.json", "interrupted"), "false");
   const std::string restarts = json_field(chaos + "/report.json", "restarts");
   EXPECT_NE(restarts, "0") << "expected at least one watchdog restart";
-  expect_bitwise_equal_journals(base, "campaign.fj", chaos,
-                                worker_journal_pattern());
+  expect_bitwise_equal_journals(base, chaos);
 }
 
 TEST(SuperviseCli, InjectedCrashFiresEvenWhenAPeerCouldDrainTheCampaign) {
@@ -219,8 +231,7 @@ TEST(SuperviseCli, DeadWorkerIsDetectedByEofNotHeartbeat) {
             json_field(base + "/report.json", "ssf"));
   EXPECT_NE(json_field(dir + "/report.json", "restarts"), "0")
       << "the dead worker must have been detected and respawned";
-  expect_bitwise_equal_journals(base, "campaign.fj", dir,
-                                worker_journal_pattern());
+  expect_bitwise_equal_journals(base, dir);
 }
 
 TEST(SuperviseCli, SupervisorSigkillIsResumable) {
@@ -245,8 +256,7 @@ TEST(SuperviseCli, SupervisorSigkillIsResumable) {
             0);
   EXPECT_EQ(json_field(dir + "/report.json", "ssf"),
             json_field(base + "/report.json", "ssf"));
-  expect_bitwise_equal_journals(base, "campaign.fj", dir,
-                                worker_journal_pattern());
+  expect_bitwise_equal_journals(base, dir);
 }
 
 TEST(SuperviseCli, SigintFlushesInterruptedReportAndResumes) {
@@ -277,6 +287,151 @@ TEST(SuperviseCli, SigintFlushesInterruptedReportAndResumes) {
   EXPECT_EQ(json_field(dir + "/report.json", "ssf"),
             json_field(base + "/report.json", "ssf"));
   EXPECT_EQ(json_field(dir + "/report.json", "interrupted"), "false");
+}
+
+// --- one journal for both campaign modes ---------------------------------
+
+/// The campaign's result block: stdout without the lines that say how it ran
+/// (the supervisor fleet) or where its report went.
+std::string result_block(const std::string& text) {
+  std::istringstream in(text);
+  std::string line, out;
+  while (std::getline(in, line)) {
+    if (line.rfind("supervisor :", 0) == 0 ||
+        line.rfind("run report :", 0) == 0) {
+      continue;
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
+/// Report fields that neither the campaign mode, the thread count nor a
+/// resume may change.
+void expect_same_result(const std::string& report_a,
+                        const std::string& report_b) {
+  for (const char* key :
+       {"ssf", "std_error", "ci95_half_width", "variance", "ess", "successes",
+        "evaluated", "interrupted", "samples", "retried",
+        "failed_weight_fraction"}) {
+    EXPECT_EQ(json_field(report_a, key), json_field(report_b, key))
+        << "report field '" << key << "' diverges";
+  }
+}
+
+/// A metrics counter from a run report ("name":value, compact JSON).
+std::string report_counter(const std::string& file, const std::string& name) {
+  std::ifstream in(file);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string text = ss.str();
+  const std::string needle = "\"" + name + "\":";
+  const std::size_t at = text.find(needle);
+  if (at == std::string::npos) return "<missing " + name + ">";
+  const std::size_t begin = at + needle.size();
+  return text.substr(begin, text.find_first_not_of("0123456789", begin) -
+                                begin);
+}
+
+TEST(CrossModeResume, SupervisedJournalResumesInProcess) {
+  const std::string base = fresh_dir("xmode_base");
+  const std::string sup = fresh_dir("xmode_sup");
+  const std::string flags = campaign_flags(300);
+  std::string base_out;
+  ASSERT_EQ(run_cli(flags + " --metrics-out " + base + "/report.json",
+                    &base_out),
+            0);
+  ASSERT_EQ(run_cli(flags + " --journal " + sup + " --supervise 2"), 0);
+  // Worker 1's file is lost; worker 0's survives. Which shards each worker
+  // journaled depends on scheduling, so the survivors are counted, not
+  // assumed (JournaledRun.ResumeEvaluatesExactlyTheGapsOfASparseJournal
+  // pins a fixed sparse layout).
+  ASSERT_TRUE(fs::remove(fs::path(sup) / worker_journal_file(1)));
+  Result<MergedJournal> left = JournalReader::merge_partial(sup);
+  ASSERT_TRUE(left.is_ok()) << left.status().to_string();
+  const auto surviving = std::count(left.value().present.begin(),
+                                    left.value().present.end(), 1);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string dir = fresh_dir("xmode_sup_t" + std::to_string(threads));
+    fs::copy(sup, dir);
+    std::string out;
+    ASSERT_EQ(run_cli(flags + " --journal " + dir + " --resume --threads " +
+                          std::to_string(threads) + " --metrics-out " + dir +
+                          "/report.json",
+                      &out),
+              0);
+    EXPECT_EQ(result_block(out), result_block(base_out));
+    expect_same_result(dir + "/report.json", base + "/report.json");
+    EXPECT_EQ(report_counter(dir + "/report.json", "journal.resumed_records"),
+              std::to_string(surviving));
+  }
+}
+
+TEST(CrossModeResume, InProcessJournalResumesSupervised) {
+  const std::string dir = fresh_dir("xmode_inproc");
+  const std::string flags = campaign_flags(300);
+  std::string base_out;
+  ASSERT_EQ(run_cli(flags + " --journal " + dir + " --metrics-out " + dir +
+                        "/base.json",
+                    &base_out),
+            0);
+  // A torn in-process journal: the supervised resume evaluates the rest.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string torn = fresh_dir("xmode_torn_t" + std::to_string(threads));
+    fs::copy_file(fs::path(dir) / "campaign.fj", fs::path(torn) / "campaign.fj");
+    fs::resize_file(fs::path(torn) / "campaign.fj",
+                    fs::file_size(fs::path(torn) / "campaign.fj") * 2 / 5);
+    std::string out;
+    ASSERT_EQ(run_cli(flags + " --journal " + torn +
+                          " --supervise 2 --resume --threads " +
+                          std::to_string(threads) + " --metrics-out " + torn +
+                          "/report.json",
+                      &out),
+              0);
+    EXPECT_EQ(result_block(out), result_block(base_out));
+    expect_same_result(torn + "/report.json", dir + "/base.json");
+  }
+  // The complete journal: nothing is left to evaluate, so no worker file
+  // may hold a shard frame.
+  std::string out;
+  ASSERT_EQ(run_cli(flags + " --journal " + dir +
+                        " --supervise 2 --resume --metrics-out " + dir +
+                        "/report.json",
+                    &out),
+            0);
+  EXPECT_EQ(result_block(out), result_block(base_out));
+  expect_same_result(dir + "/report.json", dir + "/base.json");
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("worker-", 0) != 0) continue;
+    Result<JournalShards> shards = JournalReader::read_shards(dir, name);
+    ASSERT_TRUE(shards.is_ok()) << shards.status().to_string();
+    EXPECT_TRUE(shards.value().spans.empty())
+        << name << " journaled samples the in-process journal already held";
+  }
+}
+
+TEST(CrossModeResume, EmptyJournalResumesAsAFreshStart) {
+  const std::string base = fresh_dir("xmode_empty_base");
+  const std::string flags = campaign_flags(300);
+  std::string base_out;
+  ASSERT_EQ(run_cli(flags + " --metrics-out " + base + "/report.json",
+                    &base_out),
+            0);
+  for (const std::string mode : {"", " --supervise 2"}) {
+    SCOPED_TRACE("mode='" + mode + "'");
+    const std::string dir = fresh_dir(mode.empty() ? "xmode_empty_in"
+                                                   : "xmode_empty_sup");
+    std::string out;
+    ASSERT_EQ(run_cli(flags + " --journal " + dir + mode +
+                          " --resume --metrics-out " + dir + "/report.json",
+                      &out),
+              0);
+    EXPECT_EQ(result_block(out), result_block(base_out));
+    expect_same_result(dir + "/report.json", base + "/report.json");
+  }
 }
 
 }  // namespace

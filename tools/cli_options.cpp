@@ -117,7 +117,7 @@ const std::vector<Flag>& flags() {
       {"--journal", Text{&Options::journal, "DIR"}, kRun, kForwarded,
        "crash-safe shard journal"},
       {"--resume", Switch{&Options::resume}, kRun, 0,
-       "continue the journaled campaign from its first missing sample"},
+       "evaluate only the samples the journal lacks (empty journal: fresh)"},
       {"--precharac-cache", Text{&Options::precharac_cache, "PATH"},
        kRun | kHarden, kForwarded,
        "load the pre-characterization bundle from PATH, or build and store it"},

@@ -512,8 +512,9 @@ void release_journal(const std::string& key) {
 /// refused per request. `cancel` is the per-campaign stop token the server
 /// trips on client disconnect / explicit cancel / deadline / daemon drain;
 /// `local_files` is false for live clients (the report ships over the
-/// socket) and true for crash-recovered campaigns (the daemon writes
-/// --metrics-out itself).
+/// socket) and true for crash-recovered campaigns: the daemon writes
+/// --metrics-out itself, and a journaled campaign resumes whatever its
+/// journal holds (an empty journal starts fresh).
 mc::CampaignOutcome run_served_campaign(bool local_files,
                                         const std::vector<std::string>& args,
                                         const mc::ProgressFn& progress,
@@ -521,9 +522,10 @@ mc::CampaignOutcome run_served_campaign(bool local_files,
   mc::CampaignOutcome out;
   std::string journal_key;
   try {
-    const Options o = cli::parse(args);
+    Options o = cli::parse(args);
     const std::string refusal = cli::served_refusal(o);
     if (!refusal.empty()) cli::usage(refusal);
+    if (local_files && !o.journal.empty()) o.resume = true;
     if (!o.journal.empty()) journal_key = reserve_journal(o.journal);
     if (!o.journal.empty() && journal_key.empty()) {
       out.error = "journal directory '" + o.journal +
