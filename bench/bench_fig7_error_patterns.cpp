@@ -7,6 +7,8 @@
 //       gates vs sequential elements (paper: comb 91.0%, common 6.1%,
 //       seq 2.9% — comb attacks generate far richer error behaviour).
 #include <set>
+#include <span>
+#include <vector>
 
 #include "bench_util.h"
 #include "soc/benchmark.h"
@@ -23,6 +25,19 @@ int main() {
   const rtl::GoldenRun golden(bench_def.program, bench_def.max_cycles, 32);
   const double period = injector.timing().clock_period();
 
+  // Each injection is a one-lane inject_batch() sweep of `words`, which
+  // holds the settled injection cycle.
+  netlist::WordSimulator words(soc.netlist());
+  faultsim::BatchInjectionScratch scratch;
+  std::vector<std::vector<netlist::NodeId>> flipped;
+  const auto inject = [&](std::span<const netlist::NodeId> struck,
+                          double strike_time) {
+    const std::span<const netlist::NodeId> lanes[] = {struck};
+    const double strike_times[] = {strike_time};
+    injector.inject_batch(words, lanes, strike_times, scratch, flipped);
+    return flipped[0];
+  };
+
   // ---- (a) error size classes over radiated-spot injections -------------
   std::size_t single_bit = 0, single_byte = 0, multi_byte = 0, masked = 0;
   Rng rng(1701);
@@ -35,19 +50,19 @@ int main() {
     gate.load_state(m.state());
     gate.mutable_ram() = m.ram();
     gate.settle_inputs();
+    gate.broadcast_settled(words);
     const auto center = cells[rng.uniform_below(cells.size())];
     const auto struck = placement.nodes_within(center, 1.5);
-    const auto res =
-        injector.inject(gate.sim(), struck, rng.uniform01() * period);
-    if (res.masked()) {
+    const auto flips = inject(struck, rng.uniform01() * period);
+    if (flips.empty()) {
       ++masked;
       continue;
     }
     std::set<int> bytes;
-    for (const auto dff : res.flipped_dffs) {
+    for (const auto dff : flips) {
       bytes.insert(soc.flat_bit_for_dff(dff) / 8);
     }
-    if (res.flipped_dffs.size() == 1) {
+    if (flips.size() == 1) {
       ++single_bit;
     } else if (bytes.size() == 1) {
       ++single_byte;
@@ -80,6 +95,7 @@ int main() {
     gate.load_state(m.state());
     gate.mutable_ram() = m.ram();
     gate.settle_inputs();
+    gate.broadcast_settled(words);
     for (std::size_t ci = 0; ci < cells.size(); ci += 2) {
       const auto struck = placement.nodes_within(cells[ci], 1.5);
       std::vector<netlist::NodeId> comb_struck, seq_struck;
@@ -87,10 +103,10 @@ int main() {
         (soc.netlist().is_dff(g) ? seq_struck : comb_struck).push_back(g);
       }
       if (!seq_struck.empty()) {
-        const auto res = injector.inject(gate.sim(), seq_struck, 0.0);
-        if (!res.masked()) {
+        const auto flips = inject(seq_struck, 0.0);
+        if (!flips.empty()) {
           std::vector<int> pattern;
-          for (const auto dff : res.flipped_dffs) {
+          for (const auto dff : flips) {
             pattern.push_back(soc.flat_bit_for_dff(dff));
           }
           seq_patterns.insert(pattern);
@@ -98,11 +114,10 @@ int main() {
       }
       if (comb_struck.empty()) continue;
       for (const double frac : fracs) {
-        const auto res =
-            injector.inject(gate.sim(), comb_struck, frac * period);
-        if (res.masked()) continue;
+        const auto flips = inject(comb_struck, frac * period);
+        if (flips.empty()) continue;
         std::vector<int> pattern;
-        for (const auto dff : res.flipped_dffs) {
+        for (const auto dff : flips) {
           pattern.push_back(soc.flat_bit_for_dff(dff));
         }
         comb_patterns.insert(pattern);

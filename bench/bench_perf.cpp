@@ -58,26 +58,11 @@ void BM_CheckpointRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointRestore)->Arg(33)->Arg(63);
 
-void BM_TransientInjection(benchmark::State& state) {
-  rtl::Machine m = fx().golden.restore(80);
-  soc::GateLevelMachine gate(fx().soc, fx().bench.program);
-  gate.load_state(m.state());
-  gate.mutable_ram() = m.ram();
-  gate.settle_inputs();
-  const auto struck = fx().placement.nodes_within(
-      fx().placement.placed_nodes()[state.range(0) % 3000], 1.5);
-  const double strike = 0.8 * fx().injector.timing().clock_period();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx().injector.inject(gate.sim(), struck, strike));
-  }
-}
-BENCHMARK(BM_TransientInjection)->Arg(100)->Arg(2000);
-
 // Bit-parallel injection: one inject_batch sweep computes Arg lane flip sets
-// at once. items_per_second counts lanes, so comparing this row's rate with
-// BM_TransientInjection's inverse time isolates the word-parallel win on the
-// injection sweep alone (shared restore/settle amortization comes on top —
-// see BM_MonteCarloRunBatchLanes for the end-to-end split).
+// at once. items_per_second counts lanes, so comparing the Arg(8) and
+// Arg(64) rates with the one-lane Arg(1) row isolates the word-parallel win
+// on the injection sweep alone (shared restore/settle amortization comes on
+// top — see BM_MonteCarloRunBatchLanes for the end-to-end split).
 void BM_InjectBatch(benchmark::State& state) {
   rtl::Machine m = fx().golden.restore(80);
   soc::GateLevelMachine gate(fx().soc, fx().bench.program);
@@ -108,7 +93,7 @@ void BM_InjectBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(lanes));
 }
-BENCHMARK(BM_InjectBatch)->Arg(8)->Arg(64);
+BENCHMARK(BM_InjectBatch)->Arg(1)->Arg(8)->Arg(64);
 
 // The shape of an exhaustive t-major word: Arg adjacent candidate centers
 // (ascending id, as the sub-block model enumerates them) struck at one

@@ -8,12 +8,23 @@ using netlist::NodeId;
 
 namespace {
 
-/// The per-kind threshold rule: true when a register whose D input arrives
-/// at `arrival` misses setup under a `kind` glitch of severity `level`.
-/// Every flip-set path (scalar and word-parallel) calls this one predicate,
-/// so they agree to the last ulp. Each kind's expression is kept exactly as
-/// written — journals and the pinned flip-set digests depend on its
-/// rounding; do not rewrite it algebraically.
+/// "depth" (clock glitch) or "droop" (voltage glitch) in diagnostics.
+const char* glitch_level_name(TechniqueKind kind) {
+  return kind == TechniqueKind::kClockGlitch ? "depth" : "droop";
+}
+
+}  // namespace
+
+bool is_glitch_kind(TechniqueKind kind) {
+  return kind == TechniqueKind::kClockGlitch ||
+         kind == TechniqueKind::kVoltageGlitch;
+}
+
+void check_glitch_level(TechniqueKind kind, double level) {
+  FAV_ENSURE_MSG(level > 0.0 && level < 1.0,
+                 glitch_level_name(kind) << " must be in (0, 1)");
+}
+
 bool misses_setup(TechniqueKind kind, double arrival, double setup,
                   double period, double level) {
   if (kind == TechniqueKind::kClockGlitch) {
@@ -22,52 +33,15 @@ bool misses_setup(TechniqueKind kind, double arrival, double setup,
   return arrival / (1.0 - level) + setup > period;  // level = supply droop
 }
 
-/// "depth" (clock glitch) or "droop" (voltage glitch) in diagnostics.
-const char* glitch_level_name(TechniqueKind kind) {
-  return kind == TechniqueKind::kClockGlitch ? "depth" : "droop";
-}
-
-bool is_glitch_kind(TechniqueKind kind) {
-  return kind == TechniqueKind::kClockGlitch ||
-         kind == TechniqueKind::kVoltageGlitch;
-}
-
-void check_level(TechniqueKind kind, double level) {
-  FAV_ENSURE_MSG(level > 0.0 && level < 1.0,
-                 glitch_level_name(kind) << " must be in (0, 1)");
-}
-
-}  // namespace
-
 GlitchSimulator::GlitchSimulator(const netlist::Netlist& nl,
                                  const TimingModel& timing_model)
-    : nl_(&nl), timing_(nl, timing_model) {
+    : timing_(nl, timing_model) {
   for (const NodeId dff : nl.dffs()) {
     FAV_ENSURE_MSG(!nl.node(dff).fanins.empty(),
                    "DFF '" << nl.node(dff).name << "' has no D input");
     critical_d_ =
         std::max(critical_d_, timing_.arrival(nl.node(dff).fanins[0]));
   }
-}
-
-std::vector<NodeId> GlitchSimulator::flipped_dffs(
-    const netlist::LogicSimulator& sim, TechniqueKind kind,
-    double level) const {
-  FAV_ENSURE_MSG(is_glitch_kind(kind), "not a glitch technique");
-  check_level(kind, level);
-  const double period = timing_.clock_period();
-  const double setup = timing_.model().setup_time;
-  std::vector<NodeId> flips;
-  for (const NodeId dff : nl_->dffs()) {
-    const NodeId d = nl_->node(dff).fanins[0];
-    if (!misses_setup(kind, timing_.arrival(d), setup, period, level)) {
-      continue;
-    }
-    // Too slow: the register holds its old value. It is an *error* only if
-    // the new D actually differs.
-    if (sim.value(d) != sim.value(dff)) flips.push_back(dff);
-  }
-  return flips;  // dffs() is ascending, so already sorted
 }
 
 GlitchAttackModel::GlitchAttackModel(TechniqueKind kind) : kind(kind) {
@@ -83,7 +57,7 @@ void GlitchAttackModel::check_valid() const {
   FAV_ENSURE_MSG(t_min >= 0 && t_max >= t_min, "bad timing range");
   FAV_ENSURE_MSG(!levels.empty(),
                  "no " << glitch_level_name(kind) << " levels");
-  for (const double level : levels) check_level(kind, level);
+  for (const double level : levels) check_glitch_level(kind, level);
 }
 
 void GlitchAttackModel::check_valid(std::uint64_t target_cycle) const {
@@ -108,15 +82,7 @@ std::string GlitchTechnique::parameter_space() const {
 
 void GlitchTechnique::check_sample(const FaultSample& sample) const {
   check_common(sample);
-  check_level(kind_, sample.depth);
-}
-
-void GlitchTechnique::flip_set(const netlist::LogicSimulator& sim,
-                               TechniqueScratch& scratch,
-                               const FaultSample& sample,
-                               std::vector<NodeId>& flipped) const {
-  (void)scratch;  // no spatial query; the flip set is (state, level)-only
-  flipped = glitch_->flipped_dffs(sim, kind_, sample.depth);
+  check_glitch_level(kind_, sample.depth);
 }
 
 void GlitchTechnique::flip_set_batch(
@@ -126,7 +92,7 @@ void GlitchTechnique::flip_set_batch(
   (void)scratch;
   const std::size_t lanes = samples.size();
   FAV_ENSURE_MSG(lanes >= 1 && lanes <= 64, "lane count must be in [1, 64]");
-  for (const FaultSample& s : samples) check_level(kind_, s.depth);
+  for (const FaultSample& s : samples) check_glitch_level(kind_, s.depth);
   flipped.resize(lanes);
   for (auto& f : flipped) f.clear();
   const auto& timing = glitch_->timing();

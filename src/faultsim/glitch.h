@@ -9,8 +9,9 @@
 //   * clock glitch: the cycle is shortened to `depth` x the nominal period;
 //   * voltage glitch: a supply droop scales every gate delay (and hence every
 //     arrival time) by 1/(1 - droop) against the nominal period.
-// The rule is one predicate (misses_setup in glitch.cpp) shared by the
-// scalar and word-parallel flip-set paths.
+// The rule is one predicate, misses_setup, which the word-parallel flip-set
+// path (GlitchTechnique::flip_set_batch) and the scalar test oracle
+// (tests/faultsim/scalar_flip_set.h) both call.
 //
 // Unlike radiation, the outcome is a deterministic function of (cycle,
 // level): the flip set needs no spatial parameters, so the fault space is a
@@ -30,6 +31,20 @@
 
 namespace fav::faultsim {
 
+/// True for kClockGlitch and kVoltageGlitch.
+bool is_glitch_kind(TechniqueKind kind);
+
+/// Throws EnsureError unless `level` lies in (0, 1).
+void check_glitch_level(TechniqueKind kind, double level);
+
+/// The per-kind threshold rule: true when a register whose D input arrives
+/// at `arrival` misses setup under a `kind` glitch of severity `level`.
+/// Each kind's expression is kept exactly as written — journals and the
+/// pinned flip-set digests depend on its rounding; do not rewrite it
+/// algebraically.
+bool misses_setup(TechniqueKind kind, double arrival, double setup,
+                  double period, double level);
+
 class GlitchSimulator {
  public:
   explicit GlitchSimulator(const netlist::Netlist& nl,
@@ -37,21 +52,12 @@ class GlitchSimulator {
 
   const TimingAnalysis& timing() const { return timing_; }
 
-  /// DFFs whose captured value is wrong under a `kind` glitch of severity
-  /// `level` in (0, 1). `sim` must hold the settled values of the glitched
-  /// cycle (see soc::GateLevelMachine::settle_inputs). Results are sorted by
-  /// node id.
-  std::vector<netlist::NodeId> flipped_dffs(const netlist::LogicSimulator& sim,
-                                            TechniqueKind kind,
-                                            double level) const;
-
   /// The slowest D-input arrival at nominal supply: clock depths above
   /// (critical_d_arrival() + setup) / period and droops below
   /// 1 - critical_d_arrival() / (period - setup) never flip anything.
   double critical_d_arrival() const { return critical_d_; }
 
  private:
-  const netlist::Netlist* nl_;
   TimingAnalysis timing_;
   double critical_d_ = 0;
 };
@@ -94,14 +100,13 @@ class GlitchTechnique final : public AttackTechnique {
   TechniqueKind kind() const override { return kind_; }
   std::string parameter_space() const override;
   void check_sample(const FaultSample& sample) const override;
-  void flip_set(const netlist::LogicSimulator& sim, TechniqueScratch& scratch,
-                const FaultSample& sample,
-                std::vector<netlist::NodeId>& flipped) const override;
   void flip_set_batch(const netlist::WordSimulator& sim,
                       TechniqueScratch& scratch,
                       std::span<const FaultSample> samples,
                       std::vector<std::vector<netlist::NodeId>>& flipped)
       const override;
+
+  const GlitchSimulator& simulator() const { return *glitch_; }
 
   /// Binds the enumerable space: the model's full (t, level) grid. The
   /// model's kind must match the technique's.

@@ -9,15 +9,6 @@ using netlist::CellType;
 using netlist::Netlist;
 using netlist::NodeId;
 
-void InjectionScratch::prepare(std::size_t node_count) {
-  // Clear before resizing: a shrink would otherwise leave touched_ entries
-  // pointing past the new end when a scratch is reused across netlists.
-  for (NodeId id : touched_) pulses_[id].clear();
-  touched_.clear();
-  flips_.clear();
-  pulses_.resize(node_count);
-}
-
 void BatchInjectionScratch::prepare(std::size_t positions, int max_pulses) {
   // Reset only what the previous sweep visited (every seeded or emitted
   // position has its frontier bit set), then fit the new netlist.
@@ -39,7 +30,7 @@ void BatchInjectionScratch::prepare(std::size_t positions, int max_pulses) {
 InjectionSimulator::InjectionSimulator(const Netlist& nl,
                                        const TimingModel& timing_model,
                                        const TransientParams& params)
-    : nl_(&nl), timing_(nl, timing_model), params_(params) {
+    : timing_(nl, timing_model), params_(params) {
   FAV_ENSURE(params.initial_width > 0);
   FAV_ENSURE(params.max_pulses_per_node >= 1);
 
@@ -106,27 +97,6 @@ InjectionSimulator::InjectionSimulator(const Netlist& nl,
   }
 }
 
-bool InjectionSimulator::sensitized(const netlist::LogicSimulator& sim,
-                                    NodeId node, int pin) const {
-  const auto& n = nl_->node(node);
-  if (n.type == CellType::kMux) {
-    // Pin 0 = select, 1 = a (sel=0), 2 = b (sel=1).
-    const bool sel = sim.value(n.fanins[0]);
-    if (pin == 0) {
-      // A glitching select only matters if the two data inputs differ.
-      return sim.value(n.fanins[1]) != sim.value(n.fanins[2]);
-    }
-    return (pin == 2) == sel;  // the unselected data pin is masked
-  }
-  for (int j = 0; j < static_cast<int>(n.fanins.size()); ++j) {
-    if (j == pin) continue;
-    if (netlist::is_controlling_value(n.type, j, sim.value(n.fanins[j]))) {
-      return false;  // a controlling side input absorbs the glitch
-    }
-  }
-  return true;
-}
-
 std::uint64_t InjectionSimulator::sensitized_mask(
     const netlist::WordSimulator& sim, const SweepGate& gate, int pin) const {
   const SweepFanin* in = &fanins_[gate.fanin_begin];
@@ -149,41 +119,6 @@ std::uint64_t InjectionSimulator::sensitized_mask(
   return mask;
 }
 
-void InjectionSimulator::add_pulse(std::vector<Pulse>& list, Pulse p) const {
-  if (list.empty()) {  // the common case: nothing to merge with or evict
-    list.push_back(p);
-    return;
-  }
-  // Union-merge transitively: absorbing one neighbour can widen p into the
-  // next, so rescan from the top until no entry overlaps.
-  bool merged = true;
-  while (merged) {
-    merged = false;
-    for (auto it = list.begin(); it != list.end(); ++it) {
-      const double q_end = it->start + it->width;
-      const double p_end = p.start + p.width;
-      if (p.start <= q_end && it->start <= p_end) {
-        const double lo = std::min(it->start, p.start);
-        const double hi = std::max(q_end, p_end);
-        p.start = lo;
-        p.width = hi - lo;
-        list.erase(it);
-        merged = true;
-        break;
-      }
-    }
-  }
-  if (static_cast<int>(list.size()) < params_.max_pulses_per_node) {
-    list.push_back(p);
-    return;
-  }
-  // Keep the widest pulses (widest are hardest to mask downstream).
-  auto narrowest = std::min_element(
-      list.begin(), list.end(),
-      [](const Pulse& a, const Pulse& b) { return a.width < b.width; });
-  if (narrowest->width < p.width) *narrowest = p;
-}
-
 void InjectionSimulator::add_pulse(Pulse* slot, std::uint32_t& count,
                                    Pulse p) const {
   if (count == 0) {
@@ -191,8 +126,8 @@ void InjectionSimulator::add_pulse(Pulse* slot, std::uint32_t& count,
     count = 1;
     return;
   }
-  // The vector form's merge: after absorbing an entry, close the gap in
-  // order and rescan from the top.
+  // Merge: after absorbing an entry, close the gap in order and rescan
+  // from the top.
   for (std::uint32_t i = 0; i < count;) {
     const double q_end = slot[i].start + slot[i].width;
     const double p_end = p.start + p.width;
@@ -217,81 +152,6 @@ void InjectionSimulator::add_pulse(Pulse* slot, std::uint32_t& count,
     if (slot[i].width < slot[narrowest].width) narrowest = i;
   }
   if (slot[narrowest].width < p.width) slot[narrowest] = p;
-}
-
-InjectionResult InjectionSimulator::inject(const netlist::LogicSimulator& sim,
-                                           std::span<const NodeId> struck,
-                                           double strike_time) const {
-  InjectionScratch scratch;
-  return inject(sim, struck, strike_time, scratch);
-}
-
-InjectionResult InjectionSimulator::inject(const netlist::LogicSimulator& sim,
-                                           std::span<const NodeId> struck,
-                                           double strike_time,
-                                           InjectionScratch& scratch) const {
-  FAV_ENSURE_MSG(strike_time >= 0.0, "strike time must be non-negative");
-  InjectionResult result;
-
-  scratch.prepare(nl_->node_count());
-  auto& pulses = scratch.pulses_;
-  auto& flips = scratch.flips_;
-  const auto add = [&](NodeId id, Pulse p) {
-    if (pulses[id].empty()) scratch.touched_.push_back(id);
-    add_pulse(pulses[id], p);
-  };
-
-  for (NodeId g : struck) {
-    const auto& n = nl_->node(g);
-    if (n.type == CellType::kDff) {
-      ++result.struck_dffs;
-      if (std::find(flips.begin(), flips.end(), g) == flips.end()) {
-        flips.push_back(g);
-        ++result.direct_flips;
-      }
-    } else if (netlist::is_combinational_gate(n.type)) {
-      ++result.struck_gates;
-      add(g, {std::max(strike_time, timing_.arrival(g)),
-              params_.initial_width});
-    }
-  }
-
-  // Topological sweep: every gate is visited after all producers, so pulse
-  // lists are final when consumed.
-  const TimingModel& tm = timing_.model();
-  for (NodeId id : nl_->topo_order()) {
-    const auto& n = nl_->node(id);
-    for (int pin = 0; pin < static_cast<int>(n.fanins.size()); ++pin) {
-      const auto& in_pulses = pulses[n.fanins[pin]];
-      if (in_pulses.empty()) continue;
-      if (!sensitized(sim, id, pin)) continue;
-      for (const Pulse& p : in_pulses) {
-        const double width = p.width - tm.attenuation;
-        if (width < tm.min_pulse_width) continue;  // electrically masked
-        add(id, {p.start + tm.delay(n.type), width});
-      }
-    }
-  }
-
-  // Latching-window check at every DFF D input.
-  const double window_lo = timing_.clock_period() - tm.setup_time;
-  const double window_hi = timing_.clock_period() + tm.hold_time;
-  for (NodeId dff : nl_->dffs()) {
-    const NodeId d = nl_->node(dff).fanins[0];
-    for (const Pulse& p : pulses[d]) {
-      if (p.start <= window_hi && window_lo <= p.start + p.width) {
-        if (std::find(flips.begin(), flips.end(), dff) == flips.end()) {
-          flips.push_back(dff);
-          ++result.latched_flips;
-        }
-        break;
-      }
-    }
-  }
-
-  result.flipped_dffs.assign(flips.begin(), flips.end());
-  std::sort(result.flipped_dffs.begin(), result.flipped_dffs.end());
-  return result;
 }
 
 void InjectionSimulator::inject_batch(
@@ -324,7 +184,7 @@ void InjectionSimulator::inject_batch(
 
   // Struck gates seed the frontier. Each position's seeds stay in seeding
   // order (lane by lane, struck order within a lane), which is the order the
-  // scalar path adds them in.
+  // scalar oracle adds them in.
   for (int lane = 0; lane < lanes; ++lane) {
     for (NodeId g : struck[lane]) {
       FAV_ENSURE_MSG(g < position_.size(), "struck node out of range");
@@ -354,7 +214,7 @@ void InjectionSimulator::inject_batch(
   // positions, so visits follow the topological order and every fanin list
   // is final when read. Each lane's list is built in its own stage slot with
   // the fixed-slot add_pulse — seeds first, then pins in pin order, exactly
-  // as the scalar sweep adds them — and then emitted grouped by lane. A pin
+  // as the scalar oracle adds them — and then emitted grouped by lane. A pin
   // whose pulsing lanes are all logically masked is skipped whole.
   const TimingModel& tm = timing_.model();
   const double window_lo = timing_.clock_period() - tm.setup_time;
@@ -412,7 +272,7 @@ void InjectionSimulator::inject_batch(
       mark(consumers_[c]);
     }
     // Latching-window check at the DFFs this net drives; the per-DFF mask
-    // mirrors the scalar "first latching pulse wins, insert once" semantics.
+    // gives "first latching pulse wins, insert once" semantics.
     if (gate.dff_begin == next.dff_begin) return;
     std::uint64_t latched = 0;
     for (std::uint32_t k = out.begin; k < out.end; ++k) {

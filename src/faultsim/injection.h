@@ -10,7 +10,10 @@
 //  3. applies latching-window masking: a pulse reaching a D input flips the
 //     captured bit only if it overlaps the setup/hold window of the edge.
 // The output is the set of DFFs whose latched value differs from the golden
-// run — the cross-level hand-off back to RTL level (Fig. 5).
+// run — the cross-level hand-off back to RTL level (Fig. 5). inject_batch()
+// is the library's only injection path: one event-driven sweep computes up
+// to 64 samples' flip sets. The scalar one-sample model it must match bit for
+// bit is a test oracle (tests/faultsim/scalar_flip_set.h).
 //
 // The simulator is generic over any netlist; the SoC binding (DFF -> flat
 // register-map bit) happens in the Monte Carlo layer.
@@ -39,23 +42,6 @@ struct TransientParams {
 struct Pulse {
   double start = 0;
   double width = 0;
-};
-
-/// Reusable per-thread buffers for the scalar inject() path. The per-node
-/// pulse lists keep their capacity across calls; only the lists touched by
-/// the previous call are cleared, so a mostly-masked campaign allocates
-/// nothing in steady state. Not thread-safe: one scratch per worker.
-class InjectionScratch {
- public:
-  InjectionScratch() = default;
-
- private:
-  friend class InjectionSimulator;
-  void prepare(std::size_t node_count);
-
-  std::vector<std::vector<Pulse>> pulses_;
-  std::vector<netlist::NodeId> touched_;  // nodes with non-empty pulse lists
-  std::vector<netlist::NodeId> flips_;
 };
 
 /// Reusable per-thread buffers for inject_batch(). Everything is indexed by
@@ -106,48 +92,24 @@ class BatchInjectionScratch {
   std::size_t visited_ = 0;
 };
 
-struct InjectionResult {
-  /// DFFs whose latched value flipped at the cycle edge (sorted, unique).
-  std::vector<netlist::NodeId> flipped_dffs;
-  std::size_t struck_gates = 0;   // combinational cells in the spot
-  std::size_t struck_dffs = 0;    // sequential cells in the spot
-  std::size_t latched_flips = 0;  // flips caused by latched transients
-  std::size_t direct_flips = 0;   // flips caused by direct DFF upsets
-
-  bool masked() const { return flipped_dffs.empty(); }
-};
-
 class InjectionSimulator {
  public:
   explicit InjectionSimulator(const netlist::Netlist& nl,
                               const TimingModel& timing_model = {},
                               const TransientParams& params = {});
 
-  /// `sim` must hold the injection cycle's settled combinational values
-  /// (see soc::GateLevelMachine::settle_inputs). `struck` lists the cells
-  /// inside the radiated region (from layout::Placement::nodes_within).
-  /// `strike_time` is the radiation hit instant within the cycle, in
-  /// [0, clock_period): it models the intra-cycle technique-parameter
-  /// variation — a struck gate's transient begins at
-  /// max(strike_time, arrival(gate)) because glitches that fire before the
-  /// gate recomputes are overwritten. Struck DFF cells upset unconditionally.
-  InjectionResult inject(const netlist::LogicSimulator& sim,
-                         std::span<const netlist::NodeId> struck,
-                         double strike_time = 0.0) const;
-
-  /// Allocation-free variant: reuses `scratch`'s per-node pulse lists and
-  /// flip buffer. Produces exactly the same result as the overload above.
-  InjectionResult inject(const netlist::LogicSimulator& sim,
-                         std::span<const netlist::NodeId> struck,
-                         double strike_time, InjectionScratch& scratch) const;
-
   /// Bit-parallel injection: computes the flip sets of up to 64 independent
   /// samples in one event-driven sweep. Lane `l` uses struck set `struck[l]`
-  /// and strike time `strike_times[l]` against `sim`'s lane-`l` values (each
-  /// lane may hold a different settled cycle). Only gates a pulse reaches
-  /// are visited, in topological order. On return `flipped[l]` holds lane
-  /// l's flipped DFFs (sorted, unique) — bitwise identical to what the
-  /// scalar inject() produces for that lane's inputs.
+  /// (the cells inside its radiated region, from
+  /// layout::Placement::nodes_within) and strike time `strike_times[l]`
+  /// against `sim`'s lane-`l` values, which must hold a settled injection
+  /// cycle (each lane may hold a different one). The strike time is the hit
+  /// instant within the cycle, in [0, clock_period): a struck gate's
+  /// transient begins at max(strike_time, arrival(gate)) because glitches
+  /// that fire before the gate recomputes are overwritten. Struck DFF cells
+  /// upset unconditionally. Only gates a pulse reaches are visited, in
+  /// topological order. On return `flipped[l]` holds lane l's flipped DFFs
+  /// (sorted, unique).
   void inject_batch(const netlist::WordSimulator& sim,
                     std::span<const std::span<const netlist::NodeId>> struck,
                     std::span<const double> strike_times,
@@ -157,26 +119,17 @@ class InjectionSimulator {
   const TimingAnalysis& timing() const { return timing_; }
   const TransientParams& params() const { return params_; }
 
-  /// Canonical pulse-list insertion of the scalar inject() path:
-  /// transitively merges `p` with every overlapping entry (a union can grow
-  /// into a neighbour, so merging rescans until stable, and each merged
-  /// entry is erased in place), then appends the result, or when the list
-  /// is at max_pulses_per_node replaces the first narrowest entry if the
-  /// new pulse is wider. Exposed for tests.
-  void add_pulse(std::vector<Pulse>& list, Pulse p) const;
-
-  /// The fixed-slot form inject_batch() stages with: `slot[0, count)` is
-  /// the list and `slot` has room for max_pulses_per_node entries. Leaves
-  /// exactly the entries, in the same order, that add_pulse() leaves in a
-  /// vector holding the same list. Exposed for tests.
+  /// The pulse-list insertion inject_batch() stages with: transitively
+  /// merges `p` with every overlapping entry (a union can grow into a
+  /// neighbour, so merging rescans until stable, and each merged entry is
+  /// removed with the rest kept in order), then appends the result, or when
+  /// the list is at max_pulses_per_node replaces the first narrowest entry
+  /// if the new pulse is wider. `slot[0, count)` is the list and `slot` has
+  /// room for max_pulses_per_node entries. Exposed for tests, which check it
+  /// against the scalar oracle's vector form.
   void add_pulse(Pulse* slot, std::uint32_t& count, Pulse p) const;
 
  private:
-  /// True if a wrong value on `pin` of `node` reaches the output, given the
-  /// golden values of the other pins.
-  bool sensitized(const netlist::LogicSimulator& sim, netlist::NodeId node,
-                  int pin) const;
-
   /// One combinational gate of the sweep graph, indexed by topological
   /// position: what inject_batch() needs, without touching netlist::Node.
   /// Each range ends where the next position's begins.
@@ -201,7 +154,6 @@ class InjectionSimulator {
   std::uint64_t sensitized_mask(const netlist::WordSimulator& sim,
                                 const SweepGate& gate, int pin) const;
 
-  const netlist::Netlist* nl_;
   TimingAnalysis timing_;
   TransientParams params_;
   // Flat sweep graph, built at construction (the injector is shared

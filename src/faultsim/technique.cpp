@@ -45,6 +45,17 @@ void AttackTechnique::check_enumeration_range(std::uint64_t begin,
                                                      << " points");
 }
 
+void AttackTechnique::flip_set(const netlist::LogicSimulator& sim,
+                               TechniqueScratch& scratch,
+                               const FaultSample& sample,
+                               std::vector<netlist::NodeId>& flipped) const {
+  netlist::WordSimulator words(sim.netlist());
+  words.broadcast_from(sim);
+  std::vector<std::vector<netlist::NodeId>> lanes;
+  flip_set_batch(words, scratch, {&sample, 1}, lanes);
+  flipped = std::move(lanes[0]);
+}
+
 RadiationTechnique::RadiationTechnique(const layout::Placement& placement,
                                        const InjectionSimulator& injector)
     : placement_(&placement), injector_(&injector) {}
@@ -58,18 +69,6 @@ void RadiationTechnique::check_sample(const FaultSample& sample) const {
   FAV_ENSURE_MSG(sample.radius >= 0.0, "negative spot radius");
   FAV_ENSURE_MSG(sample.strike_frac >= 0.0 && sample.strike_frac < 1.0,
                  "strike_frac must be in [0, 1)");
-}
-
-void RadiationTechnique::flip_set(const netlist::LogicSimulator& sim,
-                                  TechniqueScratch& scratch,
-                                  const FaultSample& sample,
-                                  std::vector<netlist::NodeId>& flipped) const {
-  placement_->nodes_within(sample.center, sample.radius, scratch.struck);
-  const double strike_time =
-      sample.strike_frac * injector_->timing().clock_period();
-  InjectionResult inj =
-      injector_->inject(sim, scratch.struck, strike_time, scratch.injection);
-  flipped = std::move(inj.flipped_dffs);
 }
 
 void RadiationTechnique::flip_set_batch(

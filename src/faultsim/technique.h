@@ -6,8 +6,9 @@
 // identical for every technique, and only the step that turns a sample's
 // technique parameters into latched register flips differs. AttackTechnique
 // is that step: given the settled gate-level values of the injection cycle
-// and one FaultSample, it produces the set of DFFs whose latched value
-// flipped. Everything around it — worker pool, scratch reuse, budgets,
+// and a FaultSample, it produces the set of DFFs whose latched value flipped,
+// for up to 64 samples in one word-parallel call (flip_set_batch, the only
+// flip-set path). Everything around it — worker pool, scratch reuse, budgets,
 // isolation, journaled resume, metrics — lives once in mc::SsfEvaluator and
 // is inherited by every technique (the SYNFI-style "one analysis core, many
 // fault models" layering).
@@ -59,14 +60,9 @@ class SpotTable {
   std::uint64_t computed_ = 0;
 };
 
-/// Reusable per-thread buffers for flip-set computation (spatial query
-/// results and the like). Not thread-safe: one scratch per worker thread.
+/// Reusable per-thread buffers for flip_set_batch(): each lane's struck list
+/// is a view into `spots`. Not thread-safe: one scratch per worker thread.
 struct TechniqueScratch {
-  std::vector<netlist::NodeId> struck;
-  /// Pulse-list reuse for the scalar inject() path.
-  InjectionScratch injection;
-  /// Buffers for the bit-parallel flip_set_batch() path: each lane's struck
-  /// list is a view into `spots`.
   BatchInjectionScratch batch;
   SpotTable spots;
   std::vector<std::span<const netlist::NodeId>> struck_lanes;
@@ -89,31 +85,30 @@ class AttackTechnique {
   /// campaign isolation layer turns that into a kFailed record.
   virtual void check_sample(const FaultSample& sample) const = 0;
 
-  /// DFFs whose latched value flips during the injection cycle. `sim` must
-  /// hold the cycle's settled values (soc::GateLevelMachine::settle_inputs);
-  /// `flipped` is overwritten (sorted, unique node ids). Deterministic: the
-  /// same (sim state, sample) yields the same flip set on every call. The
-  /// scalar reference: the engine evaluates through flip_set_batch(), and
-  /// this stays as its oracle and for the benchmark replay.
-  virtual void flip_set(const netlist::LogicSimulator& sim,
-                        TechniqueScratch& scratch, const FaultSample& sample,
-                        std::vector<netlist::NodeId>& flipped) const = 0;
-
-  /// Always true: every technique implements flip_set_batch(), the engine's
-  /// only flip-set path. Kept only because the benchmark replay
-  /// (perfbench/favbench.cpp) still calls it.
-  bool supports_batch() const { return true; }
-
-  /// Bit-parallel flip sets for up to 64 samples: lane l of `sim` holds the
-  /// settled values of samples[l]'s injection cycle (lanes may come from
-  /// different cycles), and lane l evaluates `samples[l]`. On return
-  /// `flipped[l]` equals what flip_set() would produce for samples[l] on
-  /// that lane's values — bit for bit.
+  /// DFFs whose latched value flips during the injection cycle, for up to
+  /// 64 samples at once: lane l of `sim` holds the settled values of
+  /// samples[l]'s injection cycle (soc::GateLevelMachine::settle_inputs;
+  /// lanes may come from different cycles), and lane l evaluates
+  /// `samples[l]`. On return `flipped[l]` holds lane l's flipped DFFs
+  /// (sorted, unique node ids). Deterministic: the same (lane values,
+  /// sample) yields the same flip set in every lane of every call. This is
+  /// the library's one flip-set path; the scalar model it must match bit
+  /// for bit is a test oracle (tests/faultsim/scalar_flip_set.h).
   virtual void flip_set_batch(const netlist::WordSimulator& sim,
                               TechniqueScratch& scratch,
                               std::span<const FaultSample> samples,
                               std::vector<std::vector<netlist::NodeId>>&
                                   flipped) const = 0;
+
+  /// flip_set_batch() for one sample on a scalar simulator's settled values
+  /// (`flipped` is overwritten). Exists only for the benchmark's traced
+  /// replay (perfbench/favbench.cpp) and goes with it.
+  void flip_set(const netlist::LogicSimulator& sim, TechniqueScratch& scratch,
+                const FaultSample& sample,
+                std::vector<netlist::NodeId>& flipped) const;
+
+  /// Always true; kept only because the benchmark replay still calls it.
+  bool supports_batch() const { return true; }
 
   /// --- enumerable fault space -------------------------------------------
   /// Number of points in the technique's bound fault space; 0 means no
@@ -156,15 +151,13 @@ class RadiationTechnique final : public AttackTechnique {
   TechniqueKind kind() const override { return TechniqueKind::kRadiation; }
   std::string parameter_space() const override;
   void check_sample(const FaultSample& sample) const override;
-  void flip_set(const netlist::LogicSimulator& sim, TechniqueScratch& scratch,
-                const FaultSample& sample,
-                std::vector<netlist::NodeId>& flipped) const override;
   void flip_set_batch(const netlist::WordSimulator& sim,
                       TechniqueScratch& scratch,
                       std::span<const FaultSample> samples,
                       std::vector<std::vector<netlist::NodeId>>& flipped)
       const override;
 
+  const layout::Placement& placement() const { return *placement_; }
   const InjectionSimulator& injector() const { return *injector_; }
 
   /// Binds the enumerable space: every (t, center, radius, strike) tuple of

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "gen/builder.h"
+#include "scalar_flip_set.h"
 #include "util/check.h"
 
 namespace fav::faultsim {
@@ -58,7 +59,7 @@ struct Settled {
     sim.evaluate_comb();
   }
   std::vector<NodeId> flips(TechniqueKind kind, double level) const {
-    return glitch.flipped_dffs(sim, kind, level);
+    return oracle::flipped_dffs(glitch, sim, kind, level);
   }
 };
 
@@ -175,7 +176,7 @@ void expect_hold_of_same_value_is_no_error(TechniqueKind kind) {
   sim.set_input("in", true);
   sim.set_register(c.r_slow, true);
   sim.evaluate_comb();
-  EXPECT_TRUE(glitch.flipped_dffs(sim, kind, moderate(kind)).empty());
+  EXPECT_TRUE(oracle::flipped_dffs(glitch, sim, kind, moderate(kind)).empty());
 }
 
 void expect_invalid_level_throws(TechniqueKind kind) {
@@ -365,7 +366,8 @@ struct Chains {
 TEST(GlitchTechnique, FlipSetBatchMatchesScalarLaneByLane) {
   // Every lane gets its own random inputs and register values (divergent
   // settled states) and a level one ulp either side of some register's
-  // misses_setup threshold; flip_set_batch must equal flip_set per lane.
+  // misses_setup threshold; flip_set_batch and the one-sample flip_set must
+  // equal the scalar oracle per lane.
   const Chains c;
   const GlitchSimulator glitch(c.nl);
   const double period = glitch.timing().clock_period();
@@ -414,9 +416,12 @@ TEST(GlitchTechnique, FlipSetBatchMatchesScalarLaneByLane) {
       technique.flip_set_batch(words, scratch, samples, flipped);
       ASSERT_EQ(flipped.size(), static_cast<std::size_t>(lanes));
       for (int l = 0; l < lanes; ++l) {
-        std::vector<NodeId> reference;
-        technique.flip_set(scalar[l], scratch, samples[l], reference);
+        const std::vector<NodeId> reference =
+            oracle::flip_set(technique, scalar[l], samples[l]);
         EXPECT_EQ(flipped[l], reference) << "lanes " << lanes << " lane " << l;
+        std::vector<NodeId> wrapped;
+        technique.flip_set(scalar[l], scratch, samples[l], wrapped);
+        EXPECT_EQ(wrapped, reference) << "lanes " << lanes << " lane " << l;
         std::size_t changing = 0;
         for (const NodeId r : c.regs) {
           changing += scalar[l].value(c.nl.node(r).fanins[0]) !=

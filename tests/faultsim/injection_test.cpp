@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "netlist/logicsim.h"
+#include "scalar_flip_set.h"
 
 namespace fav::faultsim {
 namespace {
@@ -53,7 +54,7 @@ TEST(InjectionSimulator, NoStrikeIsMasked) {
   Chain c(5);
   InjectionSimulator inj(c.nl);
   const LogicSimulator sim = settled(c.nl);
-  const auto result = inj.inject(sim, {});
+  const auto result = oracle::inject(inj, sim, {});
   EXPECT_TRUE(result.masked());
   EXPECT_EQ(result.struck_gates, 0u);
   EXPECT_EQ(result.struck_dffs, 0u);
@@ -64,7 +65,7 @@ TEST(InjectionSimulator, DirectDffStrikeAlwaysFlips) {
   InjectionSimulator inj(c.nl);
   const LogicSimulator sim = settled(c.nl);
   const std::vector<NodeId> struck = {c.r};
-  const auto result = inj.inject(sim, struck, /*strike_time=*/0.0);
+  const auto result = oracle::inject(inj, sim, struck, /*strike_time=*/0.0);
   ASSERT_EQ(result.flipped_dffs.size(), 1u);
   EXPECT_EQ(result.flipped_dffs[0], c.r);
   EXPECT_EQ(result.struck_dffs, 1u);
@@ -83,7 +84,7 @@ TEST(InjectionSimulator, StrikeNearClockEdgeLatches) {
   const double window_lo = inj.timing().clock_period() - tm.setup_time;
   const double strike = window_lo - 4 * tm.delay_inv - 0.1;
   const std::vector<NodeId> struck = {c.gates[0]};
-  const auto result = inj.inject(sim, struck, strike);
+  const auto result = oracle::inject(inj, sim, struck, strike);
   ASSERT_EQ(result.flipped_dffs.size(), 1u);
   EXPECT_EQ(result.flipped_dffs[0], c.r);
   EXPECT_EQ(result.latched_flips, 1u);
@@ -99,7 +100,7 @@ TEST(InjectionSimulator, LateStrikeMissesWindow) {
   const double window_hi = inj.timing().clock_period() + tm.hold_time;
   const double strike = window_hi - 4 * tm.delay_inv + 0.1;
   const std::vector<NodeId> struck = {c.gates[0]};
-  const auto result = inj.inject(sim, struck, strike);
+  const auto result = oracle::inject(inj, sim, struck, strike);
   EXPECT_TRUE(result.masked());
 }
 
@@ -113,7 +114,7 @@ TEST(InjectionSimulator, EarlyStrikeDiesBeforeWindow) {
   // Strike the last gate early: pulse [29+1, +3] = [30, 33]; window starts at
   // (30 + 0.6) * 1.15 - 0.6 ≈ 34.6 — the pulse is long gone.
   const std::vector<NodeId> struck = {c.gates[29]};
-  const auto result = inj.inject(sim, struck, /*strike_time=*/0.0);
+  const auto result = oracle::inject(inj, sim, struck, /*strike_time=*/0.0);
   EXPECT_TRUE(result.masked());
 }
 
@@ -126,9 +127,9 @@ TEST(InjectionSimulator, ElectricalMaskingKillsNarrowPulses) {
   const LogicSimulator sim = settled(c.nl);
   bool any_flip = false;
   for (double frac : {0.0, 0.25, 0.5, 0.75, 0.95}) {
-    const auto result = inj.inject(
-        sim, std::vector<NodeId>{c.gates[0]},
-        frac * inj.timing().clock_period());
+    const auto result =
+        oracle::inject(inj, sim, std::vector<NodeId>{c.gates[0]},
+                       frac * inj.timing().clock_period());
     any_flip |= !result.masked();
   }
   EXPECT_FALSE(any_flip);
@@ -153,11 +154,13 @@ TEST(InjectionSimulator, LogicalMaskingByControllingSideInput) {
   LogicSimulator sim(nl);
   sim.set_input("side", false);
   sim.evaluate_comb();
-  EXPECT_TRUE(inj.inject(sim, std::vector<NodeId>{g1}, strike).masked());
+  EXPECT_TRUE(oracle::inject(inj, sim, std::vector<NodeId>{g1}, strike)
+                  .masked());
 
   sim.set_input("side", true);
   sim.evaluate_comb();
-  EXPECT_FALSE(inj.inject(sim, std::vector<NodeId>{g1}, strike).masked());
+  EXPECT_FALSE(oracle::inject(inj, sim, std::vector<NodeId>{g1}, strike)
+                  .masked());
 }
 
 TEST(InjectionSimulator, MuxSelectGlitchNeedsDifferingData) {
@@ -179,11 +182,13 @@ TEST(InjectionSimulator, MuxSelectGlitchNeedsDifferingData) {
   sim.set_input("a", true);
   sim.set_input("b", true);  // equal data: select glitch is invisible
   sim.evaluate_comb();
-  EXPECT_TRUE(inj.inject(sim, std::vector<NodeId>{selbuf}, strike).masked());
+  EXPECT_TRUE(oracle::inject(inj, sim, std::vector<NodeId>{selbuf}, strike)
+                  .masked());
 
   sim.set_input("b", false);  // differing data: glitch reaches the output
   sim.evaluate_comb();
-  EXPECT_FALSE(inj.inject(sim, std::vector<NodeId>{selbuf}, strike).masked());
+  EXPECT_FALSE(oracle::inject(inj, sim, std::vector<NodeId>{selbuf}, strike)
+                  .masked());
 }
 
 TEST(InjectionSimulator, MuxUnselectedDataPinMasked) {
@@ -204,11 +209,13 @@ TEST(InjectionSimulator, MuxUnselectedDataPinMasked) {
   LogicSimulator sim(nl);
   sim.set_input("sel", true);  // selects b: glitch on a-path is masked
   sim.evaluate_comb();
-  EXPECT_TRUE(inj.inject(sim, std::vector<NodeId>{abuf}, strike).masked());
+  EXPECT_TRUE(oracle::inject(inj, sim, std::vector<NodeId>{abuf}, strike)
+                  .masked());
 
   sim.set_input("sel", false);
   sim.evaluate_comb();
-  EXPECT_FALSE(inj.inject(sim, std::vector<NodeId>{abuf}, strike).masked());
+  EXPECT_FALSE(oracle::inject(inj, sim, std::vector<NodeId>{abuf}, strike)
+                  .masked());
 }
 
 TEST(InjectionSimulator, FanoutReachesMultipleRegisters) {
@@ -227,7 +234,7 @@ TEST(InjectionSimulator, FanoutReachesMultipleRegisters) {
   LogicSimulator sim(nl);
   sim.evaluate_comb();
   const auto result =
-      inj.inject(sim, std::vector<NodeId>{g}, window_lo - 0.05);
+      oracle::inject(inj, sim, std::vector<NodeId>{g}, window_lo - 0.05);
   EXPECT_EQ(result.flipped_dffs.size(), 2u);
   EXPECT_EQ(result.latched_flips, 2u);
 }
@@ -237,8 +244,8 @@ TEST(InjectionSimulator, DeterministicForSameInputs) {
   InjectionSimulator inj(c.nl);
   const LogicSimulator sim = settled(c.nl);
   const std::vector<NodeId> struck = {c.gates[0], c.gates[3], c.r};
-  const auto r1 = inj.inject(sim, struck, 2.0);
-  const auto r2 = inj.inject(sim, struck, 2.0);
+  const auto r1 = oracle::inject(inj, sim, struck, 2.0);
+  const auto r2 = oracle::inject(inj, sim, struck, 2.0);
   EXPECT_EQ(r1.flipped_dffs, r2.flipped_dffs);
   EXPECT_EQ(r1.struck_gates, r2.struck_gates);
 }
@@ -247,7 +254,7 @@ TEST(InjectionSimulator, NegativeStrikeTimeThrows) {
   Chain c(3);
   InjectionSimulator inj(c.nl);
   const LogicSimulator sim = settled(c.nl);
-  EXPECT_THROW(inj.inject(sim, std::vector<NodeId>{c.gates[0]}, -1.0),
+  EXPECT_THROW(oracle::inject(inj, sim, std::vector<NodeId>{c.gates[0]}, -1.0),
                fav::CheckError);
 }
 
@@ -255,13 +262,13 @@ TEST(InjectionSimulator, AddPulseMergesTransitively) {
   Chain c(3);
   InjectionSimulator inj(c.nl);
   std::vector<Pulse> list;
-  inj.add_pulse(list, {0.0, 1.0});
-  inj.add_pulse(list, {2.0, 1.0});
+  oracle::add_pulse(inj, list, {0.0, 1.0});
+  oracle::add_pulse(inj, list, {2.0, 1.0});
   ASSERT_EQ(list.size(), 2u);  // disjoint so far
   // [0.8, 2.2] bridges both: its union with [0, 1] is [0, 2.2], which in
   // turn overlaps [2, 3]. A single merge pass stopped there and left two
   // overlapping entries on the list; the merge must rescan until stable.
-  inj.add_pulse(list, {0.8, 1.4});
+  oracle::add_pulse(inj, list, {0.8, 1.4});
   ASSERT_EQ(list.size(), 1u);
   EXPECT_DOUBLE_EQ(list[0].start, 0.0);
   EXPECT_DOUBLE_EQ(list[0].width, 3.0);
@@ -276,7 +283,7 @@ TEST(InjectionSimulator, AddPulseKeepsListDisjointAndCapped) {
   std::vector<Pulse> list;
   const auto cap = static_cast<std::size_t>(inj.params().max_pulses_per_node);
   for (int i = 0; i < 200; ++i) {
-    inj.add_pulse(list, {start(gen), width(gen)});
+    oracle::add_pulse(inj, list, {start(gen), width(gen)});
     ASSERT_LE(list.size(), cap);
     for (std::size_t a = 0; a < list.size(); ++a) {
       for (std::size_t b = a + 1; b < list.size(); ++b) {
@@ -318,7 +325,7 @@ TEST(InjectionSimulator, FixedSlotStagingMatchesAddPulse) {
                 kWidths[gen() % std::size(kWidths)]};
         if (gen() % 8 == 0) p.width = 2.0 + static_cast<double>(gen() % 6);
         const std::vector<Pulse> before = list;
-        inj.add_pulse(list, p);
+        oracle::add_pulse(inj, list, p);
         inj.add_pulse(slot.data(), count, p);
         ASSERT_EQ(count, list.size());
         for (std::size_t k = 0; k < list.size(); ++k) {
@@ -458,7 +465,7 @@ TEST(InjectionSimulator, InjectBatchMatchesScalarLaneByLane) {
         inj.inject_batch(words, views(struck), strike, scratch, flipped);
         ASSERT_EQ(flipped.size(), static_cast<std::size_t>(lanes));
         for (int l = 0; l < lanes; ++l) {
-          const auto ref = inj.inject(scalar[l], struck[l], strike[l]);
+          const auto ref = oracle::inject(inj, scalar[l], struck[l], strike[l]);
           EXPECT_EQ(flipped[l], ref.flipped_dffs)
               << "cap " << cap << " width " << width << " trial " << trial
               << " lane " << l;
@@ -494,7 +501,8 @@ TEST(InjectionSimulator, InjectBatchVisitsOnlyTheStruckCone) {
     const std::vector<double> strike(struck.size(), 0.0);
     inj.inject_batch(words, views(struck), strike, scratch, flipped);
     for (std::size_t l = 0; l < struck.size(); ++l) {
-      EXPECT_EQ(flipped[l], inj.inject(sim, struck[l], 0.0).flipped_dffs);
+      EXPECT_EQ(flipped[l],
+                oracle::inject(inj, sim, struck[l], 0.0).flipped_dffs);
     }
     return scratch.visited();
   };
@@ -536,7 +544,7 @@ TEST(InjectionSimulator, InjectBatchKeepsEachLanesPulseOrder) {
 
   const std::vector<NodeId> struck = {p, q, r_in};
   const LogicSimulator sim = settled(nl);
-  ASSERT_EQ(inj.inject(sim, struck, 0.0).flipped_dffs,
+  ASSERT_EQ(oracle::inject(inj, sim, struck, 0.0).flipped_dffs,
             std::vector<NodeId>{r});
   netlist::WordSimulator words(nl);
   words.broadcast_from(sim);
@@ -548,7 +556,7 @@ TEST(InjectionSimulator, InjectBatchKeepsEachLanesPulseOrder) {
   std::vector<std::vector<NodeId>> flipped;
   inj.inject_batch(words, views(lanes), strike, scratch, flipped);
   for (std::size_t l = 0; l < lanes.size(); ++l) {
-    EXPECT_EQ(flipped[l], inj.inject(sim, lanes[l], 0.0).flipped_dffs)
+    EXPECT_EQ(flipped[l], oracle::inject(inj, sim, lanes[l], 0.0).flipped_dffs)
         << "lane " << l;
   }
 }

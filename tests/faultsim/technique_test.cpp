@@ -10,6 +10,7 @@
 
 #include "gen/builder.h"
 #include "netlist/logicsim.h"
+#include "scalar_flip_set.h"
 #include "util/check.h"
 
 namespace fav::faultsim {
@@ -91,8 +92,8 @@ TEST(SpotTable, CachedListsEqualNodesWithin) {
 }
 
 // flip_set_batch reads its struck lists from the scratch's spot table: a
-// word of repeated spots computes each once and still matches flip_set lane
-// by lane.
+// word of repeated spots computes each once and still matches the scalar
+// oracle lane by lane, and so does the one-sample flip_set wrapper.
 TEST(SpotTable, FlipSetBatchReadsTheTable) {
   const Adder adder;
   const layout::Placement placement(adder.nl);
@@ -117,11 +118,14 @@ TEST(SpotTable, FlipSetBatchReadsTheTable) {
   std::vector<std::vector<NodeId>> flipped;
   technique.flip_set_batch(words, scratch, samples, flipped);
   EXPECT_EQ(scratch.spots.computed(), distinct.size());
-  TechniqueScratch oracle;
+  TechniqueScratch single;
   for (std::size_t l = 0; l < samples.size(); ++l) {
-    std::vector<NodeId> expected;
-    technique.flip_set(sim, oracle, samples[l], expected);
+    const std::vector<NodeId> expected =
+        oracle::flip_set(technique, sim, samples[l]);
     EXPECT_EQ(flipped[l], expected) << "lane " << l;
+    std::vector<NodeId> wrapped;
+    technique.flip_set(sim, single, samples[l], wrapped);
+    EXPECT_EQ(wrapped, expected) << "lane " << l;
   }
   technique.flip_set_batch(words, scratch, samples, flipped);
   EXPECT_EQ(scratch.spots.computed(), distinct.size());

@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "../faultsim/scalar_flip_set.h"
 #include "mc/journal.h"
 #include "util/status.h"
 
@@ -65,10 +66,10 @@ SampleRecord ScalarOracle::evaluate(const faultsim::FaultSample& sample) {
     gate_.load_state(machine_.state());
     gate_.mutable_ram() = machine_.ram();
     gate_.settle_inputs();
-    engine_->technique().flip_set(gate_.sim(), technique_, sample,
-                                  flipped_dffs_);
+    const std::vector<netlist::NodeId> flipped_dffs =
+        faultsim::oracle::flip_set(engine_->technique(), gate_.sim(), sample);
     machine_.step();
-    for (const netlist::NodeId dff : flipped_dffs_) {
+    for (const netlist::NodeId dff : flipped_dffs) {
       const int bit = engine_->soc().flat_bit_for_dff(dff);
       rtl::Machine::reg_map().flip_bit(machine_.mutable_state(), bit);
       flipped.insert(bit);

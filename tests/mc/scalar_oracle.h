@@ -3,9 +3,10 @@
 //
 // One sample at a time, one impact cycle at a time: restore the golden RTL
 // state at te = Tt - t, hand it to the gate level and settle the injection
-// cycle, ask the technique's scalar flip_set() for the latched errors, step
-// the RTL machine and overlay them; after the last impact cycle, decide the
-// outcome (masked, analytical shortcut, or RTL resume + success oracle).
+// cycle, ask the scalar flip-set oracle (tests/faultsim/scalar_flip_set.h)
+// for the latched errors, step the RTL machine and overlay them; after the
+// last impact cycle, decide the outcome (masked, analytical shortcut, or RTL
+// resume + success oracle).
 // Budget charges, retry policy and failure records follow the engine's
 // contract, so SsfEvaluator must reproduce every record bit for bit at every
 // word width and thread count.
@@ -47,8 +48,6 @@ class ScalarOracle {
   AnalyticalEvaluator analytical_;
   rtl::Machine machine_;
   soc::GateLevelMachine gate_;
-  faultsim::TechniqueScratch technique_;
-  std::vector<netlist::NodeId> flipped_dffs_;
 };
 
 /// Word widths and thread counts the engine is checked at.

@@ -12,6 +12,8 @@
 //   * --progress counts the sweep, not --samples.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -34,7 +36,9 @@ std::string fresh_dir(const std::string& name) {
 }
 
 int run_cli(const std::string& args, std::string* stdout_text = nullptr) {
-  const fs::path out = fs::path(::testing::TempDir()) / "fav_ex_cli_stdout";
+  // Per process: ctest runs the tests of this file concurrently.
+  const fs::path out = fs::path(::testing::TempDir()) /
+                       ("fav_ex_cli_stdout_" + std::to_string(::getpid()));
   const std::string cmd = std::string(FAV_CLI_PATH) + " " + args + " > " +
                           out.string() + " 2> /dev/null";
   const int rc = std::system(cmd.c_str());
@@ -137,7 +141,8 @@ TEST(ExhaustiveCli, SpaceLimitCapsTheSweep) {
 TEST(ExhaustiveCli, ProgressIsSizedFromTheSweep) {
   // The meter counts the swept prefix, min(space, --space-limit), not the
   // unused --samples default.
-  const fs::path err = fs::path(::testing::TempDir()) / "fav_ex_cli_progress";
+  const fs::path err = fs::path(::testing::TempDir()) /
+                       ("fav_ex_cli_progress_" + std::to_string(::getpid()));
   const std::string cmd = std::string(FAV_CLI_PATH) +
                           " evaluate --technique voltage-glitch --exhaustive "
                           "--space-limit 50 --progress > /dev/null 2> " +
