@@ -431,8 +431,8 @@ void SsfEvaluator::evaluate_range(
                : nullptr;
   };
   // Publishes a finished records[i]: its latency timer and trace event
-  // (timed from t0), progress, and the on_sample hook. The trace and the
-  // hook get the campaign index base + i.
+  // (timed from t0), and the on_sample hook. The trace and the hook get the
+  // campaign index base + i.
   auto publish = [&](std::size_t worker, std::size_t i, std::uint64_t t0) {
     if (timing) {
       const std::uint64_t dur = monotonic_ns() - t0;
@@ -444,11 +444,6 @@ void SsfEvaluator::evaluate_range(
             outcome_path_name(records[i].path), "sample", t0, dur,
             static_cast<std::uint32_t>(worker), base + i);
       }
-    }
-    if (config_.progress != nullptr) {
-      const bool failed = records[i].path == OutcomePath::kFailed;
-      config_.progress->record(failed ? 0.0 : records[i].contribution,
-                               records[i].sample.weight, failed);
     }
     if (config_.on_sample) config_.on_sample(records[i], base + i);
   };
@@ -711,13 +706,6 @@ void SsfEvaluator::evaluate_word(
 Result<SsfResult> SsfEvaluator::run_campaign(
     std::uint64_t n, SampleSource source, const JournalOptions* journal) const {
   ScopeTimer run_timer(config_.metrics, "run.total_ns");
-  if (journal != nullptr && journal->dir.empty()) {
-    return Status(ErrorCode::kInvalidArgument, "journal directory is empty");
-  }
-  if (journal != nullptr && journal->shard_size == 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "journal shard_size must be > 0");
-  }
   std::uint64_t space = 0;
   if (source.enumerated) {
     space = technique_->space_size();
@@ -759,25 +747,20 @@ Result<SsfResult> SsfEvaluator::run_campaign(
   // otherwise, so a fresh or unjournaled run never allocates the merge.
   MergedJournal merged;
   if (journal != nullptr) {
-    const JournalMeta meta{journal->fingerprint, n, journal->context};
-    Status open;
-    if (journal->resume) {
-      Result<MergedJournal> read = JournalReader::merge_partial(journal->dir);
-      if (!read.is_ok()) return read.status();
-      merged = std::move(read).value();
-      open = merged.check_campaign(meta.fingerprint, n);
-    } else {
-      open = clear_journal(journal->dir);
-    }
+    // Started after the draw, so a failing sampler leaves the journal as it
+    // was.
+    Result<MergedJournal> started = start_journal(*journal, n);
+    if (!started.is_ok()) return started.status();
+    merged = std::move(started).value();
     // This process appends to campaign.fj: continued after its valid prefix
     // when the journal has one, else created.
     const auto own = merged.valid_bytes.find("campaign.fj");
     writer.set_metrics(config_.metrics);
-    if (open.is_ok()) {
-      open = own != merged.valid_bytes.end()
-                 ? writer.open_append(journal->dir, own->second)
-                 : writer.open_fresh(journal->dir, meta);
-    }
+    const Status open =
+        own != merged.valid_bytes.end()
+            ? writer.open_append(journal->dir, own->second)
+            : writer.open_fresh(journal->dir, {journal->fingerprint, n,
+                                               journal->context});
     if (!open.is_ok()) return open;
     if (config_.metrics != nullptr) {
       config_.metrics->add_counter(

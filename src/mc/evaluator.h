@@ -204,24 +204,25 @@ struct EvaluatorConfig {
   /// worker index, args.sample = sample index), merged per worker and
   /// written in sample-index order by TraceBuffer::write_json.
   TraceBuffer* trace = nullptr;
-  /// Throttled live progress; record() is invoked once per completed sample
-  /// in completion order (see ProgressMeter for the determinism caveat on
-  /// the *displayed* running mean).
-  ProgressMeter* progress = nullptr;
 
   /// --- cooperative control (all optional) -------------------------------
   /// Graceful-stop flag, polled by every run* between chunks: a journal
   /// shard, or 16 words per worker when unjournaled. When it flips true the
   /// run finishes its in-flight chunk, reduces the evaluated prefix, and
   /// returns with SsfResult::interrupted set — already-journaled work stays
-  /// valid for a later resume. Null disables polling entirely.
+  /// valid for a later resume. A CampaignSupervisor polls its evaluator's
+  /// flag the same way between shard assignments. Null disables polling
+  /// entirely.
   const std::atomic<bool>* stop = nullptr;
   /// Invoked once per evaluated sample with its index in the campaign (the
   /// batch of run_batch, the enumeration index of run_exhaustive*), from
   /// the worker thread that finished it, right after its record slot is
-  /// written (completion order, not sample order). Supervised workers use
-  /// it for heartbeat frames. Must be thread-safe and must not throw; null
-  /// disables.
+  /// written (completion order, not sample order). It is the one progress
+  /// channel: supervised workers send it as heartbeat frames, and a
+  /// CampaignSupervisor calls its evaluator's hook once per frame, from its
+  /// event-loop thread, with a record holding only the sample, path and
+  /// contribution. A shard re-evaluated after a worker crash repeats its
+  /// samples there. Must be thread-safe and must not throw; null disables.
   std::function<void(const SampleRecord&, std::size_t)> on_sample;
   /// Emit the reduce-derived eval.* counters/gauges into `metrics`. A
   /// supervised worker sets this false: its shards are re-reduced by the
@@ -412,9 +413,10 @@ class SsfEvaluator {
   /// journal in `options.dir`. With options.resume, the journaled samples
   /// are folded and only the missing indices are evaluated — the result is
   /// bitwise-identical to an uninterrupted run (samples are re-drawn from
-  /// the same sampler/rng state and cross-checked against the journal). A full disk (kStorageFull) stops the run gracefully with the
-  /// journaled prefix; other journal integrity/IO failures and sampler
-  /// failures are reported as a non-ok Result.
+  /// the same sampler/rng state and cross-checked against the journal). A
+  /// full disk (kStorageFull) stops the run gracefully with the journaled
+  /// prefix; other journal integrity/IO failures and sampler failures are
+  /// reported as a non-ok Result.
   Result<SsfResult> run_journaled(Sampler& sampler, Rng& rng, std::size_t n,
                                   const JournalOptions& options) const;
 
@@ -461,8 +463,8 @@ class SsfEvaluator {
     std::vector<faultsim::FaultSample> batch = {};
     bool enumerated = false;
   };
-  /// The one campaign loop behind every run*: validates `journal` and, on
-  /// resume, merges its shard files; then per chunk polls config_.stop,
+  /// The one campaign loop behind every run*: starts `journal` after the
+  /// draw (start_journal); then per chunk polls config_.stop,
   /// takes the journaled samples (cross-checked), evaluates and journals
   /// each missing run (kStorageFull is a graceful, resumable stop) and folds
   /// in sample-index order. A chunk is one

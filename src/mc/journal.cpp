@@ -331,6 +331,27 @@ Status clear_journal(const std::string& dir) {
   return Status::ok();
 }
 
+Result<MergedJournal> start_journal(const JournalOptions& options,
+                                    std::uint64_t total) {
+  if (options.dir.empty()) {
+    return Status(ErrorCode::kInvalidArgument, "journal directory is empty");
+  }
+  if (options.shard_size == 0) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "journal shard_size must be > 0");
+  }
+  if (!options.resume) {
+    const Status cleared = clear_journal(options.dir);
+    if (!cleared.is_ok()) return cleared;
+    return MergedJournal{};
+  }
+  Result<MergedJournal> merged = JournalReader::merge_partial(options.dir);
+  if (!merged.is_ok()) return merged;
+  const Status same = merged.value().check_campaign(options.fingerprint, total);
+  if (!same.is_ok()) return same;
+  return merged;
+}
+
 Status JournalWriter::open_fresh(const std::string& dir,
                                  const JournalMeta& meta,
                                  const std::string& file) {

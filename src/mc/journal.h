@@ -18,14 +18,15 @@
 // kJournalCorrupt for mid-file damage — a bad frame followed by further
 // data — and for a bad magic or meta record.
 //
-// Both campaign modes share one contract. A fresh start removes every
-// `*.fj` (clear_journal) before creating its own file. A resume merges every
-// `*.fj` (JournalReader::merge_partial), checks the campaign identity,
-// cross-checks each journaled sample against the deterministically re-drawn
-// stream, evaluates only the missing indices and folds in index order — so
-// any journal resumes under any parallelism, in-process or supervised, and
-// the result is bitwise-identical to an uninterrupted run. A directory
-// without shard files is an empty journal: resuming it starts fresh.
+// Both campaign modes share one contract and one start (start_journal). A
+// fresh start removes every `*.fj` (clear_journal) before creating its own
+// file. A resume merges every `*.fj` (JournalReader::merge_partial), checks
+// the campaign identity, cross-checks each journaled sample against the
+// deterministically re-drawn stream, evaluates only the missing indices and
+// folds in index order — so any journal resumes under any parallelism,
+// in-process or supervised, and the result is bitwise-identical to an
+// uninterrupted run. A directory without shard files is an empty journal:
+// resuming it starts fresh.
 #pragma once
 
 #include <cstdint>
@@ -107,6 +108,14 @@ bool sample_matches(const faultsim::FaultSample& a,
 /// removes every `*.fj` in it, so a later resume cannot merge a stale shard
 /// file of an earlier run in either mode.
 Status clear_journal(const std::string& dir);
+
+/// The one campaign start of both modes, for a campaign of `total` samples.
+/// Rejects an empty `dir` or a zero `shard_size` (kInvalidArgument). A
+/// resume merges every shard file (merge_partial) and checks the campaign
+/// identity; a fresh start clears the directory (clear_journal) and returns
+/// an empty merge.
+Result<MergedJournal> start_journal(const JournalOptions& options,
+                                    std::uint64_t total);
 
 /// Journal directory access: one shard file, or the merge of all of them.
 class JournalReader {

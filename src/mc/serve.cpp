@@ -23,6 +23,15 @@ namespace fav::mc {
 
 namespace {
 
+/// How long a connected client may take to send its request frame.
+constexpr int kRequestTimeoutMs = 10'000;
+/// Wall-clock budget for any single frame write to a client that has
+/// stopped draining its socket; an expired write marks the stream dead (and
+/// the campaign cancelled) instead of wedging an evaluator thread.
+constexpr int kWriteTimeoutMs = 10'000;
+/// Retry-after hint shipped in kBusy frames.
+constexpr std::uint64_t kBusyRetryAfterMs = 500;
+
 using io::get_le;
 using io::get_string;
 using io::put_le;
@@ -137,14 +146,12 @@ void set_nonblocking(int fd) {
 /// arrives from arbitrary evaluator threads; the mutex keeps frames whole
 /// relative to heartbeats and the end-of-campaign messages, and the throttle
 /// keeps a fast campaign from turning the socket into a firehose. Every
-/// write carries the configured deadline: a client that stopped draining its
+/// write carries the write deadline: a client that stopped draining its
 /// socket marks the stream dead instead of wedging an evaluator thread.
 class ProgressStream {
  public:
-  ProgressStream(int fd, std::uint64_t interval_ms, int write_timeout_ms)
-      : fd_(fd),
-        interval_ns_(interval_ms * 1'000'000ull),
-        write_timeout_ms_(write_timeout_ms) {}
+  ProgressStream(int fd, std::uint64_t interval_ms)
+      : fd_(fd), interval_ns_(interval_ms * 1'000'000ull) {}
 
   void send(std::uint64_t done, std::uint64_t total) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -179,14 +186,13 @@ class ProgressStream {
 
  private:
   void write_locked(std::string_view frame) {
-    if (!write_frame_deadline(fd_, frame, write_timeout_ms_).is_ok()) {
+    if (!write_frame_deadline(fd_, frame, kWriteTimeoutMs).is_ok()) {
       dead_.store(true, std::memory_order_relaxed);
     }
   }
 
   const int fd_;
   const std::uint64_t interval_ns_;
-  const int write_timeout_ms_;
   std::mutex mu_;
   std::uint64_t last_sent_ns_ = 0;
   std::atomic<bool> dead_{false};
@@ -820,7 +826,7 @@ void CampaignServer::handle_client(int fd, std::uint64_t campaign_id) {
   set_nonblocking(client.get());
   FrameBuffer buf;
   Result<std::string> frame =
-      read_frame(client.get(), buf, config_.request_timeout_ms);
+      read_frame(client.get(), buf, kRequestTimeoutMs);
   ServeMessage msg;
   if (!frame.is_ok() || !decode_serve_message(frame.value(), &msg) ||
       msg.type != ServeWire::kRequest) {
@@ -830,7 +836,7 @@ void CampaignServer::handle_client(int fd, std::uint64_t campaign_id) {
     }
     (void)write_frame_deadline(
         client.get(), encode_serve_error("malformed campaign request", 2),
-        config_.write_timeout_ms);
+        kWriteTimeoutMs);
     write_stats_snapshot();
     return;
   }
@@ -838,7 +844,7 @@ void CampaignServer::handle_client(int fd, std::uint64_t campaign_id) {
   // that cannot take it is already gone and must not consume a slot.
   if (!write_frame_deadline(client.get(),
                             encode_serve_accepted(campaign_id),
-                            config_.write_timeout_ms)
+                            kWriteTimeoutMs)
            .is_ok()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -858,8 +864,7 @@ void CampaignServer::handle_client(int fd, std::uint64_t campaign_id) {
   });
 
   std::atomic<bool> cancel{false};
-  ProgressStream progress(client.get(), config_.progress_interval_ms,
-                          config_.write_timeout_ms);
+  ProgressStream progress(client.get(), config_.progress_interval_ms);
   CampaignMonitor monitor(client.get(), &buf, &progress, config_, &cancel);
 
   const Admission admission = acquire_slot(cancel);
@@ -873,10 +878,10 @@ void CampaignServer::handle_client(int fd, std::uint64_t campaign_id) {
           ++stats_.busy;
         }
         (void)write_frame_deadline(
-            client.get(), encode_serve_busy(config_.busy_retry_after_ms),
-            config_.write_timeout_ms);
+            client.get(), encode_serve_busy(kBusyRetryAfterMs),
+            kWriteTimeoutMs);
         note = "queue full, sent busy (retry after " +
-               std::to_string(config_.busy_retry_after_ms) + " ms)";
+               std::to_string(kBusyRetryAfterMs) + " ms)";
         break;
       case Admission::kStopped:
         {
@@ -885,7 +890,7 @@ void CampaignServer::handle_client(int fd, std::uint64_t campaign_id) {
         }
         (void)write_frame_deadline(
             client.get(), encode_serve_error("server is shutting down", 1),
-            config_.write_timeout_ms);
+            kWriteTimeoutMs);
         note = "refused, shutting down";
         break;
       case Admission::kCancelled:
@@ -1028,10 +1033,10 @@ namespace {
 /// One connect + request + stream-until-terminal attempt. Sets *busy (with
 /// the server's retry hint) instead of failing when the daemon turned the
 /// request away with kBusy.
-Result<SubmitResult> submit_once(const std::string& socket_path,
-                                 const std::vector<std::string>& args,
-                                 const SubmitOptions& options, bool* busy,
-                                 std::uint64_t* retry_after_ms) {
+Result<CampaignOutcome> submit_once(const std::string& socket_path,
+                                    const std::vector<std::string>& args,
+                                    const SubmitOptions& options, bool* busy,
+                                    std::uint64_t* retry_after_ms) {
   *busy = false;
   Result<UniqueFd> connected = connect_unix(socket_path);
   if (!connected.is_ok()) return connected.status();
@@ -1039,7 +1044,7 @@ Result<SubmitResult> submit_once(const std::string& socket_path,
   const Status sent = write_frame(fd.get(), encode_serve_request(args));
   if (!sent.is_ok()) return sent;
 
-  SubmitResult result;
+  CampaignOutcome result;
   FrameBuffer buf;
   bool cancel_sent = false;
   std::uint64_t last_frame_ns = monotonic_ns();
@@ -1117,9 +1122,9 @@ Result<SubmitResult> submit_once(const std::string& socket_path,
 
 }  // namespace
 
-Result<SubmitResult> submit_campaign(const std::string& socket_path,
-                                     const std::vector<std::string>& args,
-                                     const SubmitOptions& options) {
+Result<CampaignOutcome> submit_campaign(const std::string& socket_path,
+                                        const std::vector<std::string>& args,
+                                        const SubmitOptions& options) {
   if (args.empty() || args.size() > kMaxRequestArgs) {
     return Status(ErrorCode::kInvalidArgument,
                   "a campaign request needs 1.." +
@@ -1135,7 +1140,7 @@ Result<SubmitResult> submit_campaign(const std::string& socket_path,
   for (std::size_t attempt = 0;; ++attempt) {
     bool busy = false;
     std::uint64_t retry_after_ms = 0;
-    Result<SubmitResult> outcome =
+    Result<CampaignOutcome> outcome =
         submit_once(socket_path, args, options, &busy, &retry_after_ms);
     if (!outcome.is_ok() || !busy) return outcome;
     if (attempt >= options.busy_retries) {
@@ -1163,9 +1168,9 @@ Result<SubmitResult> submit_campaign(const std::string& socket_path,
   }
 }
 
-Result<SubmitResult> submit_campaign(const std::string& socket_path,
-                                     const std::vector<std::string>& args,
-                                     const ProgressFn& on_progress) {
+Result<CampaignOutcome> submit_campaign(const std::string& socket_path,
+                                        const std::vector<std::string>& args,
+                                        const ProgressFn& on_progress) {
   SubmitOptions options;
   options.on_progress = on_progress;
   return submit_campaign(socket_path, args, options);

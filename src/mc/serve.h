@@ -107,10 +107,10 @@ bool decode_serve_message(std::string_view payload, ServeMessage* out);
 
 /// --- campaign runner ------------------------------------------------------
 
-/// What one served campaign produced. `error` non-empty means the request
-/// was rejected or failed before producing a result; otherwise stdout_block
-/// (and report_json, when the request asked for a report) are streamed back
-/// verbatim.
+/// What one served campaign produced, on the server and as submit_campaign
+/// receives it. `error` non-empty means the request was rejected or failed
+/// before producing a result; otherwise stdout_block (and report_json, when
+/// the request asked for a report) are streamed back verbatim.
 struct CampaignOutcome {
   int exit_code = 1;
   std::string stdout_block;
@@ -196,11 +196,9 @@ struct ServeConfig {
   /// Campaigns evaluated at once; further accepted requests wait for a slot.
   std::size_t max_concurrent = 2;
   /// Accepted requests allowed to wait for a slot. One more would get a
-  /// kBusy frame (with `busy_retry_after_ms` as the hint) instead of
-  /// queuing without bound.
+  /// kBusy frame (with a 500 ms retry-after hint) instead of queuing without
+  /// bound.
   std::size_t max_queued = 16;
-  /// Retry-after hint shipped in kBusy frames.
-  std::uint64_t busy_retry_after_ms = 500;
   /// Minimum spacing of kProgress frames per client (the final frame always
   /// ships). 0 streams every sample — test use only.
   std::uint64_t progress_interval_ms = 200;
@@ -210,12 +208,6 @@ struct ServeConfig {
   /// Per-campaign wall-clock budget; an expired campaign is stopped through
   /// its cancel token (resumable, exit 3). 0 = unlimited.
   std::uint64_t campaign_deadline_ms = 0;
-  /// How long a connected client may take to send its request frame.
-  int request_timeout_ms = 10'000;
-  /// Wall-clock budget for any single frame write to a client that has
-  /// stopped draining its socket; an expired write marks the stream dead
-  /// (and the campaign cancelled) instead of wedging an evaluator thread.
-  int write_timeout_ms = 10'000;
   /// Crash-recovery ledger path; empty disables recovery.
   std::string ledger_path;
   /// Stats snapshot path (JSON, atomically rewritten as counters change);
@@ -301,14 +293,6 @@ class CampaignServer {
 
 /// --- client ---------------------------------------------------------------
 
-struct SubmitResult {
-  int exit_code = 1;
-  std::string stdout_block;
-  std::string report_json;
-  /// Server-side rejection/failure message (kError); empty on success.
-  std::string error;
-};
-
 /// Knobs for submit_campaign. The defaults reproduce the fire-and-wait
 /// behaviour of the plain overload: no idle timeout, no cancellation, and a
 /// few busy retries honouring the server's retry-after hint.
@@ -335,14 +319,14 @@ struct SubmitOptions {
 /// Returns a Status error only for transport problems (cannot connect,
 /// server died mid-campaign, protocol corruption, kUnavailable once busy
 /// retries are exhausted) — a server-side campaign failure comes back as
-/// SubmitResult::error with the server's exit code.
-Result<SubmitResult> submit_campaign(const std::string& socket_path,
-                                     const std::vector<std::string>& args,
-                                     const SubmitOptions& options);
+/// CampaignOutcome::error with the server's exit code.
+Result<CampaignOutcome> submit_campaign(const std::string& socket_path,
+                                        const std::vector<std::string>& args,
+                                        const SubmitOptions& options);
 
 /// Convenience overload: progress only, defaults for everything else.
-Result<SubmitResult> submit_campaign(const std::string& socket_path,
-                                     const std::vector<std::string>& args,
-                                     const ProgressFn& on_progress = {});
+Result<CampaignOutcome> submit_campaign(const std::string& socket_path,
+                                        const std::vector<std::string>& args,
+                                        const ProgressFn& on_progress = {});
 
 }  // namespace fav::mc

@@ -4,6 +4,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -33,13 +34,12 @@ std::string encode_assign(std::uint64_t lo, std::uint64_t hi) {
 }
 
 std::string encode_progress(std::uint64_t index, double contribution,
-                            double weight, bool failed) {
+                            OutcomePath path) {
   std::string out;
   put_le(out, static_cast<std::uint8_t>(WireType::kProgress));
   put_le(out, index);
   put_le(out, contribution);
-  put_le(out, weight);
-  put_le(out, static_cast<std::uint8_t>(failed ? 1 : 0));
+  put_le(out, static_cast<std::uint8_t>(path));
   return out;
 }
 
@@ -82,14 +82,14 @@ bool decode_message(std::string_view payload, WireMessage* out) {
       return get_le(payload, &off, &out->lo) &&
              get_le(payload, &off, &out->hi) && off == payload.size();
     case WireType::kProgress: {
-      std::uint8_t failed = 0;
+      std::uint8_t path = 0;
       if (!get_le(payload, &off, &out->index) ||
           !get_le(payload, &off, &out->contribution) ||
-          !get_le(payload, &off, &out->weight) ||
-          !get_le(payload, &off, &failed) || off != payload.size()) {
+          !get_le(payload, &off, &path) || off != payload.size() ||
+          path > static_cast<std::uint8_t>(OutcomePath::kFailed)) {
         return false;
       }
-      out->failed = failed != 0;
+      out->path = static_cast<OutcomePath>(path);
       return true;
     }
     case WireType::kMetrics:
@@ -109,11 +109,10 @@ void WorkerHeartbeat::on_sample(const SampleRecord& record,
                                 std::size_t slice_index) {
   const std::uint64_t index =
       base_.load(std::memory_order_relaxed) + slice_index;
-  const bool failed = record.path == OutcomePath::kFailed;
   // Best-effort: a write failure means the supervisor is gone, which the
   // assignment loop detects as EOF (SIGPIPE is ignored in worker mode).
-  (void)write_frame(fd_, encode_progress(index, record.contribution,
-                                         record.sample.weight, failed));
+  (void)write_frame(STDOUT_FILENO,
+                    encode_progress(index, record.contribution, record.path));
   // Test-only chaos injection: die exactly like a segfault would —
   // mid-shard, after the sample's heartbeat, with the shard unjournaled.
   if (crash_on_ == index) ::raise(SIGKILL);
@@ -127,15 +126,15 @@ void WorkerHeartbeat::on_sample(const SampleRecord& record,
 Status run_worker_loop(const SsfEvaluator& evaluator,
                        const std::vector<faultsim::FaultSample>& samples,
                        WorkerHeartbeat& heartbeat,
-                       const WorkerLoopOptions& options,
-                       MetricsSink* metrics) {
+                       const JournalOptions& journal, std::size_t worker_id) {
   // The journal needs every record of an assigned shard.
   FAV_ENSURE(evaluator.config().keep_records &&
              evaluator.config().record_capacity == 0);
 
+  MetricsSink* metrics = evaluator.config().metrics;
   JournalWriter writer;
   writer.set_metrics(metrics);
-  const std::string file = worker_journal_file(options.worker_id);
+  const std::string file = worker_journal_file(worker_id);
   bool appended = false;
   {
     // Restart-aware open: if our shard file already belongs to this campaign
@@ -143,31 +142,29 @@ Status run_worker_loop(const SsfEvaluator& evaluator,
     // the supervisor has already harvested those shards and will not
     // reassign them.
     Result<JournalShards> existing =
-        JournalReader::read_shards(options.dir, file);
+        JournalReader::read_shards(journal.dir, file);
     if (existing.is_ok() &&
-        existing.value().meta.fingerprint == options.fingerprint &&
+        existing.value().meta.fingerprint == journal.fingerprint &&
         existing.value().meta.total_samples == samples.size()) {
       const Status opened =
-          writer.open_append(options.dir, existing.value().valid_bytes, file);
+          writer.open_append(journal.dir, existing.value().valid_bytes, file);
       if (!opened.is_ok()) return opened;
       appended = true;
     }
   }
   if (!appended) {
-    JournalMeta meta;
-    meta.fingerprint = options.fingerprint;
-    meta.total_samples = samples.size();
-    meta.context = options.context;
-    const Status opened = writer.open_fresh(options.dir, meta, file);
+    const Status opened = writer.open_fresh(
+        journal.dir, {journal.fingerprint, samples.size(), journal.context},
+        file);
     if (!opened.is_ok()) return opened;
   }
 
-  const Status ready = write_frame(options.out_fd, encode_ready());
+  const Status ready = write_frame(STDOUT_FILENO, encode_ready());
   if (!ready.is_ok()) return Status::ok();  // supervisor already gone
 
   FrameBuffer buf;
   for (;;) {
-    Result<std::string> frame = read_frame(options.in_fd, buf, -1);
+    Result<std::string> frame = read_frame(STDIN_FILENO, buf, -1);
     if (!frame.is_ok()) {
       if (frame.status().code() == ErrorCode::kDeadlineExceeded) {
         continue;  // interrupted by a signal; keep waiting
@@ -182,7 +179,7 @@ Status run_worker_loop(const SsfEvaluator& evaluator,
     }
     if (msg.type == WireType::kShutdown) {
       MetricsSink empty;
-      (void)write_frame(options.out_fd,
+      (void)write_frame(STDOUT_FILENO,
                         encode_metrics(metrics != nullptr ? *metrics : empty));
       return Status::ok();
     }
@@ -209,8 +206,7 @@ Status run_worker_loop(const SsfEvaluator& evaluator,
         writer.append_shard(msg.lo, shard.records.data(),
                             shard.records.size());
     if (!journaled.is_ok()) return journaled;
-    const Status done = write_frame(options.out_fd,
-                                    encode_done(msg.lo, msg.hi));
+    const Status done = write_frame(STDOUT_FILENO, encode_done(msg.lo, msg.hi));
     if (!done.is_ok()) return Status::ok();  // supervisor gone
   }
 }
@@ -218,6 +214,20 @@ Status run_worker_loop(const SsfEvaluator& evaluator,
 // --- supervisor -----------------------------------------------------------
 
 namespace {
+
+/// Spawn -> READY deadline. Workers re-elaborate the whole framework before
+/// reporting ready, which takes seconds — this deadline is separate from
+/// (and much larger than) the per-sample heartbeat.
+constexpr std::uint64_t kStartupMs = 120000;
+/// Exponential backoff between a worker's death and its respawn.
+constexpr std::uint64_t kBackoffBaseMs = 250;
+constexpr std::uint64_t kBackoffMaxMs = 5000;
+/// A shard that was assigned when a worker died this many times is
+/// quarantined instead of reassigned.
+constexpr int kMaxShardAttempts = 2;
+/// Consecutive deaths *before reaching READY* that disable a worker slot
+/// (a worker that cannot even elaborate will never make progress).
+constexpr int kMaxStartupFailures = 3;
 
 struct ShardState {
   enum class S { kPending, kAssigned, kDone, kQuarantined };
@@ -247,12 +257,22 @@ struct WorkerSlot {
 /// One supervised fleet run: spawns the workers, drives the poll/watchdog
 /// event loop, and leaves the shard states + presence bitmap describing what
 /// got journaled. Single-threaded by design — all worker concurrency lives
-/// in the OS processes.
+/// in the OS processes. `campaign` supplies the stop flag and the on_sample
+/// hook; `samples` is the batch the workers evaluate.
 class Fleet {
  public:
-  Fleet(const SupervisorConfig& config, std::vector<ShardState>* shards,
-        std::vector<std::uint8_t>* present, SupervisedResult* sup)
-      : config_(config), shards_(shards), present_(present), sup_(sup) {
+  Fleet(const SupervisorConfig& config, const EvaluatorConfig& campaign,
+        const JournalOptions& journal,
+        const std::vector<faultsim::FaultSample>& samples,
+        std::vector<ShardState>* shards, std::vector<std::uint8_t>* present,
+        SupervisedResult* sup)
+      : config_(config),
+        campaign_(campaign),
+        journal_(journal),
+        samples_(samples),
+        shards_(shards),
+        present_(present),
+        sup_(sup) {
     for (const ShardState& s : *shards_) {
       if (s.state == ShardState::S::kPending) ++unresolved_;
     }
@@ -262,12 +282,12 @@ class Fleet {
     const std::size_t count = std::max<std::size_t>(
         1, std::min(config_.workers, shards_->size()));
     slots_.resize(count);
-    for (WorkerSlot& s : slots_) s.backoff_ms = config_.backoff_base_ms;
+    for (WorkerSlot& s : slots_) s.backoff_ms = kBackoffBaseMs;
     for (std::size_t k = 0; k < count; ++k) spawn(k);
 
     while (fatal_.is_ok()) {
-      if (config_.stop != nullptr &&
-          config_.stop->load(std::memory_order_relaxed)) {
+      if (campaign_.stop != nullptr &&
+          campaign_.stop->load(std::memory_order_relaxed)) {
         stopping_ = true;
       }
       fire_due_respawns();
@@ -299,11 +319,7 @@ class Fleet {
 
  private:
   void log_line(const std::string& message) const {
-    if (config_.log) {
-      config_.log(message);
-    } else {
-      std::fprintf(stderr, "fav: %s\n", message.c_str());
-    }
+    std::fprintf(stderr, "fav: %s\n", message.c_str());
   }
 
   bool any_alive() const {
@@ -368,12 +384,12 @@ class Fleet {
     s.shutdown_sent = false;
     s.shard = -1;
     s.buf = FrameBuffer();
-    s.deadline_at_ns = monotonic_ns() + config_.startup_ms * 1'000'000ull;
+    s.deadline_at_ns = monotonic_ns() + kStartupMs * 1'000'000ull;
   }
 
   void note_startup_failure(std::size_t k) {
     WorkerSlot& s = slots_[k];
-    if (++s.startup_failures >= config_.max_startup_failures) {
+    if (++s.startup_failures >= kMaxStartupFailures) {
       s.disabled = true;
       log_line("worker " + std::to_string(k) + " disabled after " +
                std::to_string(s.startup_failures) + " startup failure(s)");
@@ -390,7 +406,7 @@ class Fleet {
     s.respawn_at_ns = monotonic_ns() + s.backoff_ms * 1'000'000ull;
     log_line("restarting worker " + std::to_string(k) + " in " +
              std::to_string(s.backoff_ms) + " ms");
-    s.backoff_ms = std::min(s.backoff_ms * 2, config_.backoff_max_ms);
+    s.backoff_ms = std::min(s.backoff_ms * 2, kBackoffMaxMs);
   }
 
   void fire_due_respawns() {
@@ -503,20 +519,16 @@ class Fleet {
       }
       s.deadline_at_ns =
           monotonic_ns() +
-          (s.ready ? config_.heartbeat_ms : config_.startup_ms) *
+          (s.ready ? config_.heartbeat_ms : kStartupMs) *
               1'000'000ull;
       switch (msg.type) {
         case WireType::kReady:
           s.ready = true;
           s.startup_failures = 0;
-          s.backoff_ms = config_.backoff_base_ms;
+          s.backoff_ms = kBackoffBaseMs;
           break;
         case WireType::kProgress:
-          if (config_.progress != nullptr) {
-            config_.progress->record(msg.contribution, msg.weight,
-                                     msg.failed);
-          }
-          if (config_.on_sample) config_.on_sample();
+          handle_progress(k, msg);
           break;
         case WireType::kDone:
           handle_done(k, msg);
@@ -540,6 +552,24 @@ class Fleet {
     if (s.alive && s.buf.corrupt()) {
       kill_worker(k, "corrupt frame stream from worker " + std::to_string(k));
     }
+  }
+
+  /// Hands one PROGRESS frame to the campaign's on_sample hook. A sample
+  /// outside the worker's assigned shard is a protocol violation.
+  void handle_progress(std::size_t k, const WireMessage& msg) {
+    const WorkerSlot& s = slots_[k];
+    if (s.shard < 0 || msg.index < (*shards_)[s.shard].lo ||
+        msg.index >= (*shards_)[s.shard].hi) {
+      kill_worker(k, "worker " + std::to_string(k) +
+                         " reported a sample outside its shard");
+      return;
+    }
+    if (!campaign_.on_sample) return;
+    SampleRecord record;
+    record.sample = samples_[msg.index];
+    record.path = msg.path;
+    record.contribution = msg.contribution;
+    campaign_.on_sample(record, msg.index);
   }
 
   void handle_done(std::size_t k, const WireMessage& msg) {
@@ -599,7 +629,7 @@ class Fleet {
       ShardState& sh = (*shards_)[s.shard];
       if (sh.state == ShardState::S::kAssigned) {
         ++sh.attempts;
-        if (sh.attempts >= config_.max_shard_attempts) {
+        if (sh.attempts >= kMaxShardAttempts) {
           sh.state = ShardState::S::kQuarantined;
           --unresolved_;
           ++sup_->quarantined_shards;
@@ -648,7 +678,7 @@ class Fleet {
   /// presence bitmap; shards it now fully covers are resolved as done.
   Status harvest(std::size_t k) {
     Result<JournalShards> shards =
-        JournalReader::read_shards(config_.dir, worker_journal_file(k));
+        JournalReader::read_shards(journal_.dir, worker_journal_file(k));
     if (!shards.is_ok()) {
       // Died before creating its file: no progress to recover. Anything
       // else (corruption) poisons the final merge and is fatal now.
@@ -657,7 +687,7 @@ class Fleet {
       }
       return shards.status();
     }
-    if (shards.value().meta.fingerprint != config_.fingerprint) {
+    if (shards.value().meta.fingerprint != journal_.fingerprint) {
       return Status(ErrorCode::kJournalCorrupt,
                     worker_journal_file(k) +
                         " carries a foreign campaign fingerprint");
@@ -698,6 +728,9 @@ class Fleet {
   }
 
   const SupervisorConfig& config_;
+  const EvaluatorConfig& campaign_;
+  const JournalOptions& journal_;
+  const std::vector<faultsim::FaultSample>& samples_;
   std::vector<ShardState>* shards_;
   std::vector<std::uint8_t>* present_;
   SupervisedResult* sup_;
@@ -715,19 +748,12 @@ CampaignSupervisor::CampaignSupervisor(const SsfEvaluator& evaluator,
     : evaluator_(&evaluator), config_(std::move(config)) {}
 
 Result<SupervisedResult> CampaignSupervisor::run_batch(
-    std::vector<faultsim::FaultSample> samples) const {
+    std::vector<faultsim::FaultSample> samples,
+    const JournalOptions& journal) const {
   const std::size_t n = samples.size();
   if (config_.workers == 0) {
     return Status(ErrorCode::kInvalidArgument,
                   "supervisor requires at least one worker");
-  }
-  if (config_.shard_size == 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "supervisor shard_size must be > 0");
-  }
-  if (config_.dir.empty()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "supervisor requires a journal directory");
   }
   if (config_.worker_command.empty()) {
     return Status(ErrorCode::kInvalidArgument,
@@ -740,20 +766,10 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
   // every shard file (in-process campaign.fj included) and assigns only the
   // missing ranges; a fresh start removes them all first, since workers
   // append to any file that carries the campaign fingerprint.
-  SupervisedResult sup;
-  std::vector<std::uint8_t> present(n, 0);
-  if (config_.resume) {
-    Result<MergedJournal> merged = JournalReader::merge_partial(config_.dir);
-    if (!merged.is_ok()) return merged.status();
-    const Status same = merged.value().check_campaign(config_.fingerprint, n);
-    if (!same.is_ok()) return same;
-    if (!merged.value().present.empty()) {
-      present = std::move(merged.value().present);
-    }
-  } else {
-    const Status cleared = clear_journal(config_.dir);
-    if (!cleared.is_ok()) return cleared;
-  }
+  Result<MergedJournal> started = start_journal(journal, n);
+  if (!started.is_ok()) return started.status();
+  std::vector<std::uint8_t> present = std::move(started.value().present);
+  present.resize(n, 0);  // an empty journal has no presence bitmap
 
   // Work list: the missing index ranges, chopped to shard_size. No alignment
   // requirement — workers journal exactly the ranges they are assigned, so a
@@ -765,7 +781,7 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
       continue;
     }
     std::size_t j = i;
-    while (j < n && present[j] == 0 && j - i < config_.shard_size) ++j;
+    while (j < n && present[j] == 0 && j - i < journal.shard_size) ++j;
     ShardState sh;
     sh.lo = i;
     sh.hi = j;
@@ -773,22 +789,24 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
     i = j;
   }
 
+  const EvaluatorConfig& campaign = evaluator_->config();
+  SupervisedResult sup;
   if (!shards.empty()) {
-    Fleet fleet(config_, &shards, &present, &sup);
+    Fleet fleet(config_, campaign, journal, samples, &shards, &present, &sup);
     const Status ran = fleet.run();
     if (!ran.is_ok()) return ran;
-    if (config_.metrics != nullptr) {
+    if (campaign.metrics != nullptr) {
       for (const WorkerSlot& s : fleet.slots()) {
-        config_.metrics->merge(s.sink);
+        campaign.metrics->merge(s.sink);
       }
     }
   }
 
   // Assemble the campaign from disk — the journal is the single source of
   // truth for everything evaluated, by the workers or an earlier run.
-  Result<MergedJournal> merged = JournalReader::merge_partial(config_.dir);
+  Result<MergedJournal> merged = JournalReader::merge_partial(journal.dir);
   if (!merged.is_ok()) return merged.status();
-  const Status same = merged.value().check_campaign(config_.fingerprint, n);
+  const Status same = merged.value().check_campaign(journal.fingerprint, n);
   if (!same.is_ok()) return same;
   std::vector<SampleRecord> records = std::move(merged.value().records);
   std::vector<std::uint8_t> have = std::move(merged.value().present);
@@ -831,16 +849,16 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
   result.interrupted = len < n;
   sup.result = std::move(result);
 
-  if (config_.metrics != nullptr) {
-    config_.metrics->add_counter("supervisor.restarts", sup.restarts);
-    config_.metrics->add_counter("supervisor.quarantined_shards",
-                                 sup.quarantined_shards);
-    config_.metrics->add_counter("supervisor.quarantined_samples",
-                                 sup.quarantined_samples);
-    config_.metrics->add_counter("supervisor.storage_full_stops",
-                                 sup.storage_full_stops);
-    config_.metrics->set_gauge("supervisor.workers",
-                               static_cast<double>(config_.workers));
+  if (MetricsSink* metrics = campaign.metrics) {
+    metrics->add_counter("supervisor.restarts", sup.restarts);
+    metrics->add_counter("supervisor.quarantined_shards",
+                         sup.quarantined_shards);
+    metrics->add_counter("supervisor.quarantined_samples",
+                         sup.quarantined_samples);
+    metrics->add_counter("supervisor.storage_full_stops",
+                         sup.storage_full_stops);
+    metrics->set_gauge("supervisor.workers",
+                       static_cast<double>(config_.workers));
   }
   return sup;
 }

@@ -17,10 +17,14 @@
 // acknowledging it, so the supervisor can always reconstruct what a dead
 // worker finished. Liveness is per-sample PROGRESS frames: a worker that
 // misses its heartbeat deadline (or dies) is SIGKILLed and respawned with
-// exponential backoff; a shard whose evaluation kills workers
-// `max_shard_attempts` times is quarantined — its samples are recorded as
-// OutcomePath::kFailed with ErrorCode::kWorkerCrashed instead of being
-// retried forever.
+// exponential backoff; a shard whose evaluation kills workers twice is
+// quarantined — its samples are recorded as OutcomePath::kFailed with
+// ErrorCode::kWorkerCrashed instead of being retried forever.
+//
+// The campaign itself comes from the evaluator the supervisor is given (its
+// metrics sink, stop flag and on_sample hook) and from one JournalOptions,
+// the same description the in-process engine runs: the two modes cannot
+// disagree on what the campaign is.
 //
 // The final result is assembled by merging the journal directory's shard
 // files (see mc/journal.h) in sample-index order and folding them through
@@ -32,7 +36,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,19 +62,20 @@ enum class WireType : std::uint8_t {
 /// are meaningful.
 struct WireMessage {
   WireType type = WireType::kReady;
-  std::uint64_t lo = 0;  // kAssign / kDone
-  std::uint64_t hi = 0;  // kAssign / kDone
-  std::uint64_t index = 0;      // kProgress: absolute sample index
-  double contribution = 0.0;    // kProgress
-  double weight = 0.0;          // kProgress
-  bool failed = false;          // kProgress
-  std::string blob;             // kMetrics: MetricsSink::serialize bytes
+  std::uint64_t lo = 0;                     // kAssign / kDone
+  std::uint64_t hi = 0;                     // kAssign / kDone
+  std::uint64_t index = 0;                  // kProgress: absolute sample index
+  double contribution = 0.0;                // kProgress
+  OutcomePath path = OutcomePath::kMasked;  // kProgress
+  std::string blob;                         // kMetrics: serialized MetricsSink
 };
 
 std::string encode_ready();
 std::string encode_assign(std::uint64_t lo, std::uint64_t hi);
+/// index | contribution | OutcomePath byte. The sample itself (and its
+/// weight) is not sent: the supervisor holds the same batch.
 std::string encode_progress(std::uint64_t index, double contribution,
-                            double weight, bool failed);
+                            OutcomePath path);
 std::string encode_done(std::uint64_t lo, std::uint64_t hi);
 std::string encode_shutdown();
 std::string encode_metrics(const MetricsSink& sink);
@@ -83,30 +87,15 @@ std::string worker_journal_file(std::size_t worker_id);
 
 /// --- supervisor ----------------------------------------------------------
 
+/// What describes the fleet; the campaign it runs comes from the evaluator
+/// and the JournalOptions given to CampaignSupervisor.
 struct SupervisorConfig {
   /// Worker processes to keep alive (>= 1).
   std::size_t workers = 1;
-  /// Samples per assignment — the granularity of loss on a worker crash and
-  /// of the graceful-stop latency.
-  std::size_t shard_size = 256;
   /// A ready worker that produces no frame (progress or control) for this
   /// long is presumed wedged, SIGKILLed and restarted. Must comfortably
   /// exceed the slowest single sample.
   std::uint64_t heartbeat_ms = 30000;
-  /// Spawn -> READY deadline. Workers re-elaborate the whole framework
-  /// before reporting ready, which takes seconds — this deadline is separate
-  /// from (and much larger than) the per-sample heartbeat.
-  std::uint64_t startup_ms = 120000;
-  /// Exponential backoff between a worker's death and its respawn.
-  std::uint64_t backoff_base_ms = 250;
-  std::uint64_t backoff_max_ms = 5000;
-  /// A shard that was assigned when a worker died this many times is
-  /// quarantined instead of reassigned.
-  int max_shard_attempts = 2;
-  /// Consecutive deaths *before reaching READY* that disable a worker slot
-  /// (a worker that cannot even elaborate will never make progress).
-  int max_startup_failures = 3;
-
   /// argv of a worker process ("<fav> worker --worker-id <k>" is appended by
   /// the supervisor; everything identifying the campaign — benchmark, seed,
   /// flags — must already be present so the worker re-derives the identical
@@ -118,31 +107,6 @@ struct SupervisorConfig {
   /// would loop forever, and giving it to two slots could kill the same
   /// rescheduled shard twice and quarantine it.
   std::vector<std::string> first_spawn_args;
-
-  /// Journal directory (required). resume=false removes every shard file in
-  /// it; resume=true merges them all (an in-process campaign.fj included)
-  /// and only assigns the missing ranges.
-  std::string dir;
-  bool resume = false;
-  std::uint64_t fingerprint = 0;
-  std::string context;
-
-  /// Aggregated observability (all optional): worker sinks are merged in
-  /// worker-index order, then supervisor.* counters (restarts, quarantined,
-  /// spawns) are added; progress receives one record per PROGRESS frame.
-  MetricsSink* metrics = nullptr;
-  ProgressMeter* progress = nullptr;
-  /// Invoked once per worker PROGRESS frame (one evaluated sample), from the
-  /// supervisor's event-loop thread. The serving tier uses this to stream
-  /// throttled progress to remote clients; counts are approximate under
-  /// restarts (a respawned shard re-evaluates its samples).
-  std::function<void()> on_sample;
-  /// Graceful stop: no new shards are assigned, workers finish their
-  /// in-flight shard, ship metrics and exit; the result covers the journaled
-  /// prefix and is marked interrupted.
-  const std::atomic<bool>* stop = nullptr;
-  /// Diagnostics sink (restarts, quarantines); null routes to stderr.
-  std::function<void(const std::string&)> log;
 };
 
 struct SupervisedResult {
@@ -157,17 +121,23 @@ struct SupervisedResult {
   std::size_t storage_full_stops = 0;
 };
 
-/// Runs a campaign across OS-process workers (see file header). The
-/// evaluator is only used on the supervisor side for draw_batch (sample
-/// cross-checks, quarantine records) and the final reduction — all
-/// simulation happens inside the worker processes.
+/// Runs a campaign across OS-process workers (see file header). On the
+/// supervisor side the evaluator only reduces the merged journal; all
+/// simulation happens inside the worker processes. Its config supplies the
+/// campaign's observers: worker metrics sinks are merged into `metrics` in
+/// worker-index order, then the supervisor.* counters are added; `stop` is
+/// the graceful stop (no new shards are assigned, workers finish their
+/// in-flight shard, ship metrics and exit, and the result covers the
+/// journaled prefix and is marked interrupted); `on_sample` receives one
+/// call per PROGRESS frame. Diagnostics (restarts, quarantines) go to
+/// stderr.
 ///
-/// run() is re-entrant across threads: the serve daemon runs one supervisor
-/// per in-flight campaign, each on its own thread. The only requirements are
-/// distinct journal directories (`config.dir`) per concurrent campaign and
-/// an ignored SIGPIPE disposition (run() sets it; the setting is process-
-/// wide and idempotent). Worker pipes are O_CLOEXEC, so concurrent fleets
-/// never leak fds into each other's workers.
+/// run_batch() is re-entrant across threads: the serve daemon runs one
+/// supervisor per in-flight campaign, each on its own thread. The only
+/// requirements are distinct journal directories per concurrent campaign
+/// and an ignored SIGPIPE disposition (run_batch() sets it; the setting is
+/// process-wide and idempotent). Worker pipes are O_CLOEXEC, so concurrent
+/// fleets never leak fds into each other's workers.
 class CampaignSupervisor {
  public:
   CampaignSupervisor(const SsfEvaluator& evaluator, SupervisorConfig config);
@@ -176,11 +146,13 @@ class CampaignSupervisor {
   /// and reduces the merged journal. The CLI draws the batch (or enumerates
   /// the technique's bound fault space into it), and each worker re-derives
   /// the identical batch from the forwarded flags, so shards over sample or
-  /// enumeration-index ranges merge alike. Fails (non-ok Result) on
+  /// enumeration-index ranges merge alike. The journal starts like an
+  /// in-process one (start_journal); only the missing ranges, chopped to
+  /// `journal.shard_size`, are assigned. Fails (non-ok Result) on
   /// configuration errors, unrecoverable worker-fleet failure, or journal
   /// corruption.
-  Result<SupervisedResult> run_batch(
-      std::vector<faultsim::FaultSample> samples) const;
+  Result<SupervisedResult> run_batch(std::vector<faultsim::FaultSample> samples,
+                                     const JournalOptions& journal) const;
 
  private:
   const SsfEvaluator* evaluator_;
@@ -201,14 +173,13 @@ constexpr int kExitResumableStop = 3;
 constexpr std::uint64_t kNoCrashIndex = ~0ull;
 
 /// Per-sample PROGRESS sender installed as EvaluatorConfig::on_sample inside
-/// a worker process. Thread-safe (the engine invokes it from worker
-/// threads); each frame is one atomic pipe write. Also hosts the test-only
+/// a worker process; it writes to stdout, the pipe to the supervisor.
+/// Thread-safe (the engine invokes it from worker threads); each frame is
+/// one atomic pipe write. Also hosts the test-only
 /// crash injection used by the chaos tests: the process SIGKILLs *itself*
 /// mid-shard, exactly like a segfault would, at a configurable point.
 class WorkerHeartbeat {
  public:
-  explicit WorkerHeartbeat(int out_fd) : fd_(out_fd) {}
-
   /// Absolute sample index of the slice the engine is about to evaluate
   /// (run_batch reports slice-relative indices).
   void set_base(std::uint64_t base) {
@@ -226,35 +197,24 @@ class WorkerHeartbeat {
   void on_sample(const SampleRecord& record, std::size_t slice_index);
 
  private:
-  int fd_;
   std::atomic<std::uint64_t> base_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::uint64_t crash_after_ = 0;
   std::uint64_t crash_on_ = kNoCrashIndex;
 };
 
-struct WorkerLoopOptions {
-  std::string dir;
-  std::size_t worker_id = 0;
-  std::uint64_t fingerprint = 0;
-  std::string context;
-  /// Pipe fds (stdin/stdout of the spawned process by default; tests can
-  /// run the loop in-process over socketpairs).
-  int in_fd = 0;
-  int out_fd = 1;
-};
-
-/// The worker side of the protocol: opens (or re-opens, after a restart)
-/// this worker's journal shard file, reports READY, and serves ASSIGN
-/// messages until SHUTDOWN or EOF (supervisor gone). `samples` must be the
-/// full campaign batch — the worker evaluates assigned slices of it through
-/// `evaluator`.run_batch, so the evaluator must keep full records
-/// (keep_records, no record_capacity) and should have reduce_metrics off and
-/// `heartbeat` installed as its on_sample hook. `metrics` (may be null) is
-/// shipped to the supervisor on SHUTDOWN.
+/// The worker side of the protocol, spoken on stdin/stdout: opens (or
+/// re-opens, after a restart) this worker's shard file `worker-<k>.fj` in
+/// `journal.dir`, reports READY, and serves ASSIGN messages until SHUTDOWN
+/// or EOF (supervisor gone). `samples` must be the full campaign batch — the
+/// worker evaluates assigned slices of it through `evaluator`.run_batch, so
+/// the evaluator must keep full records (keep_records, no record_capacity)
+/// and should have reduce_metrics off and `heartbeat` installed as its
+/// on_sample hook. The evaluator's metrics sink (may be null) also counts
+/// the journal writes and is shipped to the supervisor on SHUTDOWN.
 Status run_worker_loop(const SsfEvaluator& evaluator,
                        const std::vector<faultsim::FaultSample>& samples,
                        WorkerHeartbeat& heartbeat,
-                       const WorkerLoopOptions& options, MetricsSink* metrics);
+                       const JournalOptions& journal, std::size_t worker_id);
 
 }  // namespace fav::mc

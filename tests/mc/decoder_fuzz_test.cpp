@@ -326,7 +326,7 @@ TEST_F(DecoderFuzz, SupervisorMessages) {
   sink.add_counter("journal.shards", 3);
   const std::vector<std::string> valid = {
       mc::encode_ready(),       mc::encode_assign(0, 64),
-      mc::encode_progress(5, 0.5, 1.0, false),
+      mc::encode_progress(5, 0.5, mc::OutcomePath::kRtl),
       mc::encode_done(0, 64),   mc::encode_shutdown(),
       mc::encode_metrics(sink)};
   Rng rng(kSeed);

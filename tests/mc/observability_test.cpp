@@ -55,6 +55,15 @@ Context& ctx() {
 
 constexpr std::size_t kSamples = 200;
 
+/// Feeds `meter` from the evaluator's on_sample hook, as `fav --progress`
+/// does.
+void feed_meter(EvaluatorConfig& cfg, ProgressMeter& meter) {
+  cfg.on_sample = [&meter](const SampleRecord& r, std::size_t) {
+    meter.record(r.contribution, r.sample.weight,
+                 r.path == OutcomePath::kFailed);
+  };
+}
+
 SsfResult run_with(const EvaluatorConfig& cfg) {
   const auto attack = ctx().attack();
   RandomSampler sampler(attack);
@@ -87,7 +96,7 @@ TEST(Observability, MetricsDoNotPerturbTheEstimate) {
   EvaluatorConfig cfg;
   cfg.metrics = &metrics;
   cfg.trace = &trace;
-  cfg.progress = &progress;
+  feed_meter(cfg, progress);
   const SsfResult observed = run_with(cfg);
   std::fclose(devnull);
 
@@ -263,7 +272,7 @@ TEST(Observability, ProgressMeterAgreesWithResult) {
   ASSERT_NE(devnull, nullptr);
   ProgressMeter progress(kSamples, 0, devnull);
   EvaluatorConfig cfg;
-  cfg.progress = &progress;
+  feed_meter(cfg, progress);
   const SsfResult res = run_with(cfg);
   progress.finish();
   std::fclose(devnull);

@@ -255,7 +255,7 @@ TEST(CampaignServer, StreamsOutcomeProgressAndReport) {
       },
       /*max_concurrent=*/2);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
-  Result<SubmitResult> sent = submit_campaign(
+  Result<CampaignOutcome> sent = submit_campaign(
       server.socket_path(), {"evaluate", "--samples", "5"},
       [&seen](std::uint64_t done, std::uint64_t total) {
         seen.emplace_back(done, total);
@@ -283,7 +283,7 @@ TEST(CampaignServer, RunnerErrorReachesClientWithExitCode) {
     out.error = "unknown flag --bogus";
     return out;
   });
-  Result<SubmitResult> sent =
+  Result<CampaignOutcome> sent =
       submit_campaign(server.socket_path(), {"evaluate", "--bogus"});
   ASSERT_TRUE(sent.is_ok()) << sent.status().to_string();
   EXPECT_EQ(sent.value().exit_code, 2);
@@ -298,7 +298,7 @@ TEST(CampaignServer, SubmitFailsCleanlyWithoutDaemon) {
   const std::string path =
       (fs::path(::testing::TempDir()) / "fav_serve_nobody.sock").string();
   fs::remove(path);
-  Result<SubmitResult> sent = submit_campaign(path, {"evaluate"});
+  Result<CampaignOutcome> sent = submit_campaign(path, {"evaluate"});
   ASSERT_FALSE(sent.is_ok());
   EXPECT_EQ(sent.status().code(), ErrorCode::kSubprocessFailed);
 }
@@ -340,7 +340,7 @@ TEST(CampaignServer, SlotGateBoundsConcurrentCampaigns) {
   std::atomic<int> failures{0};
   for (int i = 0; i < 3; ++i) {
     clients.emplace_back([&server, &failures] {
-      Result<SubmitResult> sent =
+      Result<CampaignOutcome> sent =
           submit_campaign(server.socket_path(), {"evaluate"});
       if (!sent.is_ok() || sent.value().exit_code != 0) failures.fetch_add(1);
     });
@@ -369,7 +369,7 @@ TEST(CampaignServer, ClientDisconnectCancelsCampaignAndFreesSlot) {
   ASSERT_TRUE(wait_for([&] { return server.stats().cancelled == 1; }))
       << "client hangup must trip the campaign's cancel token";
   // The slot is free again: a well-behaved campaign still goes through.
-  Result<SubmitResult> good =
+  Result<CampaignOutcome> good =
       submit_campaign(server.socket_path(), {"evaluate", "--quick"});
   ASSERT_TRUE(good.is_ok()) << good.status().to_string();
   EXPECT_EQ(good.value().exit_code, 0);
@@ -388,7 +388,7 @@ TEST(CampaignServer, ExplicitCancelFrameStopsCampaign) {
     wait_for([&] { return started.load() > 0; });
     cancel.store(true);
   });
-  Result<SubmitResult> sent =
+  Result<CampaignOutcome> sent =
       submit_campaign(server.socket_path(), {"evaluate"}, opts);
   trigger.join();
   ASSERT_TRUE(sent.is_ok()) << sent.status().to_string();
@@ -405,7 +405,7 @@ TEST(CampaignServer, DeadlineStopsOverlongCampaign) {
                        /*progress_interval_ms=*/0, [](ServeConfig& config) {
                          config.campaign_deadline_ms = 60;
                        });
-  Result<SubmitResult> sent =
+  Result<CampaignOutcome> sent =
       submit_campaign(server.socket_path(), {"evaluate"});
   ASSERT_TRUE(sent.is_ok()) << sent.status().to_string();
   EXPECT_EQ(sent.value().exit_code, 3);
@@ -432,7 +432,6 @@ TEST(CampaignServer, QueueOverflowSendsBusyAndRetrySucceeds) {
   ServerFixture server(runner, /*max_concurrent=*/1,
                        /*progress_interval_ms=*/0, [](ServeConfig& config) {
                          config.max_queued = 0;
-                         config.busy_retry_after_ms = 20;
                        });
   std::thread holder(
       [&] { submit_campaign(server.socket_path(), {"evaluate"}); });
@@ -440,7 +439,7 @@ TEST(CampaignServer, QueueOverflowSendsBusyAndRetrySucceeds) {
   // Without retries the overflow surfaces as kUnavailable.
   SubmitOptions no_retry;
   no_retry.busy_retries = 0;
-  Result<SubmitResult> refused =
+  Result<CampaignOutcome> refused =
       submit_campaign(server.socket_path(), {"evaluate"}, no_retry);
   ASSERT_FALSE(refused.is_ok());
   EXPECT_EQ(refused.status().code(), ErrorCode::kUnavailable);
@@ -455,7 +454,7 @@ TEST(CampaignServer, QueueOverflowSendsBusyAndRetrySucceeds) {
     busy_seen.fetch_add(1);
     release.store(true);
   };
-  Result<SubmitResult> ok =
+  Result<CampaignOutcome> ok =
       submit_campaign(server.socket_path(), {"evaluate"}, retry);
   holder.join();
   ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
@@ -481,7 +480,7 @@ TEST(CampaignServer, HeartbeatsReachTheClient) {
   std::atomic<int> beats{0};
   SubmitOptions opts;
   opts.on_heartbeat = [&] { beats.fetch_add(1); };
-  Result<SubmitResult> sent =
+  Result<CampaignOutcome> sent =
       submit_campaign(server.socket_path(), {"evaluate"}, opts);
   ASSERT_TRUE(sent.is_ok()) << sent.status().to_string();
   EXPECT_EQ(sent.value().exit_code, 0);
@@ -499,7 +498,7 @@ TEST(CampaignServer, IdleTimeoutFlagsWedgedDaemon) {
                        });
   SubmitOptions opts;
   opts.idle_timeout_ms = 80;
-  Result<SubmitResult> sent =
+  Result<CampaignOutcome> sent =
       submit_campaign(server.socket_path(), {"evaluate"}, opts);
   ASSERT_FALSE(sent.is_ok());
   EXPECT_EQ(sent.status().code(), ErrorCode::kDeadlineExceeded);
@@ -510,7 +509,7 @@ TEST(CampaignServer, IdleTimeoutFlagsWedgedDaemon) {
 TEST(CampaignServer, HandlerThreadsAreReaped) {
   ServerFixture server(ok_runner(), /*max_concurrent=*/2);
   for (int i = 0; i < 32; ++i) {
-    Result<SubmitResult> sent =
+    Result<CampaignOutcome> sent =
         submit_campaign(server.socket_path(), {"evaluate"});
     ASSERT_TRUE(sent.is_ok()) << sent.status().to_string();
     ASSERT_EQ(sent.value().exit_code, 0);
@@ -539,7 +538,7 @@ TEST(CampaignServer, ClientGoneRightAfterRequestDoesNotLeakSlots) {
     const ServeStats s = server.stats();
     return s.completed + s.cancelled == 5;
   }));
-  Result<SubmitResult> good =
+  Result<CampaignOutcome> good =
       submit_campaign(server.socket_path(), {"evaluate"});
   ASSERT_TRUE(good.is_ok()) << good.status().to_string();
   EXPECT_EQ(good.value().exit_code, 0);
@@ -580,7 +579,7 @@ TEST(CampaignServer, ProtocolStageDisconnectsNeverWedgeTheDaemon) {
   })) << "cancelled=" << server.stats().cancelled
       << " completed=" << server.stats().completed
       << " rejected=" << server.stats().rejected;
-  Result<SubmitResult> good =
+  Result<CampaignOutcome> good =
       submit_campaign(server.socket_path(), {"evaluate", "--quick"});
   ASSERT_TRUE(good.is_ok()) << good.status().to_string();
   EXPECT_EQ(good.value().exit_code, 0);
@@ -607,7 +606,7 @@ TEST(CampaignServer, MalformedOpenerIsRejectedNotFatal) {
     EXPECT_EQ(msg.exit_code, 2);
     ::close(fd);
   }
-  Result<SubmitResult> good =
+  Result<CampaignOutcome> good =
       submit_campaign(server.socket_path(), {"evaluate"});
   ASSERT_TRUE(good.is_ok()) << good.status().to_string();
   EXPECT_EQ(good.value().exit_code, 0);
@@ -636,7 +635,7 @@ TEST(CampaignServer, StaleSocketFileIsReplaced) {
   std::thread t([&] { status = server.serve(); });
   bool served = false;
   for (int i = 0; i < 500 && !served; ++i) {
-    Result<SubmitResult> sent = submit_campaign(path, {"evaluate"});
+    Result<CampaignOutcome> sent = submit_campaign(path, {"evaluate"});
     if (sent.is_ok()) {
       EXPECT_EQ(sent.value().exit_code, 0);
       served = true;
@@ -956,7 +955,7 @@ TEST(CampaignServer, StatsSnapshotIsWrittenOnDrain) {
                        /*progress_interval_ms=*/0, [&](ServeConfig& config) {
                          config.stats_path = stats_path;
                        });
-  Result<SubmitResult> sent =
+  Result<CampaignOutcome> sent =
       submit_campaign(server.socket_path(), {"evaluate"});
   ASSERT_TRUE(sent.is_ok()) << sent.status().to_string();
   server.shutdown();

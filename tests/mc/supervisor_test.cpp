@@ -91,14 +91,16 @@ TEST(SupervisorCodec, ControlMessagesRoundTrip) {
 }
 
 TEST(SupervisorCodec, ProgressRoundTripsExactDoubles) {
-  WireMessage msg;
-  ASSERT_TRUE(
-      decode_message(encode_progress(987654321, 0.1 + 0.2, 1.75, true), &msg));
-  EXPECT_EQ(msg.type, WireType::kProgress);
-  EXPECT_EQ(msg.index, 987654321u);
-  EXPECT_EQ(msg.contribution, 0.1 + 0.2);  // bitwise
-  EXPECT_EQ(msg.weight, 1.75);
-  EXPECT_TRUE(msg.failed);
+  for (const OutcomePath path : {OutcomePath::kMasked, OutcomePath::kAnalytical,
+                                 OutcomePath::kRtl, OutcomePath::kFailed}) {
+    WireMessage msg;
+    ASSERT_TRUE(
+        decode_message(encode_progress(987654321, 0.1 + 0.2, path), &msg));
+    EXPECT_EQ(msg.type, WireType::kProgress);
+    EXPECT_EQ(msg.index, 987654321u);
+    EXPECT_EQ(msg.contribution, 0.1 + 0.2);  // bitwise
+    EXPECT_EQ(msg.path, path);
+  }
 }
 
 TEST(SupervisorCodec, MetricsRoundTripThroughSink) {
@@ -124,6 +126,10 @@ TEST(SupervisorCodec, RejectsMalformedPayloads) {
   EXPECT_FALSE(decode_message(truncated, &msg));
   // Trailing garbage after a well-formed READY.
   EXPECT_FALSE(decode_message(encode_ready() + "x", &msg));
+  // PROGRESS with a path byte past OutcomePath::kFailed.
+  std::string bad_path = encode_progress(1, 0.5, OutcomePath::kFailed);
+  bad_path.back() = '\x04';
+  EXPECT_FALSE(decode_message(bad_path, &msg));
 }
 
 TEST(SupervisorCodec, WorkerJournalFileNames) {

@@ -316,7 +316,7 @@ TEST(ServeCli, BadRequestValueFailsOnlyItsCampaign) {
   const std::string dir = fresh_dir("bad_value");
   // A raw client skips `fav submit`'s own check: the daemon's parse must
   // fail the campaign with the usage exit code and keep serving.
-  const Result<SubmitResult> bad = submit_campaign(
+  const Result<CampaignOutcome> bad = submit_campaign(
       daemon.socket_path(), {"evaluate", "--benchmark", "bogus"});
   ASSERT_TRUE(bad.is_ok()) << bad.status().to_string();
   EXPECT_EQ(bad.value().exit_code, 2);
@@ -354,6 +354,30 @@ TEST(ServeCli, ExhaustiveProgressIsSizedFromTheSweep) {
     EXPECT_LE(done, total) << line;
   }
   EXPECT_GT(frames, 0u);
+}
+
+TEST(ServeCli, SupervisedProgressReachesTheTotal) {
+  Daemon daemon("sup_progress");
+  const std::string dir = fresh_dir("sup_progress");
+  ASSERT_EQ(run_cli("submit --socket " + daemon.socket_path() +
+                        " --benchmark write --samples 600 --seed 7 "
+                        "--supervise 2 --shard-size 64 --journal " +
+                        dir + " --progress",
+                    dir + "/out.txt"),
+            0);
+  std::istringstream err(read_file(dir + "/out.txt.err"));
+  unsigned long long done = 0, total = 0;
+  for (std::string line; std::getline(err, line);) {
+    unsigned long long d = 0, t = 0;
+    if (std::sscanf(line.c_str(), "fav submit: %llu / %llu samples", &d,
+                    &t) == 2) {
+      done = d;
+      total = t;
+    }
+  }
+  // The last frame always ships, so it counts every sample.
+  EXPECT_EQ(done, 600u);
+  EXPECT_EQ(total, 600u);
 }
 
 TEST(ServeCli, BusyJournalIsRefusedAndSigtermDrainsGracefully) {

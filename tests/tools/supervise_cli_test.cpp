@@ -44,21 +44,28 @@ std::string fresh_dir(const std::string& name) {
   return dir.string();
 }
 
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 /// Runs the CLI synchronously via the shell; returns the process exit code
-/// and, when `stdout_text` is given, what it printed.
-int run_cli(const std::string& args, std::string* stdout_text = nullptr) {
+/// and, when `stdout_text` / `stderr_text` are given, what it printed there.
+int run_cli(const std::string& args, std::string* stdout_text = nullptr,
+            std::string* stderr_text = nullptr) {
   // Per process: ctest runs the tests of this file concurrently.
   const fs::path out = fs::path(::testing::TempDir()) /
                        ("fav_cli_stdout_" + std::to_string(::getpid()));
-  const std::string cmd = std::string(FAV_CLI_PATH) + " " + args + " > " +
-                          out.string() + " 2> /dev/null";
+  const fs::path err = fs::path(::testing::TempDir()) /
+                       ("fav_cli_stderr_" + std::to_string(::getpid()));
+  const std::string cmd =
+      std::string(FAV_CLI_PATH) + " " + args + " > " + out.string() +
+      " 2> " + (stderr_text != nullptr ? err.string() : "/dev/null");
   const int rc = std::system(cmd.c_str());
-  if (stdout_text != nullptr) {
-    std::ifstream in(out);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    *stdout_text = ss.str();
-  }
+  if (stdout_text != nullptr) *stdout_text = read_file(out);
+  if (stderr_text != nullptr) *stderr_text = read_file(err);
   if (rc == -1 || !WIFEXITED(rc)) return -1;
   return WEXITSTATUS(rc);
 }
@@ -72,10 +79,7 @@ std::string campaign_flags(std::size_t samples) {
 
 /// Extracts the raw text of a scalar field from a run report ("key": value).
 std::string json_field(const std::string& file, const std::string& key) {
-  std::ifstream in(file);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
+  const std::string text = read_file(file);
   const std::string needle = "\"" + key + "\": ";
   const std::size_t at = text.find(needle);
   if (at == std::string::npos) return "<missing " + key + ">";
@@ -333,6 +337,29 @@ std::string report_counter(const std::string& file, const std::string& name) {
                                 begin);
 }
 
+TEST(SuperviseCli, ProgressMeterCountsEverySupervisedSample) {
+  const std::string dir = fresh_dir("progress");
+  std::string out, err;
+  ASSERT_EQ(run_cli("evaluate --benchmark write --samples 600 --seed 7 "
+                    "--supervise 2 --shard-size 64 --journal " +
+                        dir + " --progress",
+                    &out, &err),
+            0);
+  const std::string ssf_key = "SSF        : ";
+  const std::size_t ssf_at = out.find(ssf_key);
+  ASSERT_NE(ssf_at, std::string::npos) << out;
+  const std::string ssf =
+      out.substr(ssf_at + ssf_key.size(),
+                 out.find('\n', ssf_at) - ssf_at - ssf_key.size());
+  // The meter's final line counts every sample and shows the printed SSF.
+  const std::size_t last = err.rfind("[fav] ");
+  ASSERT_NE(last, std::string::npos) << err;
+  const std::string line = err.substr(last, err.find('\n', last) - last);
+  EXPECT_EQ(line.rfind("[fav] 600/600 samples", 0), 0u) << line;
+  EXPECT_NE(line.find("SSF " + ssf + " "), std::string::npos)
+      << line << " vs SSF " << ssf;
+}
+
 TEST(CrossModeResume, SupervisedJournalResumesInProcess) {
   const std::string base = fresh_dir("xmode_base");
   const std::string sup = fresh_dir("xmode_sup");
@@ -379,8 +406,10 @@ TEST(CrossModeResume, InProcessJournalResumesSupervised) {
   // A torn in-process journal: the supervised resume evaluates the rest.
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const std::string torn = fresh_dir("xmode_torn_t" + std::to_string(threads));
-    fs::copy_file(fs::path(dir) / "campaign.fj", fs::path(torn) / "campaign.fj");
+    const std::string torn =
+        fresh_dir("xmode_torn_t" + std::to_string(threads));
+    fs::copy_file(fs::path(dir) / "campaign.fj",
+                  fs::path(torn) / "campaign.fj");
     fs::resize_file(fs::path(torn) / "campaign.fj",
                     fs::file_size(fs::path(torn) / "campaign.fj") * 2 / 5);
     std::string out;

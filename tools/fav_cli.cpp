@@ -145,13 +145,12 @@ void install_chaos(const Options& o) {
 
 /// One campaign, resolved once after the framework is built. The in-process,
 /// journaled and supervised runs, and every `fav worker`, read the strategy,
-/// the sample count and the journal identity from here.
+/// the sample count and the journal from here.
 struct Campaign {
   core::SamplerSelection sel;  // sampled campaigns only
   std::string strategy;        // the sampler actually built, or "exhaustive"
   std::size_t total = 0;       // --samples, or min(space, --space-limit)
-  std::uint64_t fingerprint = 0;
-  std::string context;
+  mc::JournalOptions journal;  // dir empty: unjournaled
 
   /// The whole batch: the seeded draw, or the enumeration prefix. The
   /// supervisor and each of its workers derive it identically, so the batch
@@ -184,8 +183,11 @@ Campaign resolve_campaign(core::FaultAttackEvaluator& fw, const Options& o) {
     c.strategy = c.sel.actual;
     c.total = o.samples;
   }
-  c.fingerprint = cli::campaign_fingerprint(o, c.strategy, c.total);
-  c.context = o.benchmark + "/" + o.technique + "/" + c.strategy;
+  c.journal = {.dir = o.journal,
+               .resume = o.resume,
+               .shard_size = o.shard_size,
+               .fingerprint = cli::campaign_fingerprint(o, c.strategy, c.total),
+               .context = o.benchmark + "/" + o.technique + "/" + c.strategy};
   return c;
 }
 
@@ -195,15 +197,11 @@ Status run_failed(const char* how, const Status& status) {
 }
 
 /// Runs the resolved campaign in-process, journaled, or supervised per `o`;
-/// only a supervised run fills the fleet counters next to `result`. `meter`
-/// and `on_sample` (the serving tier's progress tick) serve the supervised
-/// path; the in-process engine reports through the evaluator's on_sample
-/// hook instead.
+/// only a supervised run fills the fleet counters next to `result`. Every
+/// mode reports through the evaluator's own metrics, stop flag and on_sample
+/// hook.
 Result<mc::SupervisedResult> run_eval(core::FaultAttackEvaluator& fw,
-                                      const Options& o, Campaign& c,
-                                      ProgressMeter* meter,
-                                      const std::function<void()>& on_sample,
-                                      const std::atomic<bool>* stop) {
+                                      const Options& o, Campaign& c) {
   if (c.sel.downgraded()) {
     std::fprintf(stderr, "fav: strategy downgraded %s -> %s (%s)\n",
                  c.sel.requested.c_str(), c.sel.actual.c_str(),
@@ -211,25 +209,16 @@ Result<mc::SupervisedResult> run_eval(core::FaultAttackEvaluator& fw,
   }
   mc::SupervisedResult out;
   if (o.supervise > 0) {
-    mc::SupervisorConfig sc;
-    sc.workers = o.supervise;
-    sc.shard_size = o.shard_size;
-    sc.heartbeat_ms = o.heartbeat_ms;
-    sc.worker_command = cli::worker_command(o, self_exe_path());
     // One-shot chaos: worker 0's first incarnation only, so restarts make
     // progress and no shard can be killed twice by the injection alone.
-    sc.first_spawn_args = cli::flag_for(&Options::crash_after).argv(o);
-    sc.dir = o.journal;
-    sc.resume = o.resume;
-    sc.fingerprint = c.fingerprint;
-    sc.context = c.context;
-    sc.metrics = fw.evaluator().config().metrics;
-    sc.progress = meter;
-    sc.on_sample = on_sample;
-    sc.stop = stop;
-    mc::CampaignSupervisor supervisor(fw.evaluator(), sc);
+    const mc::CampaignSupervisor supervisor(
+        fw.evaluator(),
+        {.workers = o.supervise,
+         .heartbeat_ms = o.heartbeat_ms,
+         .worker_command = cli::worker_command(o, self_exe_path()),
+         .first_spawn_args = cli::flag_for(&Options::crash_after).argv(o)});
     Result<mc::SupervisedResult> result =
-        supervisor.run_batch(c.batch(fw, o));
+        supervisor.run_batch(c.batch(fw, o), c.journal);
     if (!result.is_ok()) return run_failed("supervised", result.status());
     out = std::move(result).value();
     // The merged worker result does not know the space it was carved from
@@ -239,19 +228,14 @@ Result<mc::SupervisedResult> run_eval(core::FaultAttackEvaluator& fw,
   }
   const mc::SsfEvaluator& ev = fw.evaluator();
   Rng rng(o.seed);
-  if (o.journal.empty()) {
+  if (c.journal.dir.empty()) {
     out.result = o.exhaustive ? ev.run_exhaustive(o.space_limit)
                               : ev.run(*c.sel.sampler, rng, c.total);
     return out;
   }
-  const mc::JournalOptions jopt{.dir = o.journal,
-                                .resume = o.resume,
-                                .shard_size = o.shard_size,
-                                .fingerprint = c.fingerprint,
-                                .context = c.context};
   Result<mc::SsfResult> result =
-      o.exhaustive ? ev.run_exhaustive_journaled(jopt, o.space_limit)
-                   : ev.run_journaled(*c.sel.sampler, rng, c.total, jopt);
+      o.exhaustive ? ev.run_exhaustive_journaled(c.journal, o.space_limit)
+                   : ev.run_journaled(*c.sel.sampler, rng, c.total, c.journal);
   if (!result.is_ok()) return run_failed("journaled", result.status());
   out.result = std::move(result).value();
   return out;
@@ -319,19 +303,18 @@ mc::CampaignOutcome run_evaluate_campaign(const Options& o, bool local_files,
   if (!o.trace_out.empty()) cfg.evaluator.trace = &trace;
   cfg.evaluator.stop = stop;
   // Progress is sized from the resolved campaign, so the meter is built
-  // after elaboration and sampler construction, right before the run. Both
-  // channels count evaluated samples: the in-process engine ticks through
-  // the evaluator's on_sample (any worker thread), supervised campaigns
-  // through the supervisor's hooks.
+  // after elaboration and sampler construction, right before the run. The
+  // evaluator's on_sample counts evaluated samples in every mode: called by
+  // the in-process engine's worker threads, or by the supervisor once per
+  // worker PROGRESS frame.
   std::optional<ProgressMeter> meter;
   Campaign c;
   std::atomic<std::uint64_t> completed{0};
-  auto tick = [&] { progress(++completed, c.total); };
-  if ((o.progress || progress) && o.supervise == 0) {
+  if (o.progress || progress) {
     cfg.evaluator.on_sample = [&](const mc::SampleRecord& r, std::size_t) {
       const bool failed = r.path == mc::OutcomePath::kFailed;
       if (meter) meter->record(r.contribution, r.sample.weight, failed);
-      if (progress) tick();
+      if (progress) progress(++completed, c.total);
     };
   }
   install_chaos(o);
@@ -339,10 +322,7 @@ mc::CampaignOutcome run_evaluate_campaign(const Options& o, bool local_files,
   c = resolve_campaign(fw, o);
   if (o.progress) meter.emplace(c.total);
   const std::uint64_t t0 = monotonic_ns();
-  const Result<mc::SupervisedResult> ran = run_eval(
-      fw, o, c, meter ? &*meter : nullptr,
-      progress && o.supervise > 0 ? std::function<void()>(tick) : nullptr,
-      stop);
+  const Result<mc::SupervisedResult> ran = run_eval(fw, o, c);
   // The injected fault targets the campaign write path; clear it so the
   // interrupted run report below can still land (the real-world analogue is
   // a report on a different device than the full journal disk).
@@ -458,8 +438,8 @@ mc::CampaignOutcome run_evaluate_campaign(const Options& o, bool local_files,
 /// Prints a finished campaign the way a local `fav evaluate` does and
 /// returns its exit code. `report_path` is where a shipped run report lands
 /// ("" when the campaign already wrote its own).
-template <typename Outcome>
-int print_outcome(const Outcome& out, const std::string& report_path) {
+int print_outcome(const mc::CampaignOutcome& out,
+                  const std::string& report_path) {
   if (!out.error.empty()) {
     std::fprintf(stderr, "fav: %s\n", out.error.c_str());
     return out.exit_code != 0 ? out.exit_code : 1;
@@ -610,7 +590,7 @@ int cmd_submit(const Options& o) {
   opts.cancel = &g_stop;
   opts.busy_retries = o.busy_retries;
   opts.retry_backoff_ms = o.retry_backoff_ms;
-  const Result<mc::SubmitResult> sent =
+  const Result<mc::CampaignOutcome> sent =
       mc::submit_campaign(o.socket, cli::served_request(o), opts);
   if (!sent.is_ok()) {
     std::fprintf(stderr, "fav submit: %s\n",
@@ -635,10 +615,10 @@ int cmd_worker(const Options& o) {
   ::signal(SIGPIPE, SIG_IGN);
   ::signal(SIGINT, SIG_IGN);
   install_chaos(o);
-  static mc::WorkerHeartbeat heartbeat(STDOUT_FILENO);
+  static mc::WorkerHeartbeat heartbeat;
   heartbeat.set_crash_after(o.crash_after);
   heartbeat.set_crash_on(o.crash_on);
-  MetricsSink metrics;
+  MetricsSink metrics;  // shipped to the supervisor on SHUTDOWN
   core::FrameworkConfig cfg = o.framework_config();
   cfg.evaluator.record_capacity = 0;  // the journal needs every record
   cfg.evaluator.metrics = &metrics;
@@ -649,12 +629,8 @@ int cmd_worker(const Options& o) {
       std::bind_front(&mc::WorkerHeartbeat::on_sample, &heartbeat);
   core::FaultAttackEvaluator fw(pick_benchmark(o.benchmark), cfg);
   Campaign c = resolve_campaign(fw, o);
-  const mc::WorkerLoopOptions wopt{.dir = o.journal,
-                                   .worker_id = o.worker_id,
-                                   .fingerprint = c.fingerprint,
-                                   .context = c.context};  // stdin/stdout
-  const Status status = mc::run_worker_loop(fw.evaluator(), c.batch(fw, o),
-                                            heartbeat, wopt, &metrics);
+  const Status status = mc::run_worker_loop(
+      fw.evaluator(), c.batch(fw, o), heartbeat, c.journal, o.worker_id);
   if (status.is_ok()) return 0;
   std::fprintf(stderr, "fav worker %zu: %s\n",
                static_cast<std::size_t>(o.worker_id),
@@ -670,8 +646,7 @@ int cmd_harden(const Options& o) {
   core::FaultAttackEvaluator fw(pick_benchmark(o.benchmark),
                                 o.framework_config());
   Campaign c = resolve_campaign(fw, o);
-  const Result<mc::SupervisedResult> ran =
-      run_eval(fw, o, c, nullptr, nullptr, &g_stop);
+  const Result<mc::SupervisedResult> ran = run_eval(fw, o, c);
   if (!ran.is_ok()) {
     std::fprintf(stderr, "fav: %s\n", ran.status().to_string().c_str());
     return 1;
