@@ -39,7 +39,7 @@ int main() {
   const std::size_t points = rows[0].result.trace.size();
   for (std::size_t i = 29; i < points; i += 30) {
     std::printf("%-8zu %14.5f %14.5f %14.5f\n",
-                (i + 1) * 50,  // trace_stride default
+                (i + 1) * mc::kTraceStride,
                 rows[0].result.trace[i], rows[1].result.trace[i],
                 rows[2].result.trace[i]);
   }

@@ -118,9 +118,6 @@ Status FrameworkConfig::validate() const {
     return invalid("cone depths must be positive");
   }
   if (precharac_cycles == 0) return invalid("precharac_cycles must be > 0");
-  if (evaluator.trace_stride == 0) {
-    return invalid("evaluator.trace_stride must be > 0");
-  }
   return Status::ok();
 }
 

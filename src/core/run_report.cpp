@@ -49,11 +49,11 @@ void write_run_report(std::ostream& out, const RunReportInputs& in) {
       << "  \"threads\": " << in.threads << ",\n"
       << "  \"batch_lanes\": " << in.batch_lanes << ",\n"
       << "  \"supervise\": " << in.supervise << ",\n";
-  if (in.supervised) {
-    out << "  \"supervisor\": {\"restarts\": " << in.restarts
-        << ", \"quarantined_shards\": " << in.quarantined_shards
-        << ", \"quarantined_samples\": " << in.quarantined_samples
-        << ", \"storage_full_stops\": " << in.storage_full_stops << "},\n";
+  if (const mc::SupervisedResult* sup = in.supervisor) {
+    out << "  \"supervisor\": {\"restarts\": " << sup->restarts
+        << ", \"quarantined_shards\": " << sup->quarantined_shards
+        << ", \"quarantined_samples\": " << sup->quarantined_samples
+        << ", \"storage_full_stops\": " << sup->storage_full_stops << "},\n";
   }
   out << "  \"precharac_cache\": {\"enabled\": "
       << (in.cache.enabled ? "true" : "false") << ", \"path\": ";

@@ -18,6 +18,7 @@
 
 #include "core/framework.h"
 #include "mc/evaluator.h"
+#include "mc/supervisor.h"
 #include "util/metrics.h"
 
 namespace fav::core {
@@ -44,12 +45,8 @@ struct RunReportInputs {
   std::size_t threads = 1;
   std::size_t batch_lanes = 0;
   std::size_t supervise = 0;
-  // Supervisor block (emitted only when `supervised` is true).
-  bool supervised = false;
-  std::size_t restarts = 0;
-  std::size_t quarantined_shards = 0;
-  std::size_t quarantined_samples = 0;
-  std::size_t storage_full_stops = 0;
+  /// The fleet counters of a supervised run; null emits no supervisor block.
+  const mc::SupervisedResult* supervisor = nullptr;
   PrecharacCacheReport cache;
   double elapsed_s = 0.0;
   const mc::SsfResult* result = nullptr;   // required

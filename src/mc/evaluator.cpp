@@ -106,7 +106,6 @@ SsfEvaluator::SsfEvaluator(
       analytical_(bench, golden),
       settled_(std::make_unique<soc::GoldenSettledTable>(soc, golden)) {
   target_cycle_ = analytical_.target_cycle();
-  FAV_ENSURE(config.trace_stride > 0);
 }
 
 SsfEvaluator::SsfEvaluator(
@@ -126,7 +125,6 @@ SsfEvaluator::SsfEvaluator(
       analytical_(bench, golden),
       settled_(std::make_unique<soc::GoldenSettledTable>(soc, golden)) {
   target_cycle_ = analytical_.target_cycle();
-  FAV_ENSURE(config.trace_stride > 0);
 }
 
 bool SsfEvaluator::decide_outcome(rtl::Machine& machine,
@@ -279,7 +277,7 @@ void SsfEvaluator::fold_record(ReduceState& state, SampleRecord&& rec) const {
       }
     }
   }
-  if ((state.index + 1) % config_.trace_stride == 0) {
+  if ((state.index + 1) % kTraceStride == 0) {
     result.trace.push_back(result.stats.mean());
   }
   if (config_.keep_records) {
@@ -301,9 +299,7 @@ SsfResult SsfEvaluator::finish_reduce(ReduceState&& state) const {
   // Sample-derived aggregates land in the caller's sink here, inside the
   // sample-index-ordered reduction, so they are deterministic at every
   // thread count (unlike the wall-clock timers merged from worker sinks).
-  // reduce_metrics is off inside supervised workers, whose records are
-  // re-reduced (and re-counted) by the supervisor.
-  if (config_.metrics != nullptr && config_.reduce_metrics) {
+  if (config_.metrics != nullptr) {
     MetricsSink& m = *config_.metrics;
     m.add_counter("eval.samples", state.index);
     m.add_counter("eval.path.masked", result.masked);
@@ -350,6 +346,7 @@ std::vector<faultsim::FaultSample> SsfEvaluator::draw_batch(
 
 std::vector<std::unique_ptr<EvalScratch>> SsfEvaluator::make_scratch_pool(
     std::size_t n) const {
+  ScopeTimer timer(config_.metrics, "run.scratch_setup_ns");
   const std::size_t workers =
       std::max<std::size_t>(1, std::min(resolve_thread_count(config_.threads),
                                         std::max<std::size_t>(n, 1)));
@@ -717,20 +714,22 @@ Result<SsfResult> SsfEvaluator::run_campaign(
     }
     n = n == 0 ? space : std::min(space, n);
   }
+  std::vector<faultsim::FaultSample> batch;
   if (source.sampler != nullptr) {
     ScopeTimer timer(config_.metrics, "run.draw_batch_ns");
     try {
-      source.batch = draw_batch(*source.sampler, *source.rng, n);
+      batch = draw_batch(*source.sampler, *source.rng, n);
     } catch (const StatusError& e) {
       return e.status();
     }
   }
-  // Samples [lo, hi): a slice of the batch, or enumerated from the bound
-  // space into it chunk by chunk, so a sweep never materializes the space.
+  // Samples [lo, hi): a slice of the drawn batch, or enumerated from the
+  // bound space into it chunk by chunk, so a sweep never materializes the
+  // space.
   auto fill = [&](std::size_t lo, std::size_t hi) {
-    if (!source.enumerated) return std::span(source.batch).subspan(lo, hi - lo);
-    technique_->enumerate(lo, hi, source.batch);
-    return std::span(source.batch);
+    if (!source.enumerated) return std::span(batch).subspan(lo, hi - lo);
+    technique_->enumerate(lo, hi, batch);
+    return std::span(batch);
   };
 
   ReduceState state;
@@ -748,19 +747,13 @@ Result<SsfResult> SsfEvaluator::run_campaign(
   MergedJournal merged;
   if (journal != nullptr) {
     // Started after the draw, so a failing sampler leaves the journal as it
-    // was.
+    // was; the merge holds the directory's lock until the campaign returns.
     Result<MergedJournal> started = start_journal(*journal, n);
     if (!started.is_ok()) return started.status();
     merged = std::move(started).value();
-    // This process appends to campaign.fj: continued after its valid prefix
-    // when the journal has one, else created.
-    const auto own = merged.valid_bytes.find("campaign.fj");
     writer.set_metrics(config_.metrics);
-    const Status open =
-        own != merged.valid_bytes.end()
-            ? writer.open_append(journal->dir, own->second)
-            : writer.open_fresh(journal->dir, {journal->fingerprint, n,
-                                               journal->context});
+    const JournalMeta meta{journal->fingerprint, n, journal->context};
+    const Status open = writer.open(journal->dir, "campaign.fj", meta);
     if (!open.is_ok()) return open;
     if (config_.metrics != nullptr) {
       config_.metrics->add_counter(
@@ -773,11 +766,7 @@ Result<SsfResult> SsfEvaluator::run_campaign(
     return !merged.present.empty() && merged.present[i] != 0;
   };
 
-  std::vector<std::unique_ptr<EvalScratch>> scratch;
-  {
-    ScopeTimer timer(config_.metrics, "run.scratch_setup_ns");
-    scratch = make_scratch_pool(n);
-  }
+  std::vector<std::unique_ptr<EvalScratch>> scratch = make_scratch_pool(n);
   WorkerObservers observers = make_observers(scratch.size());
   // A journaled chunk is one shard; any other chunk is 16 words per worker.
   // Words break at chunk and run boundaries, which changes no record. The
@@ -849,11 +838,16 @@ SsfResult SsfEvaluator::run(Sampler& sampler, Rng& rng, std::size_t n) const {
       .value_or_throw();
 }
 
-SsfResult SsfEvaluator::run_batch(
-    std::vector<faultsim::FaultSample> samples) const {
-  const std::size_t n = samples.size();
-  return run_campaign(n, {.batch = std::move(samples)}, nullptr)
-      .value_or_throw();
+std::vector<SampleRecord> SsfEvaluator::evaluate_batch(
+    std::span<const faultsim::FaultSample> samples,
+    std::size_t first_index) const {
+  std::vector<std::unique_ptr<EvalScratch>> scratch =
+      make_scratch_pool(samples.size());
+  WorkerObservers observers = make_observers(scratch.size());
+  std::vector<SampleRecord> records(samples.size());
+  evaluate_range(samples, records, first_index, scratch, &observers);
+  merge_observers(std::move(observers));
+  return records;
 }
 
 Result<SsfResult> SsfEvaluator::run_journaled(

@@ -105,7 +105,7 @@ struct SsfResult {
   /// They define the importance-sampling effective sample size below.
   double completed_weight = 0.0;
   double completed_weight_sq = 0.0;
-  /// Running estimate recorded every `trace_stride` samples (Fig. 9a).
+  /// Running estimate recorded every kTraceStride samples (Fig. 9a).
   std::vector<double> trace;
   std::vector<SampleRecord> records;
   /// Samples this result actually covers. Equals the requested batch size
@@ -152,11 +152,12 @@ struct SsfResult {
   }
 };
 
+/// SsfResult::trace records the running estimate every this many samples.
+inline constexpr std::size_t kTraceStride = 50;
+
 struct EvaluatorConfig {
   /// Enables the analytical shortcut for memory-type-only errors.
   bool use_analytical = true;
-  /// Record the running estimate every this many samples.
-  std::size_t trace_stride = 50;
   /// Keep full per-sample records (needed for hardening re-evaluation).
   bool keep_records = true;
   /// Cap on SsfResult::records (0 = unlimited). With keep_records on, a
@@ -195,7 +196,8 @@ struct EvaluatorConfig {
   /// completes; sample-derived statistics (outcome-path counters, ESS) are
   /// recorded during the sample-index-ordered reduction. Every run* records
   /// the phases run.{total,scratch_setup,reduce}_ns, and the drawn ones
-  /// (run, run_journaled) run.draw_batch_ns, nested inside run.total_ns.
+  /// (run, run_journaled) run.draw_batch_ns, nested inside run.total_ns;
+  /// evaluate_batch records run.scratch_setup_ns only.
   /// Enabling metrics never changes SSF results — counters are
   /// schedule-independent, timers are wall-clock and only feed reports.
   /// Successive runs through the same config accumulate into the same sink.
@@ -215,20 +217,16 @@ struct EvaluatorConfig {
   /// entirely.
   const std::atomic<bool>* stop = nullptr;
   /// Invoked once per evaluated sample with its index in the campaign (the
-  /// batch of run_batch, the enumeration index of run_exhaustive*), from
-  /// the worker thread that finished it, right after its record slot is
-  /// written (completion order, not sample order). It is the one progress
-  /// channel: supervised workers send it as heartbeat frames, and a
-  /// CampaignSupervisor calls its evaluator's hook once per frame, from its
-  /// event-loop thread, with a record holding only the sample, path and
-  /// contribution. A shard re-evaluated after a worker crash repeats its
-  /// samples there. Must be thread-safe and must not throw; null disables.
+  /// drawn batch, the enumeration index of run_exhaustive*, or
+  /// evaluate_batch's first_index plus the offset), from the worker thread
+  /// that finished it, right after its record slot is written (completion
+  /// order, not sample order). It is the one progress channel: supervised
+  /// workers send it as heartbeat frames, and a CampaignSupervisor calls its
+  /// evaluator's hook once per frame, from its event-loop thread, with a
+  /// record holding only the sample, path and contribution. A shard
+  /// re-evaluated after a worker crash repeats its samples there. Must be
+  /// thread-safe and must not throw; null disables.
   std::function<void(const SampleRecord&, std::size_t)> on_sample;
-  /// Emit the reduce-derived eval.* counters/gauges into `metrics`. A
-  /// supervised worker sets this false: its shards are re-reduced by the
-  /// supervisor, which would double-count every sample-derived aggregate
-  /// after merging the worker's shipped sink.
-  bool reduce_metrics = true;
 };
 
 /// Per-evaluation resource budget. charge_cycles() throws StatusError with
@@ -366,8 +364,8 @@ class SsfEvaluator {
   bool outcome_for_flips(std::uint64_t te, const std::vector<int>& flips,
                          OutcomePath* path = nullptr) const;
 
-  /// The five campaign drivers are thin wrappers over one loop: they differ
-  /// only in where samples come from (drawn, given or enumerated) and in
+  /// The four campaign drivers are thin wrappers over one loop: they differ
+  /// only in where samples come from (drawn or enumerated) and in
   /// whether completed shards are journaled. Every one evaluates in chunks
   /// (a journal shard, or 16 words per worker) on the worker pool, polls
   /// config.stop between chunks, and folds records in sample-index order —
@@ -383,10 +381,16 @@ class SsfEvaluator {
   /// throws aborts the run with StatusError(kSamplerFailed).
   SsfResult run(Sampler& sampler, Rng& rng, std::size_t n) const;
 
-  /// Evaluates an explicit, pre-drawn batch: the seam the supervisor's
-  /// workers use for their assigned slices (sample indices, as on_sample
-  /// sees them, are then slice-relative).
-  SsfResult run_batch(std::vector<faultsim::FaultSample> samples) const;
+  /// Evaluates `samples` as campaign samples first_index, first_index + 1,
+  /// ... (the indices on_sample and the trace see) on the worker pool and
+  /// returns their records in index order: the seam a supervised worker
+  /// evaluates its assigned shard through. It does not fold, journal or poll
+  /// config.stop; records the scratch build as run.scratch_setup_ns and
+  /// merges the per-worker observers. reduce_records() of the records is
+  /// bitwise-identical to the campaign drivers' result for those samples.
+  std::vector<SampleRecord> evaluate_batch(
+      std::span<const faultsim::FaultSample> samples,
+      std::size_t first_index = 0) const;
 
   /// Exhaustively sweeps the technique's bound fault space (see
   /// AttackTechnique::bind_space / enumerate): every enumeration index in
@@ -394,7 +398,8 @@ class SsfEvaluator {
   /// chunk by chunk — the full space is never materialized, so memory stays
   /// O(chunk) regardless of grid size. The result carries fault_space_size
   /// so coverage() reports the swept fraction, and is bitwise-identical to
-  /// run_batch over the materialized enumeration. space_limit == 0 sweeps
+  /// reducing evaluate_batch over the materialized enumeration (apart from
+  /// fault_space_size). space_limit == 0 sweeps
   /// everything. Throws StatusError(kInvalidArgument) when no space is
   /// bound.
   SsfResult run_exhaustive(std::uint64_t space_limit = 0) const;
@@ -454,13 +459,11 @@ class SsfEvaluator {
   };
 
   /// Where a campaign's samples come from: drawn from `sampler` on the
-  /// calling thread before evaluation starts (run, run_journaled), a given
-  /// `batch` (run_batch), or the technique's bound space, enumerated chunk
-  /// by chunk (run_exhaustive*).
+  /// calling thread before evaluation starts (run, run_journaled), or the
+  /// technique's bound space, enumerated chunk by chunk (run_exhaustive*).
   struct SampleSource {
     Sampler* sampler = nullptr;
     Rng* rng = nullptr;
-    std::vector<faultsim::FaultSample> batch = {};
     bool enumerated = false;
   };
   /// The one campaign loop behind every run*: starts `journal` after the
@@ -508,7 +511,8 @@ class SsfEvaluator {
   /// Folds the per-worker sinks/traces into config_.metrics/config_.trace
   /// in worker-index order.
   void merge_observers(WorkerObservers&& observers) const;
-  /// Builds one scratch per resolved worker (capped by `n` work items).
+  /// Builds one scratch per resolved worker (capped by `n` work items),
+  /// timed as run.scratch_setup_ns.
   std::vector<std::unique_ptr<EvalScratch>> make_scratch_pool(
       std::size_t n) const;
   /// Incremental reduction state: fold_record() accumulates one record at a

@@ -71,6 +71,15 @@ std::string journal_path(const std::string& dir, const std::string& file) {
   return (std::filesystem::path(dir) / file).string();
 }
 
+/// Creates the journal directory (and its parents) if needed.
+Status create_dir(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (!ec) return Status::ok();
+  return Status(ErrorCode::kJournalIoError,
+                "cannot create journal directory " + dir + ": " + ec.message());
+}
+
 /// Names of the shard files (`*.fj`) in `dir`, sorted: directory iteration
 /// order is unspecified and the merge must not depend on it. A missing
 /// directory holds none.
@@ -272,7 +281,6 @@ Result<MergedJournal> JournalReader::merge_partial(const std::string& dir) {
                         " belongs to a different campaign than " + names[0] +
                         " (fingerprint or sample count mismatch)");
     }
-    merged.valid_bytes[name] = s.valid_bytes;
     for (JournalSpan& span : s.spans) {
       if (span.end_index() > merged.meta.total_samples) {
         return Status(ErrorCode::kJournalCorrupt,
@@ -301,8 +309,8 @@ Result<MergedJournal> JournalReader::merge_partial(const std::string& dir) {
 
 Status MergedJournal::check_campaign(std::uint64_t fingerprint,
                                      std::uint64_t total_samples) const {
-  if (valid_bytes.empty() || (meta.fingerprint == fingerprint &&
-                              meta.total_samples == total_samples)) {
+  if (present.empty() || (meta.fingerprint == fingerprint &&
+                          meta.total_samples == total_samples)) {
     return Status::ok();
   }
   return Status(ErrorCode::kJournalCorrupt,
@@ -311,13 +319,9 @@ Status MergedJournal::check_campaign(std::uint64_t fingerprint,
 }
 
 Status clear_journal(const std::string& dir) {
+  const Status created = create_dir(dir);
+  if (!created.is_ok()) return created;
   std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Status(ErrorCode::kJournalIoError,
-                  "cannot create journal directory " + dir + ": " +
-                      ec.message());
-  }
   Result<std::vector<std::string>> listed = shard_files(dir);
   if (!listed.is_ok()) return listed.status();
   for (const std::string& name : listed.value()) {
@@ -340,28 +344,58 @@ Result<MergedJournal> start_journal(const JournalOptions& options,
     return Status(ErrorCode::kInvalidArgument,
                   "journal shard_size must be > 0");
   }
-  if (!options.resume) {
+  const Status created = create_dir(options.dir);
+  if (!created.is_ok()) return created;
+  // One try, before any file is touched: flock keys on the inode and on the
+  // open file description, so every spelling of the directory collides, in
+  // another process or in this one.
+  auto lock = std::make_unique<io::FileLock>();
+  const Status locked = lock->acquire(journal_path(options.dir, "lock"), 0);
+  if (locked.code() == ErrorCode::kDeadlineExceeded) {
+    return Status(ErrorCode::kFailedPrecondition,
+                  "journal directory '" + options.dir +
+                      "' is in use by another campaign");
+  }
+  if (!locked.is_ok()) return locked;
+  MergedJournal merged;
+  if (options.resume) {
+    Result<MergedJournal> read = JournalReader::merge_partial(options.dir);
+    if (!read.is_ok()) return read.status();
+    merged = std::move(read).value();
+    const Status same = merged.check_campaign(options.fingerprint, total);
+    if (!same.is_ok()) return same;
+  } else {
     const Status cleared = clear_journal(options.dir);
     if (!cleared.is_ok()) return cleared;
-    return MergedJournal{};
   }
-  Result<MergedJournal> merged = JournalReader::merge_partial(options.dir);
-  if (!merged.is_ok()) return merged;
-  const Status same = merged.value().check_campaign(options.fingerprint, total);
-  if (!same.is_ok()) return same;
+  merged.lock = std::move(lock);
   return merged;
+}
+
+Status JournalWriter::open(const std::string& dir, const std::string& file,
+                           const JournalMeta& meta) {
+  JournalMeta found;
+  bool have_meta = false;
+  const std::string path = journal_path(dir, file);
+  const Result<io::LogScan> scan = io::RecordLog::scan(
+      path, kFileMagic, [&](std::string_view payload) {
+        if (have_meta) return true;  // shard records are kept, not decoded
+        have_meta = parse_meta(payload, &found);
+        return have_meta;
+      });
+  if (scan.is_ok() && !scan.value().damaged && have_meta &&
+      found.fingerprint == meta.fingerprint &&
+      found.total_samples == meta.total_samples) {
+    return classify_write(log_.open_append(path, scan.value().valid_bytes));
+  }
+  return open_fresh(dir, meta, file);
 }
 
 Status JournalWriter::open_fresh(const std::string& dir,
                                  const JournalMeta& meta,
                                  const std::string& file) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Status(ErrorCode::kJournalIoError,
-                  "cannot create journal directory " + dir + ": " +
-                      ec.message());
-  }
+  const Status created = create_dir(dir);
+  if (!created.is_ok()) return created;
   // The meta record rides in the header write: a crash between open and the
   // first append leaves a valid, durable empty journal behind.
   return classify_write(

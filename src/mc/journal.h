@@ -18,24 +18,28 @@
 // kJournalCorrupt for mid-file damage — a bad frame followed by further
 // data — and for a bad magic or meta record.
 //
-// Both campaign modes share one contract and one start (start_journal). A
-// fresh start removes every `*.fj` (clear_journal) before creating its own
-// file. A resume merges every `*.fj` (JournalReader::merge_partial), checks
-// the campaign identity, cross-checks each journaled sample against the
-// deterministically re-drawn stream, evaluates only the missing indices and
-// folds in index order — so any journal resumes under any parallelism,
-// in-process or supervised, and the result is bitwise-identical to an
-// uninterrupted run. A directory without shard files is an empty journal:
-// resuming it starts fresh.
+// Both campaign modes share one contract and one start (start_journal),
+// which first takes the directory's lock (`<dir>/lock`): a directory holds
+// one campaign at a time, local or served, and a second start is refused
+// before it touches a file. A fresh start removes every `*.fj`
+// (clear_journal); a resume merges every `*.fj` (JournalReader::
+// merge_partial), checks the campaign identity, cross-checks each journaled
+// sample against the deterministically re-drawn stream, evaluates only the
+// missing indices and folds in index order — so any journal resumes under
+// any parallelism, in-process or supervised, and the result is
+// bitwise-identical to an uninterrupted run. Either way each writer opens
+// its own shard file one way (JournalWriter::open). A directory without
+// shard files is an empty journal: resuming it starts fresh.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "mc/evaluator.h"
+#include "util/io.h"
 #include "util/metrics.h"
 #include "util/record_log.h"
 #include "util/status.h"
@@ -81,9 +85,9 @@ struct MergedJournal {
   JournalMeta meta;
   std::vector<SampleRecord> records;   // size == meta.total_samples
   std::vector<std::uint8_t> present;   // parallel to records
-  /// Validated prefix size per shard file name: what JournalWriter::
-  /// open_append needs to continue a file after a torn tail.
-  std::map<std::string, std::uint64_t> valid_bytes;
+  /// The directory's lock when start_journal returned this merge: the
+  /// campaign owns the directory while it keeps the merge alive.
+  std::unique_ptr<io::FileLock> lock;
 
   /// kJournalCorrupt unless the journal is empty or belongs to the campaign
   /// with this fingerprint and sample count.
@@ -110,10 +114,12 @@ bool sample_matches(const faultsim::FaultSample& a,
 Status clear_journal(const std::string& dir);
 
 /// The one campaign start of both modes, for a campaign of `total` samples.
-/// Rejects an empty `dir` or a zero `shard_size` (kInvalidArgument). A
-/// resume merges every shard file (merge_partial) and checks the campaign
-/// identity; a fresh start clears the directory (clear_journal) and returns
-/// an empty merge.
+/// Rejects an empty `dir` or a zero `shard_size` (kInvalidArgument). Creates
+/// `dir` and takes its lock in one try: a directory another campaign holds
+/// (any process, or this one) is kFailedPrecondition, with nothing written.
+/// A resume then merges every shard file (merge_partial) and checks the
+/// campaign identity; a fresh start clears the directory (clear_journal)
+/// and returns an empty merge. Either way the returned merge holds the lock.
 Result<MergedJournal> start_journal(const JournalOptions& options,
                                     std::uint64_t total);
 
@@ -151,11 +157,18 @@ class JournalWriter {
     log_.set_metrics(sink);
   }
 
+  /// The shard-file open of both campaign modes: the in-process engine
+  /// opens "campaign.fj", a supervised worker its "worker-<k>.fj". A file
+  /// that reads back with `meta`'s fingerprint and total_samples (a resume,
+  /// a respawned or a resumed worker) is cut to its valid prefix and
+  /// appended to; anything else (absent, damaged, another campaign's) is
+  /// started fresh. Only the meta record is decoded.
+  Status open(const std::string& dir, const std::string& file,
+              const JournalMeta& meta);
   /// Starts a new shard file (truncating any existing one) and commits the
   /// header. Creates `dir` if needed; other shard files are left alone
   /// (clear_journal removes them). `file` selects the file name inside
-  /// `dir`; the default is the in-process engine's, supervised workers pass
-  /// their own "worker-<k>.fj".
+  /// `dir`.
   Status open_fresh(const std::string& dir, const JournalMeta& meta,
                     const std::string& file = "campaign.fj");
   /// Opens an existing shard file for appending (after JournalReader

@@ -105,10 +105,7 @@ std::string worker_journal_file(std::size_t worker_id) {
 
 // --- worker side ----------------------------------------------------------
 
-void WorkerHeartbeat::on_sample(const SampleRecord& record,
-                                std::size_t slice_index) {
-  const std::uint64_t index =
-      base_.load(std::memory_order_relaxed) + slice_index;
+void WorkerHeartbeat::on_sample(const SampleRecord& record, std::size_t index) {
   // Best-effort: a write failure means the supervisor is gone, which the
   // assignment loop detects as EOF (SIGPIPE is ignored in worker mode).
   (void)write_frame(STDOUT_FILENO,
@@ -125,39 +122,16 @@ void WorkerHeartbeat::on_sample(const SampleRecord& record,
 
 Status run_worker_loop(const SsfEvaluator& evaluator,
                        const std::vector<faultsim::FaultSample>& samples,
-                       WorkerHeartbeat& heartbeat,
                        const JournalOptions& journal, std::size_t worker_id) {
-  // The journal needs every record of an assigned shard.
-  FAV_ENSURE(evaluator.config().keep_records &&
-             evaluator.config().record_capacity == 0);
-
   MetricsSink* metrics = evaluator.config().metrics;
   JournalWriter writer;
   writer.set_metrics(metrics);
-  const std::string file = worker_journal_file(worker_id);
-  bool appended = false;
-  {
-    // Restart-aware open: if our shard file already belongs to this campaign
-    // (we are a respawn, or a resumed run), append after its valid prefix —
-    // the supervisor has already harvested those shards and will not
-    // reassign them.
-    Result<JournalShards> existing =
-        JournalReader::read_shards(journal.dir, file);
-    if (existing.is_ok() &&
-        existing.value().meta.fingerprint == journal.fingerprint &&
-        existing.value().meta.total_samples == samples.size()) {
-      const Status opened =
-          writer.open_append(journal.dir, existing.value().valid_bytes, file);
-      if (!opened.is_ok()) return opened;
-      appended = true;
-    }
-  }
-  if (!appended) {
-    const Status opened = writer.open_fresh(
-        journal.dir, {journal.fingerprint, samples.size(), journal.context},
-        file);
-    if (!opened.is_ok()) return opened;
-  }
+  // A respawned or resumed worker appends to its file: the supervisor has
+  // already harvested those shards and will not reassign them.
+  const JournalMeta meta{journal.fingerprint, samples.size(), journal.context};
+  const Status opened =
+      writer.open(journal.dir, worker_journal_file(worker_id), meta);
+  if (!opened.is_ok()) return opened;
 
   const Status ready = write_frame(STDOUT_FILENO, encode_ready());
   if (!ready.is_ok()) return Status::ok();  // supervisor already gone
@@ -193,18 +167,13 @@ Status run_worker_loop(const SsfEvaluator& evaluator,
                         std::to_string(msg.lo) + ", " +
                         std::to_string(msg.hi) + ")");
     }
-    heartbeat.set_base(msg.lo);
-    std::vector<faultsim::FaultSample> slice(
-        samples.begin() + static_cast<std::ptrdiff_t>(msg.lo),
-        samples.begin() + static_cast<std::ptrdiff_t>(msg.hi));
-    SsfResult shard = evaluator.run_batch(std::move(slice));
-    FAV_CHECK(shard.records.size() == msg.hi - msg.lo);
+    const std::vector<SampleRecord> records = evaluator.evaluate_batch(
+        std::span(samples).subspan(msg.lo, msg.hi - msg.lo), msg.lo);
     // Journal first, acknowledge second: a DONE without a durable shard
     // could never be reconstructed, while a journaled shard whose DONE frame
     // is lost is harvested from the file after our death.
     const Status journaled =
-        writer.append_shard(msg.lo, shard.records.data(),
-                            shard.records.size());
+        writer.append_shard(msg.lo, records.data(), records.size());
     if (!journaled.is_ok()) return journaled;
     const Status done = write_frame(STDOUT_FILENO, encode_done(msg.lo, msg.hi));
     if (!done.is_ok()) return Status::ok();  // supervisor gone
@@ -765,7 +734,8 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
   // The journal directory is one journal in either mode: a resume merges
   // every shard file (in-process campaign.fj included) and assigns only the
   // missing ranges; a fresh start removes them all first, since workers
-  // append to any file that carries the campaign fingerprint.
+  // append to any file that carries the campaign fingerprint. `started`
+  // holds the directory's lock until this campaign returns.
   Result<MergedJournal> started = start_journal(journal, n);
   if (!started.is_ok()) return started.status();
   std::vector<std::uint8_t> present = std::move(started.value().present);

@@ -12,10 +12,11 @@
 // Each worker re-elaborates the framework from the same CLI flags, re-draws
 // the identical sample batch (the determinism contract makes the stream a
 // pure function of the seed), and evaluates the contiguous sample-index
-// shards the supervisor assigns over a length-prefixed pipe protocol. A
-// worker journals every completed shard to its own `worker-<k>.fj` before
-// acknowledging it, so the supervisor can always reconstruct what a dead
-// worker finished. Liveness is per-sample PROGRESS frames: a worker that
+// shards the supervisor assigns over a length-prefixed pipe protocol through
+// the engine's evaluate_batch — a caller of the engine, not a campaign of its
+// own. A worker journals every completed shard to its own `worker-<k>.fj`
+// before acknowledging it, so the supervisor can always reconstruct what a
+// dead worker finished. Liveness is per-sample PROGRESS frames: a worker that
 // misses its heartbeat deadline (or dies) is SIGKILLed and respawned with
 // exponential backoff; a shard whose evaluation kills workers twice is
 // quarantined — its samples are recorded as OutcomePath::kFailed with
@@ -133,11 +134,12 @@ struct SupervisedResult {
 /// stderr.
 ///
 /// run_batch() is re-entrant across threads: the serve daemon runs one
-/// supervisor per in-flight campaign, each on its own thread. The only
-/// requirements are distinct journal directories per concurrent campaign
-/// and an ignored SIGPIPE disposition (run_batch() sets it; the setting is
-/// process-wide and idempotent). Worker pipes are O_CLOEXEC, so concurrent
-/// fleets never leak fds into each other's workers.
+/// supervisor per in-flight campaign, each on its own thread. Concurrent
+/// campaigns need distinct journal directories — start_journal's lock
+/// refuses a directory another campaign holds — and an ignored SIGPIPE
+/// disposition (run_batch() sets it; the setting is process-wide and
+/// idempotent). Worker pipes are O_CLOEXEC, so concurrent fleets never leak
+/// fds into each other's workers.
 class CampaignSupervisor {
  public:
   CampaignSupervisor(const SsfEvaluator& evaluator, SupervisorConfig config);
@@ -147,10 +149,11 @@ class CampaignSupervisor {
   /// the technique's bound fault space into it), and each worker re-derives
   /// the identical batch from the forwarded flags, so shards over sample or
   /// enumeration-index ranges merge alike. The journal starts like an
-  /// in-process one (start_journal); only the missing ranges, chopped to
+  /// in-process one (start_journal), whose lock is held through the fleet
+  /// and the final merge; only the missing ranges, chopped to
   /// `journal.shard_size`, are assigned. Fails (non-ok Result) on
-  /// configuration errors, unrecoverable worker-fleet failure, or journal
-  /// corruption.
+  /// configuration errors, a journal directory in use, unrecoverable
+  /// worker-fleet failure, or journal corruption.
   Result<SupervisedResult> run_batch(std::vector<faultsim::FaultSample> samples,
                                      const JournalOptions& journal) const;
 
@@ -180,11 +183,6 @@ constexpr std::uint64_t kNoCrashIndex = ~0ull;
 /// mid-shard, exactly like a segfault would, at a configurable point.
 class WorkerHeartbeat {
  public:
-  /// Absolute sample index of the slice the engine is about to evaluate
-  /// (run_batch reports slice-relative indices).
-  void set_base(std::uint64_t base) {
-    base_.store(base, std::memory_order_relaxed);
-  }
   /// SIGKILL this process after `count` completed samples (0 disables).
   void set_crash_after(std::uint64_t count) { crash_after_ = count; }
   /// SIGKILL this process right after completing the given absolute sample
@@ -192,29 +190,28 @@ class WorkerHeartbeat {
   /// the quarantine path (kNoCrashIndex disables).
   void set_crash_on(std::uint64_t index) { crash_on_ = index; }
 
-  /// EvaluatorConfig::on_sample hook. Write errors are ignored: a vanished
+  /// EvaluatorConfig::on_sample hook; `index` is the campaign index the
+  /// PROGRESS frame carries. Write errors are ignored: a vanished
   /// supervisor surfaces as EOF on the next assignment read.
-  void on_sample(const SampleRecord& record, std::size_t slice_index);
+  void on_sample(const SampleRecord& record, std::size_t index);
 
  private:
-  std::atomic<std::uint64_t> base_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::uint64_t crash_after_ = 0;
   std::uint64_t crash_on_ = kNoCrashIndex;
 };
 
-/// The worker side of the protocol, spoken on stdin/stdout: opens (or
-/// re-opens, after a restart) this worker's shard file `worker-<k>.fj` in
-/// `journal.dir`, reports READY, and serves ASSIGN messages until SHUTDOWN
-/// or EOF (supervisor gone). `samples` must be the full campaign batch — the
-/// worker evaluates assigned slices of it through `evaluator`.run_batch, so
-/// the evaluator must keep full records (keep_records, no record_capacity)
-/// and should have reduce_metrics off and `heartbeat` installed as its
-/// on_sample hook. The evaluator's metrics sink (may be null) also counts
-/// the journal writes and is shipped to the supervisor on SHUTDOWN.
+/// The worker side of the protocol, spoken on stdin/stdout: opens this
+/// worker's shard file `worker-<k>.fj` in `journal.dir` (JournalWriter::open,
+/// so a respawned or resumed worker appends), reports READY, and serves
+/// ASSIGN messages until SHUTDOWN or EOF (supervisor gone). `samples` must be
+/// the full campaign batch — the worker evaluates each assigned slice [lo,
+/// hi) through `evaluator`.evaluate_batch at campaign index lo and journals
+/// the records; the evaluator's on_sample hook should be a WorkerHeartbeat.
+/// The evaluator's metrics sink (may be null) also counts the journal writes
+/// and is shipped to the supervisor on SHUTDOWN.
 Status run_worker_loop(const SsfEvaluator& evaluator,
                        const std::vector<faultsim::FaultSample>& samples,
-                       WorkerHeartbeat& heartbeat,
                        const JournalOptions& journal, std::size_t worker_id);
 
 }  // namespace fav::mc

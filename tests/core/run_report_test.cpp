@@ -149,8 +149,9 @@ TEST(RunReport, PlainReportIsStructurallyValid) {
   res.successes = 1;
   MetricsSink metrics;
   RunReportInputs in = minimal_inputs(res, metrics);
-  in.supervised = true;
-  in.restarts = 1;
+  mc::SupervisedResult sup;
+  sup.restarts = 1;
+  in.supervisor = &sup;
   std::ostringstream out;
   write_run_report(out, in);
   EXPECT_TRUE(json_parses(out.str())) << out.str();

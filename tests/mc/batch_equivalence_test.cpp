@@ -262,7 +262,8 @@ TEST(BatchEquivalence, ExhaustiveWordsWithMultiCycleImpactMatchScalarOracle) {
     MetricsSink sink;
     EvaluatorConfig cfg;
     cfg.metrics = &sink;
-    make(cfg).run_batch(word_samples);
+    const SsfEvaluator engine = make(cfg);
+    engine.reduce_records(engine.evaluate_batch(word_samples));
     EXPECT_EQ(sink.counter("eval.batch_groups"), 4u);
     EXPECT_EQ(sink.counter("eval.batch.gathers"), impact == 2 ? 4u : 1u);
   }

@@ -225,7 +225,7 @@ SsfResult seed_sequential_run(const SsfEvaluator& ev, Sampler& sampler,
         }
       }
     }
-    if ((i + 1) % cfg.trace_stride == 0) {
+    if ((i + 1) % kTraceStride == 0) {
       result.trace.push_back(result.stats.mean());
     }
     if (cfg.keep_records) result.records.push_back(std::move(rec));

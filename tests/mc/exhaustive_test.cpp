@@ -1,18 +1,21 @@
 // Technique-generic exhaustive fault-space sweeps (DESIGN.md §6l): the
-// streamed enumeration must be bitwise-identical to run_batch over the
-// materialized space at every thread and lane count, agree with the
-// importance-sampled Monte Carlo estimate, carry coverage accounting, and
-// survive kill + resume through the journal — for radiation, clock-glitch
-// and voltage-glitch techniques alike.
+// streamed enumeration must be bitwise-identical to reducing evaluate_batch
+// over the materialized space at every thread and lane count, agree with
+// the importance-sampled Monte Carlo estimate, carry coverage accounting,
+// and survive kill + resume through the journal — for radiation,
+// clock-glitch and voltage-glitch techniques alike.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <mutex>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "faultsim/glitch.h"
 #include "mc/evaluator.h"
+#include "mc/journal.h"
 #include "soc/benchmark.h"
 #include "util/check.h"
 
@@ -126,9 +129,9 @@ TEST(ExhaustiveSweep, UnboundSpaceIsRejected) {
 
 TEST(ExhaustiveSweep, StreamingSweepMatchesMaterializedBatch) {
   // Regression for the old evaluate_exact grid loop: the chunked streaming
-  // sweep must be bitwise-identical to run_batch over the materialized
-  // enumeration (chunk boundaries may split equal-t groups across
-  // word-parallel batches — batching is contractually a no-op).
+  // sweep must be bitwise-identical to reducing evaluate_batch over the
+  // materialized enumeration (chunk boundaries may split equal-t groups
+  // across word-parallel batches — batching is contractually a no-op).
   faultsim::GlitchTechnique technique(ctx().glitch,
                                      faultsim::TechniqueKind::kClockGlitch);
   technique.bind_space(glitch_model());
@@ -138,7 +141,7 @@ TEST(ExhaustiveSweep, StreamingSweepMatchesMaterializedBatch) {
 
   std::vector<faultsim::FaultSample> all;
   technique.enumerate(0, space, all);
-  const SsfResult batch = engine.run_batch(std::move(all));
+  const SsfResult batch = engine.reduce_records(engine.evaluate_batch(all));
   const SsfResult streamed = engine.run_exhaustive();
 
   expect_bitwise_equal(streamed, batch);
@@ -163,7 +166,44 @@ TEST(ExhaustiveSweep, SpaceLimitCapsCoverage) {
 
   std::vector<faultsim::FaultSample> prefix;
   technique.enumerate(0, 10, prefix);
-  expect_bitwise_equal(capped, engine.run_batch(std::move(prefix)));
+  expect_bitwise_equal(capped,
+                       engine.reduce_records(engine.evaluate_batch(prefix)));
+}
+
+TEST(ExhaustiveSweep, EvaluateBatchOfASliceMatchesTheSweep) {
+  // A supervised worker's seam: a slice evaluated at its campaign index
+  // reports those indices to on_sample and yields the sweep's own records,
+  // bit for bit.
+  faultsim::RadiationTechnique technique(ctx().placement, ctx().injector);
+  technique.bind_space(radiation_model());
+  const std::size_t lo = 37, hi = 101;
+  ASSERT_GT(technique.space_size(), hi);
+  std::vector<faultsim::FaultSample> slice;
+  technique.enumerate(lo, hi, slice);
+  std::mutex mu;
+  std::vector<std::size_t> seen;
+  EvaluatorConfig cfg;
+  cfg.threads = 2;
+  cfg.on_sample = [&](const SampleRecord&, std::size_t index) {
+    const std::lock_guard<std::mutex> lock(mu);
+    seen.push_back(index);
+  };
+  const std::vector<SampleRecord> records =
+      ctx().make(technique, cfg).evaluate_batch(slice, lo);
+  std::sort(seen.begin(), seen.end());
+  std::vector<std::size_t> expected(hi - lo);
+  std::iota(expected.begin(), expected.end(), lo);
+  EXPECT_EQ(seen, expected);
+
+  const SsfResult sweep = ctx().make(technique).run_exhaustive(hi);
+  ASSERT_EQ(records.size(), hi - lo);
+  ASSERT_EQ(sweep.records.size(), hi);
+  for (std::size_t i = lo; i < hi; ++i) {
+    std::string got, want;
+    serialize_record(records[i - lo], got);
+    serialize_record(sweep.records[i], want);
+    EXPECT_EQ(got, want) << "sample " << i;
+  }
 }
 
 TEST(ExhaustiveSweep, RadiationBitwiseAcrossThreadsAndLanesWithin3Sigma) {

@@ -1,7 +1,7 @@
 // Crash-safety tests for the campaign journal: round-trip serialization,
-// kill-and-resume bitwise identity, resume of a sparse or empty journal,
-// torn-tail tolerance and corruption detection (see mc/journal.h for the
-// on-disk format).
+// the one shard-file open, the directory lock, kill-and-resume bitwise
+// identity, resume of a sparse or empty journal, torn-tail tolerance and
+// corruption detection (see mc/journal.h for the on-disk format).
 #include "mc/journal.h"
 
 #include <gtest/gtest.h>
@@ -204,6 +204,85 @@ TEST(JournalWriter, AppendAfterReopen) {
   const std::vector<SampleRecord>& back = read.value().spans[0].records;
   ASSERT_EQ(back.size(), 4u);
   for (int i = 0; i < 4; ++i) expect_record_eq(back[i], recs[i]);
+}
+
+/// The records of the in-process shard file, in index order.
+std::vector<SampleRecord> campaign_records(const std::string& dir) {
+  Result<JournalShards> read = read_campaign(dir);
+  EXPECT_TRUE(read.is_ok()) << read.status().to_string();
+  std::vector<SampleRecord> out;
+  if (!read.is_ok()) return out;
+  for (JournalSpan& span : read.value().spans) {
+    for (SampleRecord& rec : span.records) out.push_back(std::move(rec));
+  }
+  return out;
+}
+
+TEST(JournalWriter, OpenCreatesAnAbsentFile) {
+  const std::string dir = fresh_dir("open_absent");
+  const JournalMeta meta{0xC0FFEE, 4, "open"};
+  const std::vector<SampleRecord> recs = {make_record(0), make_record(1)};
+  {
+    JournalWriter w;
+    ASSERT_TRUE(w.open(dir, "campaign.fj", meta).is_ok());
+    ASSERT_TRUE(w.append_shard(0, recs.data(), 2).is_ok());
+  }
+  Result<JournalShards> read = read_campaign(dir);
+  ASSERT_TRUE(read.is_ok()) << read.status().to_string();
+  EXPECT_EQ(read.value().meta.fingerprint, meta.fingerprint);
+  EXPECT_EQ(read.value().meta.context, meta.context);
+  const std::vector<SampleRecord> back = campaign_records(dir);
+  ASSERT_EQ(back.size(), 2u);
+  for (int i = 0; i < 2; ++i) expect_record_eq(back[i], recs[i]);
+}
+
+TEST(JournalWriter, OpenContinuesTheSameCampaignAfterItsValidPrefix) {
+  // A torn tail is cut off before the next shard lands: otherwise the
+  // partial frame would sit between frames and read back as mid-file
+  // damage.
+  const std::string dir = fresh_dir("open_torn");
+  const JournalMeta meta{0xC0FFEE, 6, "open"};
+  std::vector<SampleRecord> recs;
+  for (int i = 0; i < 6; ++i) recs.push_back(make_record(i));
+  {
+    JournalWriter w;
+    ASSERT_TRUE(w.open(dir, "campaign.fj", meta).is_ok());
+    ASSERT_TRUE(w.append_shard(0, recs.data(), 2).is_ok());
+    ASSERT_TRUE(w.append_shard(2, recs.data() + 2, 2).is_ok());
+  }
+  fs::resize_file(journal_file(dir), fs::file_size(journal_file(dir)) - 7);
+  {
+    JournalWriter w;
+    ASSERT_TRUE(w.open(dir, "campaign.fj", meta).is_ok());
+    ASSERT_TRUE(w.append_shard(2, recs.data() + 2, 4).is_ok());
+  }
+  const std::vector<SampleRecord> back = campaign_records(dir);
+  ASSERT_EQ(back.size(), 6u);
+  for (int i = 0; i < 6; ++i) expect_record_eq(back[i], recs[i]);
+}
+
+TEST(JournalWriter, OpenStartsAForeignCampaignsFileFresh) {
+  const std::string dir = fresh_dir("open_foreign");
+  const JournalMeta meta{0xC0FFEE, 4, "open"};
+  const std::vector<SampleRecord> recs = {make_record(0), make_record(1)};
+  {
+    JournalWriter w;
+    ASSERT_TRUE(w.open(dir, "worker-2.fj", meta).is_ok());
+    ASSERT_TRUE(w.append_shard(0, recs.data(), 2).is_ok());
+  }
+  JournalMeta foreign = meta;
+  foreign.fingerprint ^= 1;
+  JournalMeta longer = meta;
+  longer.total_samples = 5;
+  for (const JournalMeta& other : {foreign, longer}) {
+    JournalWriter w;
+    ASSERT_TRUE(w.open(dir, "worker-2.fj", other).is_ok());
+    Result<JournalShards> read = JournalReader::read_shards(dir, "worker-2.fj");
+    ASSERT_TRUE(read.is_ok()) << read.status().to_string();
+    EXPECT_EQ(read.value().meta.fingerprint, other.fingerprint);
+    EXPECT_EQ(read.value().meta.total_samples, other.total_samples);
+    EXPECT_TRUE(read.value().spans.empty());
+  }
 }
 
 TEST(JournalWriter, DirectoryIsFsyncedOnCreateAndTruncate) {
@@ -580,6 +659,36 @@ TEST(JournaledRun, MismatchedSampleStreamIsRejected) {
       ctx().evaluator.run_journaled(sampler, rng, 64, test_options(dir, true));
   ASSERT_FALSE(resumed.is_ok());
   EXPECT_EQ(resumed.status().code(), ErrorCode::kJournalCorrupt);
+}
+
+TEST(Journal, StartJournalLocksTheDirectory) {
+  // One campaign per directory: a second start, fresh or resumed, is refused
+  // before it touches a file, under any spelling of the directory, until the
+  // first start's merge is gone.
+  const std::string dir = fresh_dir("locked");
+  const JournalMeta meta{0xFEEDFACE, 8, "journal_test"};
+  {
+    Result<MergedJournal> first = start_journal(test_options(dir, false), 8);
+    ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+    JournalWriter w;
+    ASSERT_TRUE(w.open(dir, "campaign.fj", meta).is_ok());
+    for (const bool resume : {false, true}) {
+      for (const std::string& spelling : {dir, dir + "/."}) {
+        SCOPED_TRACE(spelling + (resume ? " resume" : " fresh"));
+        const Result<MergedJournal> second =
+            start_journal(test_options(spelling, resume), 8);
+        ASSERT_FALSE(second.is_ok());
+        EXPECT_EQ(second.status().code(), ErrorCode::kFailedPrecondition);
+        EXPECT_NE(second.status().message().find("in use"), std::string::npos)
+            << second.status().to_string();
+      }
+    }
+    EXPECT_TRUE(fs::exists(journal_file(dir)));  // the refusals cleared nothing
+  }
+  Result<MergedJournal> again = start_journal(test_options(dir, true), 8);
+  ASSERT_TRUE(again.is_ok()) << again.status().to_string();
+  EXPECT_EQ(again.value().present, std::vector<std::uint8_t>(8, 0));
+  EXPECT_NE(again.value().lock, nullptr);
 }
 
 TEST(JournaledRun, EmptyDirIsInvalidArgument) {

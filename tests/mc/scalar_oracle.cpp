@@ -176,7 +176,9 @@ void expect_engine_matches_oracle(
       EvaluatorConfig cfg = base;
       cfg.batch_lanes = lanes;
       cfg.threads = threads;
-      expect_bitwise_equal(make(cfg).run_batch(samples), reference);
+      const SsfEvaluator engine = make(cfg);
+      expect_bitwise_equal(
+          engine.reduce_records(engine.evaluate_batch(samples)), reference);
     }
   }
 }

@@ -61,9 +61,9 @@ void expect_records_equal(const SampleRecord& a, const SampleRecord& b,
 /// contribution maps and every record field.
 void expect_bitwise_equal(const SsfResult& a, const SsfResult& b);
 
-/// Runs `samples` through run_batch of the engine `make(cfg)` builds, for
-/// `base` at every width in kOracleLanes and thread count in
-/// kOracleThreads, and expects each result to equal the oracle's.
+/// Runs `samples` through evaluate_batch + reduce_records of the engine
+/// `make(cfg)` builds, for `base` at every width in kOracleLanes and thread
+/// count in kOracleThreads, and expects each result to equal the oracle's.
 void expect_engine_matches_oracle(
     const std::function<SsfEvaluator(const EvaluatorConfig&)>& make,
     const EvaluatorConfig& base,

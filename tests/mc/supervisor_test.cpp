@@ -186,7 +186,7 @@ TEST(JournalMerge, MergePartialExposesPresenceAndGaps) {
   EXPECT_EQ(merged.value().present,
             (std::vector<std::uint8_t>{1, 1, 0, 0, 0, 0, 1, 1, 0, 0}));
   EXPECT_EQ(merged.value().records[7].sample.t, make_record(7).sample.t);
-  EXPECT_EQ(merged.value().valid_bytes.count(worker_journal_file(0)), 1u);
+  EXPECT_EQ(merged.value().present.size(), meta.total_samples);
 }
 
 TEST(JournalMerge, AcceptsOutOfOrderFramesWithinOneFile) {
@@ -257,7 +257,7 @@ TEST(JournalMerge, NoShardFilesIsAnEmptyJournal) {
     Result<MergedJournal> merged = JournalReader::merge_partial(d);
     ASSERT_TRUE(merged.is_ok()) << merged.status().to_string();
     EXPECT_TRUE(merged.value().present.empty());
-    EXPECT_TRUE(merged.value().valid_bytes.empty());
+    EXPECT_TRUE(merged.value().records.empty());
     EXPECT_TRUE(merged.value().check_campaign(1, 2).is_ok());
   }
 }
@@ -279,7 +279,7 @@ TEST(JournalMerge, MergesTheInProcessFileWithWorkerFiles) {
   ASSERT_TRUE(merged.is_ok()) << merged.status().to_string();
   EXPECT_EQ(merged.value().present, std::vector<std::uint8_t>(8, 1));
   EXPECT_EQ(merged.value().records[2].sample.t, make_record(2).sample.t);
-  EXPECT_EQ(merged.value().valid_bytes.size(), 2u);
+  EXPECT_EQ(merged.value().present.size(), meta.total_samples);
   EXPECT_TRUE(merged.value().check_campaign(meta.fingerprint, 8).is_ok());
   EXPECT_EQ(merged.value().check_campaign(meta.fingerprint, 9).code(),
             ErrorCode::kJournalCorrupt);

@@ -111,11 +111,13 @@ std::string replace_all(std::string text, const std::string& from,
 
 /// A live `fav serve` daemon on a fresh socket, SIGTERMed (graceful drain)
 /// on destruction. `extra` appends serve flags (--state-dir, --max-queued,
-/// --campaign-deadline-ms, --stats-out, ...).
+/// --campaign-deadline-ms, --stats-out, ...); a non-empty `stderr_file`
+/// captures the daemon's log.
 class Daemon {
  public:
   explicit Daemon(const std::string& tag, std::size_t max_campaigns = 2,
-                  const std::vector<std::string>& extra = {}) {
+                  const std::vector<std::string>& extra = {},
+                  const std::string& stderr_file = "") {
     socket_path_ = (fs::path(::testing::TempDir()) /
                     ("fav_cli_" + tag + ".sock"))
                        .string();
@@ -124,6 +126,11 @@ class Daemon {
                                      socket_path_, "--max-campaigns",
                                      std::to_string(max_campaigns)};
     argv.insert(argv.end(), extra.begin(), extra.end());
+    if (!stderr_file.empty()) {
+      // exec keeps the pid, so stop() still signals the daemon itself.
+      argv.insert(argv.begin(),
+                  {"/bin/sh", "-c", "exec \"$@\" 2> " + stderr_file, "sh"});
+    }
     Result<Subprocess> spawned = Subprocess::spawn(argv);
     EXPECT_TRUE(spawned.is_ok()) << spawned.status().to_string();
     proc_.emplace(std::move(spawned).value());
@@ -378,6 +385,32 @@ TEST(ServeCli, SupervisedProgressReachesTheTotal) {
   // The last frame always ships, so it counts every sample.
   EXPECT_EQ(done, 600u);
   EXPECT_EQ(total, 600u);
+}
+
+TEST(ServeCli, SupervisedProgressPrintsNoMeterInTheDaemonLog) {
+  // --progress is drawn by the client from the PROGRESS frames; the daemon
+  // runs the campaign without a meter of its own.
+  const std::string dir = fresh_dir("daemon_log");
+  Daemon daemon("daemon_log", 2, {}, dir + "/daemon.err");
+  ASSERT_EQ(run_cli("submit --socket " + daemon.socket_path() +
+                        " --benchmark write --samples 600 --seed 7 "
+                        "--supervise 2 --shard-size 64 --journal " +
+                        dir + " --progress",
+                    dir + "/out.txt"),
+            0);
+  daemon.stop();
+  const std::string log = read_file(dir + "/daemon.err");
+  EXPECT_NE(log.find("fav serve: campaign 1"), std::string::npos) << log;
+  std::istringstream daemon_lines(log);
+  for (std::string line; std::getline(daemon_lines, line);) {
+    EXPECT_NE(line.rfind("[fav]", 0), 0u) << "daemon printed: " << line;
+  }
+  std::istringstream client_lines(read_file(dir + "/out.txt.err"));
+  std::string last;
+  for (std::string line; std::getline(client_lines, line);) {
+    if (line.rfind("fav submit: ", 0) == 0) last = line;
+  }
+  EXPECT_EQ(last, "fav submit: 600 / 600 samples");
 }
 
 TEST(ServeCli, BusyJournalIsRefusedAndSigtermDrainsGracefully) {

@@ -11,7 +11,9 @@
 //     --resume completes to the undisturbed result,
 //   * one journal for both modes: an in-process --resume completes a
 //     supervised journal and a supervised --resume an in-process one, and an
-//     empty journal resumes as a fresh start.
+//     empty journal resumes as a fresh start,
+//   * one campaign per journal directory: a second local campaign on a busy
+//     directory is refused and leaves the first one's journal intact.
 //
 // These tests spawn several framework elaborations each (~seconds); they are
 // deliberately few and each asserts a full scenario.
@@ -440,6 +442,43 @@ TEST(CrossModeResume, InProcessJournalResumesSupervised) {
     EXPECT_TRUE(shards.value().spans.empty())
         << name << " journaled samples the in-process journal already held";
   }
+}
+
+TEST(JournalLock, SecondLocalCampaignOnABusyDirectoryIsRefused) {
+  const std::string base = fresh_dir("lock_base");
+  const std::string dir = fresh_dir("lock_busy");
+  const std::string flags = campaign_flags(60000);
+  ASSERT_EQ(run_cli(flags + " --journal " + base), 0);
+  std::vector<std::string> argv = {FAV_CLI_PATH};
+  std::istringstream split(flags + " --journal " + dir);
+  for (std::string tok; split >> tok;) argv.push_back(tok);
+  Result<Subprocess> spawned = Subprocess::spawn(argv);
+  ASSERT_TRUE(spawned.is_ok()) << spawned.status().to_string();
+  Subprocess first = std::move(spawned).value();
+  // Wait until the first campaign owns the journal (its file appears).
+  bool started = false;
+  bool done = false;
+  for (int i = 0; i < 12000 && !started && !done; ++i) {
+    started = fs::exists(fs::path(dir) / "campaign.fj");
+    Subprocess::ExitStatus st;
+    done = !started && first.try_wait(&st);  // outran the poll
+    if (!started && !done) ::usleep(10'000);
+  }
+  if (started) {
+    // The second campaign is refused before it touches a file.
+    std::string err;
+    EXPECT_EQ(run_cli(campaign_flags(16) + " --journal " + dir, nullptr, &err),
+              1);
+    EXPECT_NE(err.find("in use"), std::string::npos) << err;
+    const Subprocess::ExitStatus st = first.wait();
+    EXPECT_FALSE(st.signaled);
+    EXPECT_EQ(st.exit_code, 0);
+  } else if (!done) {
+    first.kill(SIGKILL);
+    first.wait();
+    FAIL() << "the first campaign never started";
+  }
+  expect_bitwise_equal_journals(dir, base);
 }
 
 TEST(CrossModeResume, EmptyJournalResumesAsAFreshStart) {

@@ -33,9 +33,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -405,11 +403,7 @@ mc::CampaignOutcome run_evaluate_campaign(const Options& o, bool local_files,
     in.threads = o.threads;
     in.batch_lanes = fw.evaluator().config().batch_lanes;
     in.supervise = o.supervise;
-    in.supervised = o.supervise > 0;
-    in.restarts = run.restarts;
-    in.quarantined_shards = run.quarantined_shards;
-    in.quarantined_samples = run.quarantined_samples;
-    in.storage_full_stops = run.storage_full_stops;
+    in.supervisor = o.supervise > 0 ? &run : nullptr;
     in.cache = cache;
     in.elapsed_s = elapsed_s;
     in.result = &res;
@@ -461,29 +455,6 @@ int cmd_evaluate(const Options& o) {
   return print_outcome(run_evaluate_campaign(o, true, {}, &g_stop), "");
 }
 
-/// Journal directories in use by in-flight served campaigns. Two concurrent
-/// campaigns sharing a journal would interleave shard files and corrupt both
-/// results, so the daemon reserves the (canonicalized) directory for the
-/// campaign's lifetime and refuses the second request.
-std::mutex g_journal_registry_mu;
-std::set<std::string> g_journal_registry;
-
-/// The canonical key reserved for `dir`, or "" when another campaign holds
-/// it.
-std::string reserve_journal(const std::string& dir) {
-  std::error_code ec;
-  const std::filesystem::path canon =
-      std::filesystem::weakly_canonical(dir, ec);
-  const std::string key = ec ? dir : canon.string();
-  std::lock_guard<std::mutex> lock(g_journal_registry_mu);
-  return g_journal_registry.insert(key).second ? key : "";
-}
-
-void release_journal(const std::string& key) {
-  std::lock_guard<std::mutex> lock(g_journal_registry_mu);
-  g_journal_registry.erase(key);
-}
-
 /// The serve daemon's CampaignRunner: parses the request argv with the same
 /// parser as main() and runs the same campaign path as a local
 /// `fav evaluate` — which is the served == local identity guarantee. A bad
@@ -494,24 +465,21 @@ void release_journal(const std::string& key) {
 /// `local_files` is false for live clients (the report ships over the
 /// socket) and true for crash-recovered campaigns: the daemon writes
 /// --metrics-out itself, and a journaled campaign resumes whatever its
-/// journal holds (an empty journal starts fresh).
+/// journal holds (an empty journal starts fresh). A journal directory
+/// another campaign holds is refused by the journal's own lock.
 mc::CampaignOutcome run_served_campaign(bool local_files,
                                         const std::vector<std::string>& args,
                                         const mc::ProgressFn& progress,
                                         const std::atomic<bool>& cancel) {
   mc::CampaignOutcome out;
-  std::string journal_key;
   try {
     Options o = cli::parse(args);
     const std::string refusal = cli::served_refusal(o);
     if (!refusal.empty()) cli::usage(refusal);
     if (local_files && !o.journal.empty()) o.resume = true;
-    if (!o.journal.empty()) journal_key = reserve_journal(o.journal);
-    if (!o.journal.empty() && journal_key.empty()) {
-      out.error = "journal directory '" + o.journal +
-                  "' is in use by another in-flight campaign";
-      return out;
-    }
+    // The client draws --progress from the PROGRESS frames; a meter here
+    // would print into the daemon's log.
+    o.progress = false;
     out = run_evaluate_campaign(o, local_files, progress, &cancel);
   } catch (const cli::UsageError& e) {
     out.error = e.message.empty() ? "invalid campaign request" : e.message;
@@ -521,7 +489,6 @@ mc::CampaignOutcome run_served_campaign(bool local_files,
   } catch (const std::exception& e) {
     out.error = e.what();
   }
-  if (!journal_key.empty()) release_journal(journal_key);
   return out;
 }
 
@@ -620,17 +587,13 @@ int cmd_worker(const Options& o) {
   heartbeat.set_crash_on(o.crash_on);
   MetricsSink metrics;  // shipped to the supervisor on SHUTDOWN
   core::FrameworkConfig cfg = o.framework_config();
-  cfg.evaluator.record_capacity = 0;  // the journal needs every record
   cfg.evaluator.metrics = &metrics;
-  // The supervisor runs the one global reduction over the merged journals;
-  // workers shipping reduce-derived counters would double-count them.
-  cfg.evaluator.reduce_metrics = false;
   cfg.evaluator.on_sample =
       std::bind_front(&mc::WorkerHeartbeat::on_sample, &heartbeat);
   core::FaultAttackEvaluator fw(pick_benchmark(o.benchmark), cfg);
   Campaign c = resolve_campaign(fw, o);
   const Status status = mc::run_worker_loop(
-      fw.evaluator(), c.batch(fw, o), heartbeat, c.journal, o.worker_id);
+      fw.evaluator(), c.batch(fw, o), c.journal, o.worker_id);
   if (status.is_ok()) return 0;
   std::fprintf(stderr, "fav worker %zu: %s\n",
                static_cast<std::size_t>(o.worker_id),
